@@ -13,10 +13,7 @@ from .genfun import (
     closed_des_k,
     closed_inv_132_312,
     closed_inv_k,
-    conjecture_check,
     conjectured_g,
-    duality_check,
-    equidistribution_check,
     g_polynomial,
     g_table,
     product_132_231,
@@ -27,7 +24,6 @@ from .genfun import (
     rec_312,
     run_suite,
     t_polynomial,
-    wilf_check,
 )
 from .perm import (
     avoidance_class,
@@ -60,15 +56,12 @@ __all__ = [
     "closed_inv_132_312",
     "closed_inv_k",
     "complement",
-    "conjecture_check",
     "conjectured_g",
     "contains",
     "des",
     "des_set",
-    "duality_check",
     "enumerate_sn",
     "enumeration_cap",
-    "equidistribution_check",
     "eulerian_poly",
     "exc",
     "g_polynomial",
@@ -90,5 +83,4 @@ __all__ = [
     "run_suite",
     "standardize",
     "t_polynomial",
-    "wilf_check",
 ]

@@ -181,6 +181,9 @@ def cmd_gf(args: argparse.Namespace) -> int:
         )
     else:
         widths = args.width
+        top = max(n - 1, 1)  # a word of length <= 1 keeps the classical width 1
+        if not 1 <= widths <= top:
+            raise InvalidInputError(f"width {widths} not contained in [1, {top}]")
 
     cache = None
     cache_path = None
@@ -313,6 +316,8 @@ def cmd_gtable(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.nmax is not None and args.nmax < 0:
+        raise InvalidInputError(f"nmax must be >= 0, got {args.nmax}")
     if args.nmax is not None and args.nmax > enumeration_cap():
         raise EnumerationCapError(
             f"nmax={args.nmax} exceeds enumeration cap {enumeration_cap()} "

@@ -345,37 +345,25 @@ def rec_132_213(n: int, k: int, cache: RecCache | None = None) -> LaurentPoly:
     return _run_recursion(n, k, cache, base, step)
 
 
-def _product_from_anchors(n: int, ks: tuple[int, ...]) -> LaurentPoly:
-    anchors = (1,) + ks + (n,)
+def product_132_231(n: int, widths: stats.Widths) -> LaurentPoly:
+    """
+    Width-set descent distribution over the {132, 231}-avoiders, and equally
+    over the {132, 312}-avoiders (`product_132_312` is this function): a
+    product of binomials (1 + q^(i-1)) spanned by the gaps of the width set.
+
+    >>> print(product_132_231(3, (1,)))
+    1 + 2*q + q^2
+    """
+    if isinstance(widths, int):
+        widths = (widths,)
+    anchors = (1, *stats.normalize_widths(widths, n), n)
     out = ONE
     for i in range(1, len(anchors)):
         out = out * LaurentPoly([(0, 1), (i - 1, 1)]) ** (anchors[i] - anchors[i - 1])
     return out
 
 
-def _as_width_set(widths: stats.Widths, n: int) -> tuple[int, ...]:
-    if isinstance(widths, int):
-        widths = (widths,)
-    return stats.normalize_widths(widths, n)
-
-
-def product_132_231(n: int, widths: stats.Widths) -> LaurentPoly:
-    """
-    Width-set descent distribution over the {132, 231}-avoiders: a product
-    of binomials (1 + q^(i-1)) spanned by the gaps of the width set.
-
-    >>> print(product_132_231(3, (1,)))
-    1 + 2*q + q^2
-    """
-    return _product_from_anchors(n, _as_width_set(widths, n))
-
-
-def product_132_312(n: int, widths: stats.Widths) -> LaurentPoly:
-    """
-    Width-set descent distribution over the {132, 312}-avoiders; the same
-    binomial product as for {132, 231}.
-    """
-    return _product_from_anchors(n, _as_width_set(widths, n))
+product_132_312 = product_132_231
 
 
 def closed_inv_132_312(n: int, k: int) -> LaurentPoly:
@@ -486,147 +474,33 @@ def _counterexample(params: dict, lhs, rhs) -> dict:
     }
 
 
-def _verdict(
-    identity: str, swept: str, mismatch: dict | None, notes: Sequence[str] = ()
+#: One instance of an identity: its parameters, and the two sides that must agree.
+Case = tuple[dict, object, object]
+
+
+def _check(
+    identity: str, swept: str, cases: Iterable[Case], notes: Sequence[str] = ()
 ) -> VerificationReport:
-    if mismatch is None:
-        return VerificationReport(identity, swept, "verified", None, tuple(notes))
-    return VerificationReport(identity, swept, "mismatch", mismatch, tuple(notes))
+    # The one case runner every suite goes through.  Families sweep their
+    # parameters in increasing order, so the first disagreeing case is the
+    # smallest counterexample; a family that yields no case is never verified.
+    checked = 0
+    for params, lhs, rhs in cases:
+        if lhs != rhs:
+            bad = _counterexample(params, lhs, rhs)
+            return VerificationReport(identity, swept, "mismatch", bad, tuple(notes))
+        checked += 1
+    if not checked:
+        return VerificationReport(
+            identity, swept, "not-applicable", notes=(f"no cases in {swept}", *notes)
+        )
+    return VerificationReport(identity, swept, "verified", notes=tuple(notes))
 
 
 def _format_class(patterns: tuple[tuple[int, ...], ...]) -> str:
     if not patterns:
         return "S_n"
     return "Av(" + ",".join(format_perm(p) for p in patterns) + ")"
-
-
-# ---------------------------------------------------------------------------
-# single-identity checks
-
-DUALITY_MODES = ("reverse", "complement", "reverse-complement")
-
-
-def duality_check(
-    n: int, patterns: Patterns, mode: str, max_n: int | None = None
-) -> VerificationReport:
-    """
-    Check the joint-distribution duality: reversing or complementing every
-    pattern reflects each exponent e_k to (n-k) - e_k, and doing both leaves
-    the polynomial unchanged.  Both sides are computed by enumeration.
-    """
-    if mode not in DUALITY_MODES:
-        raise InvalidInputError(f"mode must be one of {DUALITY_MODES}, got {mode!r}")
-    pats = check_patterns(patterns)
-    base = t_polynomial(n, pats, max_n=max_n)
-    if mode == "reverse":
-        image = check_patterns([reverse(p) for p in pats])
-        expected = base.reflect(tuple(n - k for k in range(1, n)))
-    elif mode == "complement":
-        image = check_patterns([complement(p) for p in pats])
-        expected = base.reflect(tuple(n - k for k in range(1, n)))
-    else:
-        image = check_patterns([complement(reverse(p)) for p in pats])
-        expected = base
-    actual = t_polynomial(n, image, max_n=max_n)
-    swept = f"n={n}, {_format_class(pats)}, mode={mode}"
-    if actual == expected:
-        return _verdict(f"duality[{mode}]", swept, None)
-    bad = _counterexample(
-        {"n": n, "patterns": [format_perm(p) for p in pats], "mode": mode},
-        actual,
-        expected,
-    )
-    return _verdict(f"duality[{mode}]", swept, bad)
-
-
-def conjecture_check(
-    n: int, k: int, g: LaurentPoly | None = None, max_n: int | None = None
-) -> VerificationReport:
-    """
-    Compare g_polynomial(n, k) against the conjectured n*q^(1-k)*A_(n-1)(q).
-    Applicable only when gcd(k, n) = 1; otherwise reports not-applicable.
-    """
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"width must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    identity = "conjecture[G=n*q^(1-k)*A_(n-1)]"
-    swept = f"n={n}, k={k}"
-    if math.gcd(n, k) != 1:
-        return VerificationReport(
-            identity,
-            swept,
-            "not-applicable",
-            notes=(f"gcd(k,n)={math.gcd(n, k)} != 1; no closed form is claimed",),
-        )
-    actual = g if g is not None else g_polynomial(n, k, max_n=max_n)
-    expected = conjectured_g(n, k)
-    if actual == expected:
-        return _verdict(identity, swept, None)
-    return _verdict(identity, swept, _counterexample({"n": n, "k": k}, actual, expected))
-
-
-def equidistribution_check(n: int, k: int, max_n: int | None = None) -> VerificationReport:
-    """
-    Check des_k ~ exc_k and inv_k ~ maj_k over S_n by brute force, plus
-    des_k ~ inv_k when k >= n/2.
-    """
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"width must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    dists = {
-        name: brute_distribution(n, name, k, max_n=max_n) for name in STATISTICS
-    }
-    pairs = [("des", "exc"), ("inv", "maj")]
-    if 2 * k >= n:
-        pairs.append(("des", "inv"))
-    swept = f"n={n}, k={k}"
-    for left, right in pairs:
-        if dists[left] != dists[right]:
-            bad = _counterexample(
-                {"n": n, "k": k, "statistics": [left, right]},
-                dists[left],
-                dists[right],
-            )
-            return _verdict("equidistribution", swept, bad)
-    return _verdict("equidistribution", swept, None)
-
-
-def wilf_check(
-    patterns_a: Patterns,
-    patterns_b: Patterns,
-    n_max: int,
-    max_n: int | None = None,
-) -> VerificationReport:
-    """Compare avoidance-class sizes of two pattern sets for n = 0..n_max."""
-    a = check_patterns(patterns_a)
-    b = check_patterns(patterns_b)
-    swept = f"0<=n<={n_max}, {_format_class(a)} vs {_format_class(b)}"
-    for m in range(n_max + 1):
-        ca = sum(1 for _ in avoidance_class(m, a, max_n=max_n))
-        cb = sum(1 for _ in avoidance_class(m, b, max_n=max_n))
-        if ca != cb:
-            return _verdict(
-                "wilf-equivalence", swept, _counterexample({"n": m}, ca, cb)
-            )
-    return _verdict("wilf-equivalence", swept, None)
-
-
-def deg_check_312(n: int, k: int, max_n: int | None = None) -> VerificationReport:
-    """
-    Check the degree formulas over the 312-avoiders: the descent polynomial
-    has degree n-k and the inversion polynomial degree sum((n-i)//k).
-    """
-    des_poly = brute_distribution(n, "des", k, ((3, 1, 2),), max_n=max_n)
-    inv_poly = brute_distribution(n, "inv", k, ((3, 1, 2),), max_n=max_n)
-    swept = f"n={n}, k={k}, Av(312)"
-    actual = (des_poly.degree, inv_poly.degree)
-    expected = (des_degree_312(n, k), inv_degree_312(n, k))
-    if actual == expected:
-        return _verdict("degree[Av(312)]", swept, None)
-    bad = _counterexample(
-        {"n": n, "k": k, "des_poly": des_poly, "inv_poly": inv_poly},
-        actual,
-        expected,
-    )
-    return _verdict("degree[Av(312)]", swept, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +514,6 @@ class SweepCaches:
 
     def __init__(self) -> None:
         self._g_tables: dict[int, dict[int, LaurentPoly]] = {}
-        self._sn_des_inv: dict[int, tuple[dict, dict]] = {}
         self._sn_exc_maj: dict[int, tuple[dict, dict]] = {}
         self._av_dists: dict[tuple, tuple[dict, dict]] = {}
         self._t_polys: dict[tuple, MultiPoly] = {}
@@ -649,26 +522,6 @@ class SweepCaches:
         if n not in self._g_tables:
             self._g_tables[n] = g_table(n, max_n=n)
         return self._g_tables[n]
-
-    def sn_des_inv(self, n: int) -> tuple[dict[int, LaurentPoly], dict[int, LaurentPoly]]:
-        """Width-k descent and inversion distributions over S_n, every k."""
-        if n not in self._sn_des_inv:
-            des_acc: list[dict[int, int]] = [{} for _ in range(n)]
-            inv_acc: list[dict[int, int]] = [{} for _ in range(n)]
-            for word in enumerate_sn(n, max_n=n):
-                counts = _gap_counts(word)
-                for k in range(1, n):
-                    e = counts[k]
-                    acc = des_acc[k]
-                    acc[e] = acc.get(e, 0) + 1
-                    e = sum(counts[k::k])
-                    acc = inv_acc[k]
-                    acc[e] = acc.get(e, 0) + 1
-            self._sn_des_inv[n] = (
-                {k: LaurentPoly(des_acc[k]) for k in range(1, n)},
-                {k: LaurentPoly(inv_acc[k]) for k in range(1, n)},
-            )
-        return self._sn_des_inv[n]
 
     def sn_exc_maj(self, n: int) -> tuple[dict[int, LaurentPoly], dict[int, LaurentPoly]]:
         """Width-k excedance and major-index distributions over S_n, every k."""
@@ -693,7 +546,10 @@ class SweepCaches:
     def av_dists(
         self, n: int, patterns: tuple[tuple[int, ...], ...]
     ) -> tuple[dict[int, LaurentPoly], dict[int, LaurentPoly]]:
-        """Width-k descent and inversion distributions over an avoidance class."""
+        """
+        Width-k descent and inversion distributions over an avoidance class,
+        every k; the empty pattern set gives S_n.
+        """
         key = (n, patterns)
         if key not in self._av_dists:
             des_acc: list[dict[int, int]] = [{} for _ in range(n)]
@@ -722,6 +578,9 @@ class SweepCaches:
 
 # ---------------------------------------------------------------------------
 # verification suites
+#
+# Each suite declares its identity families as lazy generators of
+# (params, lhs, rhs) cases and hands each one to _check.
 
 _EXAMPLE_WORD = (4, 1, 3, 6, 5, 7, 2)
 _EXAMPLE_WIDTHS = (2, 3)
@@ -732,28 +591,24 @@ def suite_example(n_max: int | None = None, caches: SweepCaches | None = None):
     word = _EXAMPLE_WORD
     widths = _EXAMPLE_WIDTHS
     swept = f"sigma={format_perm(word)}, K={{2,3}}"
-    reports = []
-
+    params = {"sigma": format_perm(word)}
     drec = stats.descent_record(word, widths)
-    got = {"count": drec.count, "multiset": list(drec.multiset)}
-    want = {"count": 3, "multiset": [1, 4, 5]}
-    bad = None if got == want else _counterexample({"sigma": format_perm(word)}, got, want)
-    reports.append(_verdict("example[des]", swept, bad))
-
     irec = stats.inversion_record(word, widths)
-    got = {"count": irec.count, "pairs": [list(p) for p in irec.pairs]}
-    want = {"count": 5, "pairs": [[1, 3], [1, 7], [3, 7], [4, 7], [5, 7]]}
-    bad = None if got == want else _counterexample({"sigma": format_perm(word)}, got, want)
-    reports.append(_verdict("example[inv]", swept, bad))
-
-    got = stats.exc(word, widths)
-    bad = None if got == 4 else _counterexample({"sigma": format_perm(word)}, got, 4)
-    reports.append(_verdict("example[exc]", swept, bad))
-
-    got = stats.maj(word, widths)
-    bad = None if got == 6 else _counterexample({"sigma": format_perm(word)}, got, 6)
-    reports.append(_verdict("example[maj]", swept, bad))
-    return reports
+    checks = (
+        (
+            "example[des]",
+            {"count": drec.count, "multiset": list(drec.multiset)},
+            {"count": 3, "multiset": [1, 4, 5]},
+        ),
+        (
+            "example[inv]",
+            {"count": irec.count, "pairs": [list(p) for p in irec.pairs]},
+            {"count": 5, "pairs": [[1, 3], [1, 7], [3, 7], [4, 7], [5, 7]]},
+        ),
+        ("example[exc]", stats.exc(word, widths), 4),
+        ("example[maj]", stats.maj(word, widths), 6),
+    )
+    return [_check(identity, swept, [(params, got, want)]) for identity, got, want in checks]
 
 
 def suite_theorem(n_max: int | None = None, caches: SweepCaches | None = None):
@@ -761,21 +616,16 @@ def suite_theorem(n_max: int | None = None, caches: SweepCaches | None = None):
     caches = caches or SweepCaches()
     top = 8 if n_max is None else n_max
     swept = f"2<=n<={top}, 1<=k<=n-1"
-    bad_des = bad_inv = None
-    for n in range(2, top + 1):
-        des, inv = caches.sn_des_inv(n)
-        for k in range(1, n):
-            if bad_des is None:
-                want = closed_des_k(n, k)
-                if des[k] != want:
-                    bad_des = _counterexample({"n": n, "k": k}, des[k], want)
-            if bad_inv is None:
-                want = closed_inv_k(n, k)
-                if inv[k] != want:
-                    bad_inv = _counterexample({"n": n, "k": k}, inv[k], want)
+
+    def cases(side: int, closed: Callable[[int, int], LaurentPoly]) -> Iterator[Case]:
+        for n in range(2, top + 1):
+            brute = caches.av_dists(n, ())[side]
+            for k in range(1, n):
+                yield {"n": n, "k": k}, brute[k], closed(n, k)
+
     return [
-        _verdict("theorem[des]", swept, bad_des),
-        _verdict("theorem[inv]", swept, bad_inv),
+        _check("theorem[des]", swept, cases(0, closed_des_k)),
+        _check("theorem[inv]", swept, cases(1, closed_inv_k)),
     ]
 
 
@@ -795,21 +645,23 @@ def suite_equidistribution(n_max: int | None = None, caches: SweepCaches | None 
     caches = caches or SweepCaches()
     top = 8 if n_max is None else n_max
     swept = f"2<=n<={top}, 1<=k<=n-1"
-    bad_de = bad_im = bad_di = None
-    for n in range(2, top + 1):
-        des, inv = caches.sn_des_inv(n)
-        exc, maj = caches.sn_exc_maj(n)
-        for k in range(1, n):
-            if bad_de is None and des[k] != exc[k]:
-                bad_de = _counterexample({"n": n, "k": k}, des[k], exc[k])
-            if bad_im is None and inv[k] != maj[k]:
-                bad_im = _counterexample({"n": n, "k": k}, inv[k], maj[k])
-            if bad_di is None and 2 * k >= n and des[k] != inv[k]:
-                bad_di = _counterexample({"n": n, "k": k}, des[k], inv[k])
+
+    def cases(left: str, right: str, least_k=lambda n: 1) -> Iterator[Case]:
+        for n in range(2, top + 1):
+            des, inv = caches.av_dists(n, ())
+            exc, maj = caches.sn_exc_maj(n)
+            dists = {"des": des, "inv": inv, "exc": exc, "maj": maj}
+            for k in range(least_k(n), n):
+                yield {"n": n, "k": k}, dists[left][k], dists[right][k]
+
     reports = [
-        _verdict("equidistribution[des=exc]", swept, bad_de),
-        _verdict("equidistribution[inv=maj]", swept, bad_im),
-        _verdict("equidistribution[des=inv|2k>=n]", swept, bad_di),
+        _check("equidistribution[des=exc]", swept, cases("des", "exc")),
+        _check("equidistribution[inv=maj]", swept, cases("inv", "maj")),
+        _check(
+            "equidistribution[des=inv|2k>=n]",
+            swept,
+            cases("des", "inv", least_k=lambda n: (n + 1) // 2),
+        ),
     ]
 
     info_top = min(top, 7)
@@ -865,66 +717,58 @@ def suite_inclusion_exclusion(n_max: int | None = None, caches: SweepCaches | No
     permutation; includes the worked 4 + 2 - 1 = 5 instance.
     """
     top = 7 if n_max is None else n_max
-    reports = []
 
     word = _EXAMPLE_WORD
     parts = {k: stats.inv(word, k) for k in (2, 3, 6)}
-    alternating = parts[2] + parts[3] - parts[6]
-    direct = stats.inv(word, _EXAMPLE_WIDTHS)
-    by_lcm = stats.inv_by_lcm(word, _EXAMPLE_WIDTHS)
-    got = {"direct": direct, "alternating": alternating, "by_lcm": by_lcm}
-    bad = None
-    if not direct == alternating == by_lcm == 5:
-        bad = _counterexample({"sigma": format_perm(word), "K": [2, 3]}, got, 5)
-    reports.append(
-        _verdict(
+    routes = {
+        "direct": stats.inv(word, _EXAMPLE_WIDTHS),
+        "alternating": parts[2] + parts[3] - parts[6],
+        "by_lcm": stats.inv_by_lcm(word, _EXAMPLE_WIDTHS),
+    }
+    example = [
+        ({"sigma": format_perm(word), "K": [2, 3], "route": route}, value, 5)
+        for route, value in routes.items()
+    ]
+
+    def sweep() -> Iterator[Case]:
+        for n in range(2, top + 1):
+            subsets = list(_width_subsets(n, max_size=3))
+            unions = [sorted({m for k in K for m in range(k, n, k)}) for K in subsets]
+            signed: list[list[tuple[int, int]]] = []
+            for K in subsets:
+                terms = []
+                for size in range(1, len(K) + 1):
+                    for sub in itertools.combinations(K, size):
+                        l = math.lcm(*sub)
+                        if l < n:
+                            terms.append((-1 if size % 2 == 0 else 1, l))
+                signed.append(terms)
+            for word in enumerate_sn(n, max_n=n):
+                counts = _gap_counts(word)
+                invals = [0] * n
+                for g in range(1, n):
+                    invals[g] = sum(counts[g::g])
+                sigma = format_perm(word)
+                for idx, K in enumerate(subsets):
+                    yield (
+                        {"n": n, "K": K, "sigma": sigma},
+                        sum(counts[g] for g in unions[idx]),
+                        sum(s * invals[l] for s, l in signed[idx]),
+                    )
+
+    return [
+        _check(
             "inclusion-exclusion[example]",
             f"sigma={format_perm(word)}, K={{2,3}}",
-            bad,
+            example,
             notes=(f"inv_2={parts[2]}, inv_3={parts[3]}, inv_6={parts[6]}",),
-        )
-    )
-
-    bad = None
-    for n in range(2, top + 1):
-        if bad is not None:
-            break
-        subsets = list(_width_subsets(n, max_size=3))
-        unions = [sorted({m for k in K for m in range(k, n, k)}) for K in subsets]
-        signed: list[list[tuple[int, int]]] = []
-        for K in subsets:
-            terms = []
-            for size in range(1, len(K) + 1):
-                for sub in itertools.combinations(K, size):
-                    l = math.lcm(*sub)
-                    if l < n:
-                        terms.append((-1 if size % 2 == 0 else 1, l))
-            signed.append(terms)
-        for word in enumerate_sn(n, max_n=n):
-            counts = _gap_counts(word)
-            invals = [0] * n
-            for g in range(1, n):
-                invals[g] = sum(counts[g::g])
-            for idx, K in enumerate(subsets):
-                direct = sum(counts[g] for g in unions[idx])
-                alternating = sum(s * invals[l] for s, l in signed[idx])
-                if direct != alternating:
-                    bad = _counterexample(
-                        {"n": n, "K": list(K), "sigma": format_perm(word)},
-                        direct,
-                        alternating,
-                    )
-                    break
-            if bad is not None:
-                break
-    reports.append(
-        _verdict(
+        ),
+        _check(
             "inclusion-exclusion[sweep]",
             f"2<=n<={top}, K subsets of [n-1] with |K|<=3, all sigma",
-            bad,
-        )
-    )
-    return reports
+            sweep(),
+        ),
+    ]
 
 
 # Factored reference forms (coefficient, shift, Eulerian index, power) for
@@ -983,25 +827,26 @@ def format_factored(c: int, s: int, m: int, e: int) -> str:
 
 
 def suite_gtable(n_max: int | None = None, caches: SweepCaches | None = None):
-    """Every reference entry for the signed descent difference at n=6,8,9."""
+    """
+    Every reference entry for the signed descent difference at n=6,8,9; a
+    row above n_max has no cases and reports not-applicable.
+    """
     caches = caches or SweepCaches()
+
+    def cases(n: int) -> Iterator[Case]:
+        table = caches.g_table(n)
+        for k, shape in GTABLE_REFERENCE[n].items():
+            params = {"n": n, "k": k, "form": format_factored(*shape)}
+            yield params, table[k], factored_form(*shape)
+
     reports = []
     for n in sorted(GTABLE_REFERENCE):
+        swept = f"n={n}, 1<=k<=n-1"
         if n_max is not None and n > n_max:
-            continue
-        table = caches.g_table(n)
-        bad = None
-        for k in range(1, n):
-            want = factored_form(*GTABLE_REFERENCE[n][k])
-            if table[k] != want:
-                bad = _counterexample(
-                    {"n": n, "k": k, "form": format_factored(*GTABLE_REFERENCE[n][k])},
-                    table[k],
-                    want,
-                )
-                break
-        notes = (_GTABLE_A9_NOTE,) if n == 9 else ()
-        reports.append(_verdict(f"gtable[n={n}]", f"n={n}, 1<=k<=n-1", bad, notes))
+            reports.append(_check(f"gtable[n={n}]", f"{swept}, n<={n_max}", ()))
+        else:
+            notes = (_GTABLE_A9_NOTE,) if n == 9 else ()
+            reports.append(_check(f"gtable[n={n}]", swept, cases(n), notes))
     return reports
 
 
@@ -1009,23 +854,19 @@ def suite_conjecture(n_max: int | None = None, caches: SweepCaches | None = None
     """The closed form n*q^(1-k)*A_(n-1)(q) at every coprime (n, k)."""
     caches = caches or SweepCaches()
     top = 9 if n_max is None else n_max
-    bad = None
-    for n in range(2, top + 1):
-        if bad is not None:
-            break
-        table = caches.g_table(n)
-        for k in range(1, n):
-            if math.gcd(n, k) != 1:
-                continue
-            want = conjectured_g(n, k)
-            if table[k] != want:
-                bad = _counterexample({"n": n, "k": k}, table[k], want)
-                break
+
+    def cases() -> Iterator[Case]:
+        for n in range(2, top + 1):
+            table = caches.g_table(n)
+            for k in range(1, n):
+                if math.gcd(n, k) == 1:
+                    yield {"n": n, "k": k}, table[k], conjectured_g(n, k)
+
     return [
-        _verdict(
+        _check(
             "conjecture[G=n*q^(1-k)*A_(n-1)]",
             f"2<=n<={top}, 1<=k<=n-1 with gcd(k,n)=1",
-            bad,
+            cases(),
         )
     ]
 
@@ -1038,6 +879,27 @@ def _small_pattern_classes() -> list[tuple[tuple[int, ...], ...]]:
     return classes
 
 
+DUALITY_MODES = ("reverse", "complement", "reverse-complement")
+
+
+def _duality_sides(
+    caches: SweepCaches, n: int, patterns: tuple[tuple[int, ...], ...], mode: str
+) -> tuple[MultiPoly, MultiPoly]:
+    # Reversing or complementing every pattern reflects each joint exponent
+    # e_k to (n-k) - e_k; doing both leaves the joint distribution unchanged.
+    # Returns the image class's joint distribution and what it must equal.
+    if mode == "reverse":
+        image = [reverse(p) for p in patterns]
+    elif mode == "complement":
+        image = [complement(p) for p in patterns]
+    else:
+        image = [complement(reverse(p)) for p in patterns]
+    expected = caches.t_poly(n, patterns)
+    if mode != "reverse-complement":
+        expected = expected.reflect(tuple(n - k for k in range(1, n)))
+    return caches.t_poly(n, check_patterns(image)), expected
+
+
 def suite_duality(n_max: int | None = None, caches: SweepCaches | None = None):
     """
     The reflect dualities of the joint descent distribution over every
@@ -1047,82 +909,46 @@ def suite_duality(n_max: int | None = None, caches: SweepCaches | None = None):
     caches = caches or SweepCaches()
     multi_top = 7 if n_max is None else min(n_max, 7)
     uni_top = 8 if n_max is None else n_max
-
-    reports = []
     classes = _small_pattern_classes()
-    for mode in DUALITY_MODES:
-        bad = None
+
+    def joint(mode: str) -> Iterator[Case]:
         for n in range(1, multi_top + 1):
-            if bad is not None:
-                break
-            caps = tuple(n - k for k in range(1, n))
             for pats in classes:
-                base = caches.t_poly(n, pats)
-                if mode == "reverse":
-                    image = check_patterns([reverse(p) for p in pats])
-                    expected = base.reflect(caps)
-                elif mode == "complement":
-                    image = check_patterns([complement(p) for p in pats])
-                    expected = base.reflect(caps)
-                else:
-                    image = check_patterns([complement(reverse(p)) for p in pats])
-                    expected = base
-                actual = caches.t_poly(n, image)
-                if actual != expected:
-                    bad = _counterexample(
-                        {"n": n, "patterns": [format_perm(p) for p in pats]},
-                        actual,
-                        expected,
-                    )
-                    break
-        reports.append(
-            _verdict(
-                f"duality[{mode}]",
-                f"1<=n<={multi_top}, all pattern sets from S_3 of size <= 2",
-                bad,
-            )
-        )
+                actual, expected = _duality_sides(caches, n, pats, mode)
+                yield {"n": n, "patterns": [format_perm(p) for p in pats]}, actual, expected
 
     def des_dists(n: int, pattern: tuple[int, ...]) -> dict[int, LaurentPoly]:
         return caches.av_dists(n, (pattern,))[0]
 
-    swept = f"2<=n<={uni_top}, 1<=k<=n-1"
-    bad = None
-    for n in range(2, uni_top + 1):
-        if bad is not None:
-            break
-        f123 = des_dists(n, (1, 2, 3))
-        f321 = des_dists(n, (3, 2, 1))
-        for k in range(1, n):
-            want = f321[k].inverse_q().shift(n - k)
-            if f123[k] != want:
-                bad = _counterexample({"n": n, "k": k}, f123[k], want)
-                break
-    reports.append(_verdict("duality[univariate:123~321]", swept, bad))
+    def twins_123_321() -> Iterator[Case]:
+        for n in range(2, uni_top + 1):
+            f123 = des_dists(n, (1, 2, 3))
+            f321 = des_dists(n, (3, 2, 1))
+            for k in range(1, n):
+                yield {"n": n, "k": k}, f123[k], f321[k].inverse_q().shift(n - k)
 
-    bad = None
-    for n in range(2, uni_top + 1):
-        if bad is not None:
-            break
-        f132 = des_dists(n, (1, 3, 2))
-        f213 = des_dists(n, (2, 1, 3))
-        f231 = des_dists(n, (2, 3, 1))
-        f312 = des_dists(n, (3, 1, 2))
-        for k in range(1, n):
-            flipped = f231[k].inverse_q().shift(n - k)
-            checks = (
-                ("132=213", f132[k], f213[k]),
-                ("132=q^(n-k)*231(1/q)", f132[k], flipped),
-                ("231=312", f231[k], f312[k]),
-            )
-            for label, lhs, rhs in checks:
-                if lhs != rhs:
-                    bad = _counterexample({"n": n, "k": k, "link": label}, lhs, rhs)
-                    break
-            if bad is not None:
-                break
-    reports.append(_verdict("duality[univariate:132~213~231~312]", swept, bad))
-    return reports
+    def twins_132_213_231_312() -> Iterator[Case]:
+        for n in range(2, uni_top + 1):
+            f132 = des_dists(n, (1, 3, 2))
+            f213 = des_dists(n, (2, 1, 3))
+            f231 = des_dists(n, (2, 3, 1))
+            f312 = des_dists(n, (3, 1, 2))
+            for k in range(1, n):
+                links = (
+                    ("132=213", f132[k], f213[k]),
+                    ("132=q^(n-k)*231(1/q)", f132[k], f231[k].inverse_q().shift(n - k)),
+                    ("231=312", f231[k], f312[k]),
+                )
+                for label, lhs, rhs in links:
+                    yield {"n": n, "k": k, "link": label}, lhs, rhs
+
+    joint_range = f"1<=n<={multi_top}, all pattern sets from S_3 of size <= 2"
+    swept = f"2<=n<={uni_top}, 1<=k<=n-1"
+    return [
+        *(_check(f"duality[{mode}]", joint_range, joint(mode)) for mode in DUALITY_MODES),
+        _check("duality[univariate:123~321]", swept, twins_123_321()),
+        _check("duality[univariate:132~213~231~312]", swept, twins_132_213_231_312()),
+    ]
 
 
 def suite_avoidance(n_max: int | None = None, caches: SweepCaches | None = None):
@@ -1134,155 +960,110 @@ def suite_avoidance(n_max: int | None = None, caches: SweepCaches | None = None)
     caches = caches or SweepCaches()
     top = 9 if n_max is None else n_max
     multi_top = min(top, 8)
-    reports = []
 
-    rec_families = (
-        ("rec:312", ((3, 1, 2),), rec_312),
-        ("rec:123,132", ((1, 2, 3), (1, 3, 2)), rec_123_132),
-        ("rec:123,312", ((1, 2, 3), (3, 1, 2)), rec_123_312),
-        ("rec:132,213", ((1, 3, 2), (2, 1, 3)), rec_132_213),
-    )
-    for label, pats, fn in rec_families:
+    def recursion(pats, fn) -> Iterator[Case]:
         memo: RecCache = {}
-        bad = None
         for n in range(2, top + 1):
-            if bad is not None:
-                break
-            des, _ = caches.av_dists(n, pats)
+            des = caches.av_dists(n, pats)[0]
             for k in range(1, n):
-                got = fn(n, k, cache=memo)
-                if got != des[k]:
-                    bad = _counterexample({"n": n, "k": k}, got, des[k])
-                    break
-        reports.append(
-            _verdict(
-                f"avoidance[{label}]",
-                f"2<=n<={top}, 1<=k<=n-1, {_format_class(pats)}",
-                bad,
-            )
-        )
+                yield {"n": n, "k": k}, fn(n, k, cache=memo), des[k]
 
-    product_families = (
-        ("product:132,231", ((1, 3, 2), (2, 3, 1)), product_132_231),
-        ("product:132,312", ((1, 3, 2), (3, 1, 2)), product_132_312),
-    )
-    for label, pats, fn in product_families:
-        bad = None
+    def product(pats, fn) -> Iterator[Case]:
         for n in range(2, multi_top + 1):
-            if bad is not None:
-                break
-            words = list(avoidance_class(n, pats, max_n=n))
-            counts = [_gap_counts(w) for w in words]
+            counts = [_gap_counts(w) for w in avoidance_class(n, pats, max_n=n)]
             for K in _width_subsets(n):
                 acc: dict[int, int] = {}
                 for c in counts:
                     e = sum(c[k] for k in K)
                     acc[e] = acc.get(e, 0) + 1
-                got = fn(n, K)
-                if got != LaurentPoly(acc):
-                    bad = _counterexample(
-                        {"n": n, "K": list(K)}, got, LaurentPoly(acc)
-                    )
-                    break
-        reports.append(
-            _verdict(
+                yield {"n": n, "K": K}, fn(n, K), LaurentPoly(acc)
+
+    def closed_inv() -> Iterator[Case]:
+        for n in range(2, top + 1):
+            inv312 = caches.av_dists(n, ((1, 3, 2), (3, 1, 2)))[1]
+            inv231 = caches.av_dists(n, ((1, 3, 2), (2, 3, 1)))[1]
+            for k in range(1, n):
+                want = closed_inv_132_312(n, k)
+                multiples = tuple(range(k, n, k))
+                sides = (
+                    ("inv over Av(132,312)", inv312[k]),
+                    ("inv over Av(132,231)", inv231[k]),
+                    ("product at K=multiples of k", product_132_312(n, multiples)),
+                )
+                for label, got in sides:
+                    yield {"n": n, "k": k, "side": label}, got, want
+
+    def degrees() -> Iterator[Case]:
+        for n in range(2, top + 1):
+            des, inv = caches.av_dists(n, ((3, 1, 2),))
+            for k in range(1, n):
+                actual = (des[k].degree, inv[k].degree)
+                yield {"n": n, "k": k}, actual, (des_degree_312(n, k), inv_degree_312(n, k))
+
+    def catalan_at_one() -> Iterator[Case]:
+        memo: RecCache = {}
+        for n in range(2, top + 1):
+            for k in range(1, n):
+                yield {"n": n, "k": k}, rec_312(n, k, cache=memo)(1), catalan(n)
+
+    def powers_of_two_at_one() -> Iterator[Case]:
+        memo_123_132: RecCache = {}
+        memo_132_213: RecCache = {}
+        for n in range(2, top + 1):
+            want = 2 ** (n - 1)
+            for k in range(1, n):
+                values = (
+                    ("rec:123,132", rec_123_132(n, k, cache=memo_123_132)(1)),
+                    ("rec:132,213", rec_132_213(n, k, cache=memo_132_213)(1)),
+                    ("closed-inv:132,312", closed_inv_132_312(n, k)(1)),
+                )
+                for label, got in values:
+                    yield {"n": n, "k": k, "formula": label}, got, want
+            if n <= multi_top:
+                for K in _width_subsets(n):
+                    params = {"n": n, "K": K, "formula": "product:132,312"}
+                    yield params, product_132_312(n, K)(1), want
+
+    recursions = (
+        ("rec:312", ((3, 1, 2),), rec_312),
+        ("rec:123,132", ((1, 2, 3), (1, 3, 2)), rec_123_132),
+        ("rec:123,312", ((1, 2, 3), (3, 1, 2)), rec_123_312),
+        ("rec:132,213", ((1, 3, 2), (2, 1, 3)), rec_132_213),
+    )
+    products = (
+        ("product:132,231", ((1, 3, 2), (2, 3, 1)), product_132_231),
+        ("product:132,312", ((1, 3, 2), (3, 1, 2)), product_132_312),
+    )
+    return [
+        *(
+            _check(
+                f"avoidance[{label}]",
+                f"2<=n<={top}, 1<=k<=n-1, {_format_class(pats)}",
+                recursion(pats, fn),
+            )
+            for label, pats, fn in recursions
+        ),
+        *(
+            _check(
                 f"avoidance[{label}]",
                 f"2<=n<={multi_top}, nonempty K subsets of [n-1], {_format_class(pats)}",
-                bad,
+                product(pats, fn),
             )
-        )
-
-    bad = None
-    for n in range(2, top + 1):
-        if bad is not None:
-            break
-        _, inv312 = caches.av_dists(n, ((1, 3, 2), (3, 1, 2)))
-        _, inv231 = caches.av_dists(n, ((1, 3, 2), (2, 3, 1)))
-        for k in range(1, n):
-            want = closed_inv_132_312(n, k)
-            multiples = tuple(range(k, n, k))
-            sides = (
-                ("inv over Av(132,312)", inv312[k]),
-                ("inv over Av(132,231)", inv231[k]),
-                ("product at K=multiples of k", product_132_312(n, multiples)),
-            )
-            for label, got in sides:
-                if got != want:
-                    bad = _counterexample({"n": n, "k": k, "side": label}, got, want)
-                    break
-            if bad is not None:
-                break
-    reports.append(
-        _verdict(
-            "avoidance[closed-inv:132,312|132,231]",
-            f"2<=n<={top}, 1<=k<=n-1",
-            bad,
-        )
-    )
-
-    bad = None
-    for n in range(2, top + 1):
-        if bad is not None:
-            break
-        des, inv = caches.av_dists(n, ((3, 1, 2),))
-        for k in range(1, n):
-            actual = (des[k].degree, inv[k].degree)
-            expected = (des_degree_312(n, k), inv_degree_312(n, k))
-            if actual != expected:
-                bad = _counterexample({"n": n, "k": k}, actual, expected)
-                break
-    reports.append(
-        _verdict("avoidance[degree:312]", f"2<=n<={top}, 1<=k<=n-1, Av(312)", bad)
-    )
-
-    bad = None
-    memo312: RecCache = {}
-    for n in range(2, top + 1):
-        if bad is not None:
-            break
-        for k in range(1, n):
-            got = rec_312(n, k, cache=memo312)(1)
-            if got != catalan(n):
-                bad = _counterexample({"n": n, "k": k}, got, catalan(n))
-                break
-    reports.append(
-        _verdict("avoidance[catalan@1]", f"2<=n<={top}, 1<=k<=n-1, Av(312)", bad)
-    )
-
-    bad = None
-    memos: dict[str, RecCache] = {"rec:123,132": {}, "rec:132,213": {}}
-    for n in range(2, top + 1):
-        if bad is not None:
-            break
-        want = 2 ** (n - 1)
-        for k in range(1, n):
-            values = (
-                ("rec:123,132", rec_123_132(n, k, cache=memos["rec:123,132"])(1)),
-                ("rec:132,213", rec_132_213(n, k, cache=memos["rec:132,213"])(1)),
-                ("closed-inv:132,312", closed_inv_132_312(n, k)(1)),
-            )
-            for label, got in values:
-                if got != want:
-                    bad = _counterexample({"n": n, "k": k, "formula": label}, got, want)
-                    break
-            if bad is not None:
-                break
-        if bad is None and n <= multi_top:
-            for K in _width_subsets(n):
-                got = product_132_312(n, K)(1)
-                if got != want:
-                    bad = _counterexample(
-                        {"n": n, "K": list(K), "formula": "product:132,312"}, got, want
-                    )
-                    break
-    reports.append(
-        _verdict(
+            for label, pats, fn in products
+        ),
+        _check(
+            "avoidance[closed-inv:132,312|132,231]", f"2<=n<={top}, 1<=k<=n-1", closed_inv()
+        ),
+        _check("avoidance[degree:312]", f"2<=n<={top}, 1<=k<=n-1, Av(312)", degrees()),
+        _check(
+            "avoidance[catalan@1]", f"2<=n<={top}, 1<=k<=n-1, Av(312)", catalan_at_one()
+        ),
+        _check(
             "avoidance[2^(n-1)@1]",
             f"2<=n<={top}, all k and K (products to n<={multi_top})",
-            bad,
-        )
-    )
-    return reports
+            powers_of_two_at_one(),
+        ),
+    ]
 
 
 def suite_counting(n_max: int | None = None, caches: SweepCaches | None = None):
@@ -1293,88 +1074,49 @@ def suite_counting(n_max: int | None = None, caches: SweepCaches | None = None):
     """
     caches = caches or SweepCaches()
     top = 8 if n_max is None else n_max
-    reports = []
+    small_top = min(top, 7)
 
-    singles = [tuple(p) for p in itertools.permutations((1, 2, 3))]
-    bad = None
-    for pattern in singles:
-        if bad is not None:
-            break
-        for n in range(top + 1):
-            count = sum(1 for _ in avoidance_class(n, (pattern,), max_n=n))
-            if count != catalan(n):
-                bad = _counterexample(
-                    {"n": n, "pattern": format_perm(pattern)}, count, catalan(n)
-                )
-                break
-    reports.append(
-        _verdict(
-            "counting[catalan]", f"0<=n<={top}, single patterns from S_3", bad
-        )
-    )
+    def size(n: int, patterns) -> int:
+        return sum(1 for _ in avoidance_class(n, patterns, max_n=n))
 
-    bad = None
-    for n in range(5, top + 1):
-        count = sum(
-            1 for _ in avoidance_class(n, ((1, 2, 3), (3, 2, 1)), max_n=n)
-        )
-        if count != 0:
-            bad = _counterexample({"n": n}, count, 0)
-            break
-    reports.append(
-        _verdict("counting[Av(123,321)-vanishes]", f"5<=n<={top}", bad)
-    )
+    def catalan_counts() -> Iterator[Case]:
+        for pattern in itertools.permutations((1, 2, 3)):
+            for n in range(top + 1):
+                params = {"n": n, "pattern": format_perm(pattern)}
+                yield params, size(n, (pattern,)), catalan(n)
 
-    bad = None
-    for n in range(2, top + 1):
-        if bad is not None:
-            break
-        size = math.factorial(n)
-        for k in range(1, n):
-            pairs = (
-                ("closed des", closed_des_k(n, k)(1)),
-                ("closed inv", closed_inv_k(n, k)(1)),
-            )
-            for label, got in pairs:
-                if got != size:
-                    bad = _counterexample({"n": n, "k": k, "distribution": label}, got, size)
-                    break
-            if bad is not None:
-                break
-    g_top = min(top, 7)
-    for n in range(2, g_top + 1):
-        if bad is not None:
-            break
-        size = math.factorial(n)
-        table = caches.g_table(n)
-        for k in range(1, n):
-            if table[k](1) != size:
-                bad = _counterexample(
-                    {"n": n, "k": k, "distribution": "signed descent difference"},
-                    table[k](1),
-                    size,
-                )
-                break
-    t_top = min(top, 7)
-    for n in range(1, t_top + 1):
-        if bad is not None:
-            break
-        for pats in _small_pattern_classes():
-            size = sum(1 for _ in avoidance_class(n, pats, max_n=n))
-            got = caches.t_poly(n, pats).at_ones()
-            if got != size:
-                bad = _counterexample(
-                    {"n": n, "patterns": [format_perm(p) for p in pats]}, got, size
-                )
-                break
-    reports.append(
-        _verdict(
+    def vanishing() -> Iterator[Case]:
+        for n in range(5, top + 1):
+            yield {"n": n}, size(n, ((1, 2, 3), (3, 2, 1))), 0
+
+    def domain_sizes() -> Iterator[Case]:
+        for n in range(2, top + 1):
+            for k in range(1, n):
+                routes = (("closed des", closed_des_k), ("closed inv", closed_inv_k))
+                for label, closed in routes:
+                    params = {"n": n, "k": k, "distribution": label}
+                    yield params, closed(n, k)(1), math.factorial(n)
+        for n in range(2, small_top + 1):
+            table = caches.g_table(n)
+            for k in range(1, n):
+                params = {"n": n, "k": k, "distribution": "signed descent difference"}
+                yield params, table[k](1), math.factorial(n)
+        for n in range(1, small_top + 1):
+            for pats in _small_pattern_classes():
+                params = {"n": n, "patterns": [format_perm(p) for p in pats]}
+                yield params, caches.t_poly(n, pats).at_ones(), size(n, pats)
+
+    return [
+        _check(
+            "counting[catalan]", f"0<=n<={top}, single patterns from S_3", catalan_counts()
+        ),
+        _check("counting[Av(123,321)-vanishes]", f"5<=n<={top}", vanishing()),
+        _check(
             "counting[eval@1=domain-size]",
-            f"closed forms 2<=n<={top}; signed difference and joint to n<={t_top}",
-            bad,
-        )
-    )
-    return reports
+            f"closed forms 2<=n<={top}; signed difference and joint to n<={small_top}",
+            domain_sizes(),
+        ),
+    ]
 
 
 #: Suite registry in execution order; run_suite("all") walks it top to bottom.

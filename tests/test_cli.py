@@ -136,6 +136,18 @@ def test_gf_inapplicable_method_exits_2(capsys):
     assert code == 2  # the recursion handles one width at a time
 
 
+def test_gf_width_beyond_n_exits_2(capsys):
+    # a single width is bounded by n like a width set, whatever the route
+    for method in ("all", "closed", "brute"):
+        code, out, err = run(
+            capsys, "gf", "--n", "5", "--stat", "des", "--width", "9", "--method", method
+        )
+        assert code == 2 and out == ""
+        assert err == "error: width 9 not contained in [1, 4]\n"
+    code, out, _ = run(capsys, "gf", "--n", "1", "--stat", "des")
+    assert code == 0 and out == "brute: 1\n"
+
+
 def test_gf_route_disagreement_exits_1(capsys, monkeypatch):
     # force the registered recursion to emit garbage: 'all' must flag it
     monkeypatch.setitem(
@@ -227,6 +239,31 @@ def test_verify_rejects_bad_arguments(capsys):
     assert code == 2 and "unknown suite" in err
     code, _, err = run(capsys, "verify", "--nmax", "12")
     assert code == 2 and "enumeration cap" in err
+    code, _, err = run(capsys, "verify", "--nmax", "-1")
+    assert code == 2 and err == "error: nmax must be >= 0, got -1\n"
+
+
+def test_verify_empty_range_is_not_applicable(capsys):
+    # a family that checked no case must never read as verified
+    code, out, _ = run(capsys, "verify", "--suite", "theorem", "--nmax", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "[not-applicable] theorem[des]  (2<=n<=1, 1<=k<=n-1)",
+        "    note: no cases in 2<=n<=1, 1<=k<=n-1",
+        "[not-applicable] theorem[inv]  (2<=n<=1, 1<=k<=n-1)",
+        "    note: no cases in 2<=n<=1, 1<=k<=n-1",
+        "0 verified, 0 mismatched, 2 informational of 2 identity families",
+    ]
+    code, out, _ = run(
+        capsys, "verify", "--suite", "gtable", "--nmax", "5", "--format", "json"
+    )
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [(r["identity"], r["status"]) for r in reports] == [
+        ("gtable[n=6]", "not-applicable"),
+        ("gtable[n=8]", "not-applicable"),
+        ("gtable[n=9]", "not-applicable"),
+    ]
 
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
