@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import genfun, stats
@@ -323,29 +324,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"nmax={args.nmax} exceeds enumeration cap {enumeration_cap()} "
             "(raise WIDTHK_MAX_N to override)"
         )
-    reports = genfun.run_suite(args.suite, args.nmax)
-    mismatches = sum(1 for r in reports if r.status == "mismatch")
-    if args.format == "json":
+    # Print each suite's reports as soon as it returns.  The csv header waits
+    # for the first suite, so an unknown suite name prints nothing.
+    caches = genfun.SweepCaches()
+    names = list(genfun.SUITES) if args.suite == "all" else [args.suite]
+    tally: Counter[str] = Counter()
+    for index, name in enumerate(names):
+        reports = genfun.run_suite(name, args.nmax, caches)
+        if index == 0 and args.format == "csv":
+            print("identity,status,range")
         for report in reports:
-            print(json.dumps(report.to_json()))
-    elif args.format == "csv":
-        print("identity,status,range")
-        for report in reports:
-            print(f'{report.identity},{report.status},"{report.range}"')
-    else:
-        for report in reports:
-            print(f"[{report.status}] {report.identity}  ({report.range})")
-            for note in report.notes:
-                print(f"    note: {note}")
-            if report.counterexample is not None:
-                print(f"    counterexample: {json.dumps(report.counterexample)}")
-        verified = sum(1 for r in reports if r.status == "verified")
-        info = sum(1 for r in reports if r.status == "not-applicable")
+            tally[report.status] += 1
+            if args.format == "json":
+                print(json.dumps(report.to_json()))
+            elif args.format == "csv":
+                print(f'{report.identity},{report.status},"{report.range}"')
+            else:
+                print(f"[{report.status}] {report.identity}  ({report.range})")
+                for note in report.notes:
+                    print(f"    note: {note}")
+                if report.counterexample is not None:
+                    print(f"    counterexample: {json.dumps(report.counterexample)}")
+        sys.stdout.flush()
+    if args.format == "plain":
         print(
-            f"{verified} verified, {mismatches} mismatched, "
-            f"{info} informational of {len(reports)} identity families"
+            f"{tally['verified']} verified, {tally['mismatch']} mismatched, "
+            f"{tally['not-applicable']} informational of {sum(tally.values())} "
+            "identity families"
         )
-    return 1 if mismatches else 0
+    return 1 if tally["mismatch"] else 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, MutableMapping, Sequence
 
 from . import stats
@@ -60,19 +59,18 @@ def _gap_counts(word: Sequence[int]) -> list[int]:
     return [0] + [sum(map(operator.gt, word, word[g:])) for g in range(1, n)]
 
 
-def _scan_profiles(word: Sequence[int]) -> tuple[list[int], list[int]]:
-    # As _gap_counts, plus maj[g] = sum of ceil(i/g) over width-g descents i.
+def _maj_profile(word: Sequence[int]) -> list[int]:
+    # maj[g] = sum of ceil(i/g) over the width-g descents i; it depends on
+    # positions, so no grade of the joint descent distribution yields it.
     n = len(word)
-    des = [0] * n
     maj = [0] * n
     for i in range(n - 1):
         a = word[i]
         for j in range(i + 1, n):
             if a > word[j]:
                 g = j - i
-                des[g] += 1
                 maj[g] += (i + g) // g
-    return des, maj
+    return maj
 
 
 def _exc_width(word: Sequence[int], k: int) -> int:
@@ -174,12 +172,26 @@ def t_polynomial(
     cap = multivariate_cap() if max_n is None else max_n
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds multivariate cap {cap}")
-    names = tuple(f"t{k}" for k in range(1, n))
+    gaps = range(1, n)
     acc: dict[tuple[int, ...], int] = {}
     for word in avoidance_class(n, patterns, max_n=n):
-        exps = tuple(_gap_counts(word)[1:])
+        exps = tuple([sum(map(operator.gt, word, word[g:])) for g in gaps])
         acc[exps] = acc.get(exps, 0) + 1
-    return MultiPoly(names, acc)
+    return MultiPoly(tuple(f"t{g}" for g in gaps), acc)
+
+
+def _indicator(n: int, gaps: Iterable[int]) -> list[int]:
+    # Weights over t_1..t_(n-1) marking the given gaps.  Grading the joint
+    # distribution by the indicator of {k} gives des_k, of the multiples of
+    # k gives inv_k, and of a width set K (or its multiples) gives des_K (inv_K).
+    marked = set(gaps)
+    return [int(g in marked) for g in range(1, n)]
+
+
+def _g_grades(joint: MultiPoly, n: int) -> dict[int, LaurentPoly]:
+    # G[n,k] is the joint distribution over S_n with t_k -> q, t_(n-k) -> 1/q
+    gaps = range(1, n)
+    return {k: joint.grade([(g == k) - (g == n - k) for g in gaps]) for k in gaps}
 
 
 def g_polynomial(n: int, k: int, max_n: int | None = None) -> LaurentPoly:
@@ -203,15 +215,12 @@ def g_polynomial(n: int, k: int, max_n: int | None = None) -> LaurentPoly:
 
 
 def g_table(n: int, max_n: int | None = None) -> dict[int, LaurentPoly]:
-    """All g_polynomial(n, k) for k = 1..n-1, from a single pass over S_n."""
-    accs: dict[int, dict[int, int]] = {k: {} for k in range(1, n)}
-    for word in enumerate_sn(n, max_n):
-        counts = _gap_counts(word)
-        for k in range(1, n):
-            e = counts[k] - counts[n - k]
-            acc = accs[k]
-            acc[e] = acc.get(e, 0) + 1
-    return {k: LaurentPoly(acc) for k, acc in accs.items()}
+    """
+    All g_polynomial(n, k) for k = 1..n-1, as grades of the joint descent
+    distribution over S_n.  Subject to the enumeration cap (default 10).
+    """
+    joint = t_polynomial(n, max_n=enumeration_cap() if max_n is None else max_n)
+    return _g_grades(joint, n)
 
 
 def conjectured_g(n: int, k: int) -> LaurentPoly:
@@ -223,12 +232,6 @@ def conjectured_g(n: int, k: int) -> LaurentPoly:
 
 # ---------------------------------------------------------------------------
 # avoidance-class formulas
-
-@lru_cache(maxsize=None)
-def _count_123_312(m: int) -> int:
-    # class size for {123, 312}; small, so enumerate rather than guess a form
-    return sum(1 for _ in avoidance_class(m, ((1, 2, 3), (3, 1, 2)), max_n=m))
-
 
 def _run_recursion(
     n: int,
@@ -310,7 +313,7 @@ def rec_123_312(n: int, k: int, cache: RecCache | None = None) -> LaurentPoly:
     """
 
     def base(m: int) -> LaurentPoly:
-        return LaurentPoly({0: _count_123_312(m)})
+        return LaurentPoly({0: math.comb(m, 2) + 1})  # |Av_m(123,312)|
 
     def step(m: int, k: int, f: Callable[[int], LaurentPoly]) -> LaurentPoly:
         total = f(m - 1).shift(1)
@@ -508,20 +511,37 @@ def _format_class(patterns: tuple[tuple[int, ...], ...]) -> str:
 
 class SweepCaches:
     """
-    Memo for the expensive enumeration passes, shared across suites within
-    one verification run so S_9 is walked once, not once per suite.
+    Memo for the enumeration passes, shared across suites within one
+    verification run.  Each (n, class) is walked once, into its joint
+    descent distribution; every swept des/inv/G distribution is a grade of it.
     """
 
     def __init__(self) -> None:
-        self._g_tables: dict[int, dict[int, LaurentPoly]] = {}
-        self._sn_exc_maj: dict[int, tuple[dict, dict]] = {}
-        self._av_dists: dict[tuple, tuple[dict, dict]] = {}
         self._t_polys: dict[tuple, MultiPoly] = {}
+        self._sn_exc_maj: dict[int, tuple[dict, dict]] = {}
+
+    def t_poly(self, n: int, patterns: tuple[tuple[int, ...], ...]) -> MultiPoly:
+        """Joint descent distribution over an avoidance class; () gives S_n."""
+        key = (n, patterns)
+        if key not in self._t_polys:
+            self._t_polys[key] = t_polynomial(n, patterns, max_n=n)
+        return self._t_polys[key]
 
     def g_table(self, n: int) -> dict[int, LaurentPoly]:
-        if n not in self._g_tables:
-            self._g_tables[n] = g_table(n, max_n=n)
-        return self._g_tables[n]
+        return _g_grades(self.t_poly(n, ()), n)
+
+    def av_dists(
+        self, n: int, patterns: tuple[tuple[int, ...], ...]
+    ) -> tuple[dict[int, LaurentPoly], dict[int, LaurentPoly]]:
+        """
+        Width-k descent and inversion distributions over an avoidance class,
+        every k; the empty pattern set gives S_n.
+        """
+        joint = self.t_poly(n, patterns)
+        return (
+            {k: joint.grade(_indicator(n, (k,))) for k in range(1, n)},
+            {k: joint.grade(_indicator(n, range(k, n, k))) for k in range(1, n)},
+        )
 
     def sn_exc_maj(self, n: int) -> tuple[dict[int, LaurentPoly], dict[int, LaurentPoly]]:
         """Width-k excedance and major-index distributions over S_n, every k."""
@@ -529,7 +549,7 @@ class SweepCaches:
             exc_acc: list[dict[int, int]] = [{} for _ in range(n)]
             maj_acc: list[dict[int, int]] = [{} for _ in range(n)]
             for word in enumerate_sn(n, max_n=n):
-                _, majp = _scan_profiles(word)
+                majp = _maj_profile(word)
                 for k in range(1, n):
                     e = _exc_width(word, k)
                     acc = exc_acc[k]
@@ -542,38 +562,6 @@ class SweepCaches:
                 {k: LaurentPoly(maj_acc[k]) for k in range(1, n)},
             )
         return self._sn_exc_maj[n]
-
-    def av_dists(
-        self, n: int, patterns: tuple[tuple[int, ...], ...]
-    ) -> tuple[dict[int, LaurentPoly], dict[int, LaurentPoly]]:
-        """
-        Width-k descent and inversion distributions over an avoidance class,
-        every k; the empty pattern set gives S_n.
-        """
-        key = (n, patterns)
-        if key not in self._av_dists:
-            des_acc: list[dict[int, int]] = [{} for _ in range(n)]
-            inv_acc: list[dict[int, int]] = [{} for _ in range(n)]
-            for word in avoidance_class(n, patterns, max_n=n):
-                counts = _gap_counts(word)
-                for k in range(1, n):
-                    e = counts[k]
-                    acc = des_acc[k]
-                    acc[e] = acc.get(e, 0) + 1
-                    e = sum(counts[k::k])
-                    acc = inv_acc[k]
-                    acc[e] = acc.get(e, 0) + 1
-            self._av_dists[key] = (
-                {k: LaurentPoly(des_acc[k]) for k in range(1, n)},
-                {k: LaurentPoly(inv_acc[k]) for k in range(1, n)},
-            )
-        return self._av_dists[key]
-
-    def t_poly(self, n: int, patterns: tuple[tuple[int, ...], ...]) -> MultiPoly:
-        key = (n, patterns)
-        if key not in self._t_polys:
-            self._t_polys[key] = t_polynomial(n, patterns, max_n=n)
-        return self._t_polys[key]
 
 
 # ---------------------------------------------------------------------------
@@ -671,23 +659,17 @@ def suite_equidistribution(n_max: int | None = None, caches: SweepCaches | None 
         subsets = [K for K in _width_subsets(n) if len(K) >= 2]
         if not subsets:
             continue
-        unions = [
-            sorted({m for k in K for m in range(k, n, k)}) for K in subsets
-        ]
-        inv_accs: list[dict[int, int]] = [{} for _ in subsets]
         maj_accs: list[dict[int, int]] = [{} for _ in subsets]
         for word in enumerate_sn(n, max_n=n):
-            counts, majp = _scan_profiles(word)
-            for idx, K in enumerate(subsets):
-                e = sum(counts[g] for g in unions[idx])
-                acc = inv_accs[idx]
-                acc[e] = acc.get(e, 0) + 1
+            majp = _maj_profile(word)
+            for acc, K in zip(maj_accs, subsets):
                 e = sum(majp[k] for k in K)
-                acc = maj_accs[idx]
                 acc[e] = acc.get(e, 0) + 1
-        for idx, K in enumerate(subsets):
+        joint = caches.t_poly(n, ())
+        for acc, K in zip(maj_accs, subsets):
             total += 1
-            if inv_accs[idx] == maj_accs[idx]:
+            multiples = (m for k in K for m in range(k, n, k))
+            if joint.grade(_indicator(n, multiples)) == LaurentPoly(acc):
                 equal += 1
             elif first_diff is None:
                 first_diff = (n, K)
@@ -879,6 +861,27 @@ def _small_pattern_classes() -> list[tuple[tuple[int, ...], ...]]:
     return classes
 
 
+#: The pairs from S_3 whose classes have C(n,2) + 1 members.
+_QUADRATIC_PAIRS = {
+    ((1, 2, 3), (2, 3, 1)),
+    ((1, 2, 3), (3, 1, 2)),
+    ((1, 3, 2), (3, 2, 1)),
+    ((2, 1, 3), (3, 2, 1)),
+}
+
+
+def _class_size(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
+    # |Av_n(P)| for P a set of at most two patterns from S_3 (Simion and
+    # Schmidt, 1985): an independent count for the enumerated classes.
+    if len(patterns) < 2:
+        return catalan(n) if patterns else math.factorial(n)
+    if patterns == ((1, 2, 3), (3, 2, 1)):
+        return (1, 1, 2, 4, 4)[n] if n < 5 else 0
+    if patterns in _QUADRATIC_PAIRS:
+        return math.comb(n, 2) + 1
+    return 2 ** max(n - 1, 0)
+
+
 DUALITY_MODES = ("reverse", "complement", "reverse-complement")
 
 
@@ -970,13 +973,9 @@ def suite_avoidance(n_max: int | None = None, caches: SweepCaches | None = None)
 
     def product(pats, fn) -> Iterator[Case]:
         for n in range(2, multi_top + 1):
-            counts = [_gap_counts(w) for w in avoidance_class(n, pats, max_n=n)]
+            joint = caches.t_poly(n, pats)
             for K in _width_subsets(n):
-                acc: dict[int, int] = {}
-                for c in counts:
-                    e = sum(c[k] for k in K)
-                    acc[e] = acc.get(e, 0) + 1
-                yield {"n": n, "K": K}, fn(n, K), LaurentPoly(acc)
+                yield {"n": n, "K": K}, fn(n, K), joint.grade(_indicator(n, K))
 
     def closed_inv() -> Iterator[Case]:
         for n in range(2, top + 1):
@@ -1077,7 +1076,7 @@ def suite_counting(n_max: int | None = None, caches: SweepCaches | None = None):
     small_top = min(top, 7)
 
     def size(n: int, patterns) -> int:
-        return sum(1 for _ in avoidance_class(n, patterns, max_n=n))
+        return caches.t_poly(n, patterns).at_ones()
 
     def catalan_counts() -> Iterator[Case]:
         for pattern in itertools.permutations((1, 2, 3)):
@@ -1104,7 +1103,7 @@ def suite_counting(n_max: int | None = None, caches: SweepCaches | None = None):
         for n in range(1, small_top + 1):
             for pats in _small_pattern_classes():
                 params = {"n": n, "patterns": [format_perm(p) for p in pats]}
-                yield params, caches.t_poly(n, pats).at_ones(), size(n, pats)
+                yield params, size(n, pats), _class_size(n, pats)
 
     return [
         _check(

@@ -9,6 +9,7 @@ Coefficients are plain Python ints, so nothing here ever rounds.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -402,7 +403,7 @@ class MultiPoly:
             )
         acc: dict[int, int] = {}
         for exps, c in self._terms.items():
-            e = sum(w * x for w, x in zip(weights, exps))
+            e = sum(map(operator.mul, weights, exps))
             acc[e] = acc.get(e, 0) + c
         return LaurentPoly(acc)
 

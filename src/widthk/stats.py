@@ -32,8 +32,9 @@ def normalize_widths(widths: Widths, n: int) -> tuple[int, ...]:
         raise InvalidInputError("width set must be nonempty")
     if any(not isinstance(k, int) for k in ks):
         raise InvalidInputError(f"widths must be integers: {ks!r}")
-    if ks[0] < 1 or ks[-1] > n - 1:
-        raise InvalidInputError(f"width set {ks!r} not contained in [1, {n - 1}]")
+    top = max(n - 1, 1)  # a word of length <= 1 keeps the classical width 1
+    if ks[0] < 1 or ks[-1] > top:
+        raise InvalidInputError(f"width set {ks!r} not contained in [1, {top}]")
     return tuple(ks)
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from widthk import genfun
 from widthk.cli import main
 from widthk.genfun import VerificationReport
@@ -66,6 +68,8 @@ def test_stat_rejects_bad_input(capsys):
         capsys, "stat", "--perm", "123", "--widths", "5", "--stat", "des"
     )
     assert code == 2  # width sets live inside [1, n-1]
+    code, out, _ = run(capsys, "stat", "--perm", "1", "--stat", "des")
+    assert code == 0 and out.splitlines()[0] == "des_{1}(1) = 0"
 
 
 def test_gf_brute_matches_closed(capsys):
@@ -145,6 +149,8 @@ def test_gf_width_beyond_n_exits_2(capsys):
         assert code == 2 and out == ""
         assert err == "error: width 9 not contained in [1, 4]\n"
     code, out, _ = run(capsys, "gf", "--n", "1", "--stat", "des")
+    assert code == 0 and out == "brute: 1\n"
+    code, out, _ = run(capsys, "gf", "--n", "1", "--stat", "des", "--widths", "1")
     assert code == 0 and out == "brute: 1\n"
 
 
@@ -275,6 +281,20 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "[mismatch] fake[x]" in out
     assert 'counterexample: {"params": {"n": 1}, "lhs": 0, "rhs": 1}' in out
+
+
+def test_verify_streams_each_suite(capsys, monkeypatch):
+    # a suite's reports are out before the next suite starts
+    def fail(n_max=None, caches=None):
+        raise RuntimeError("theorem suite failed")
+
+    monkeypatch.setitem(genfun.SUITES, "theorem", fail)
+    with pytest.raises(RuntimeError):
+        main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == [
+        "example[des]", "example[inv]", "example[exc]", "example[maj]",
+    ]
 
 
 def test_verify_is_deterministic(capsys):

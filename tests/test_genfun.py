@@ -4,6 +4,8 @@ Expected polynomials below were frozen from a standalone brute-force script
 (direct definition scans over itertools.permutations), not from this package.
 """
 
+import collections
+import itertools
 import math
 
 import pytest
@@ -16,6 +18,7 @@ from widthk.genfun import (
     PRODUCTS,
     RECURSIONS,
     SUITES,
+    SweepCaches,
     VerificationReport,
     brute_distribution,
     closed_des_k,
@@ -200,7 +203,7 @@ class TestRecursions:
         assert rec_312(3, 5) == catalan(3)
         assert rec_123_132(4, 7) == 2**3
         assert rec_132_213(4, 9) == 2**3
-        assert rec_123_312(4, 9) == 7  # |Av_4(123,312)| by enumeration
+        assert rec_123_312(4, 9) == 7  # |Av_4(123,312)| = C(4,2) + 1 (Simion-Schmidt)
 
     def test_class_sizes_at_one(self):
         for n in range(1, 9):
@@ -271,6 +274,54 @@ class TestProductsAndDegrees:
             ((1, 3, 2), (2, 3, 1)),
             ((1, 3, 2), (3, 1, 2)),
         }
+
+
+class TestGradedDistributions:
+    # every swept distribution is a grade of one memoized joint distribution;
+    # enumeration and g_polynomial are the independent oracles
+    CLASSES = [(), *RECURSIONS, *PRODUCTS]
+
+    def test_av_dists_match_enumeration(self):
+        caches = SweepCaches()
+        for n in range(1, 7):
+            for pats in self.CLASSES:
+                des, inv = caches.av_dists(n, pats)
+                assert set(des) == set(inv) == set(range(1, n))
+                for k in range(1, n):
+                    assert des[k] == brute_distribution(n, "des", k, pats), (n, k, pats)
+                    assert inv[k] == brute_distribution(n, "inv", k, pats), (n, k, pats)
+
+    def test_width_set_grades_match_enumeration(self):
+        caches = SweepCaches()
+        for n in range(2, 7):
+            for pats in PRODUCTS:
+                joint = caches.t_poly(n, pats)
+                for size in range(1, n):
+                    for ks in itertools.combinations(range(1, n), size):
+                        weights = [1 if g in ks else 0 for g in range(1, n)]
+                        assert joint.grade(weights) == brute_distribution(
+                            n, "des", ks, pats
+                        ), (n, ks, pats)
+
+    def test_g_table_matches_g_polynomial(self):
+        for n in range(2, 8):
+            table = g_table(n)
+            assert set(table) == set(range(1, n))
+            for k in range(1, n):
+                assert table[k] == g_polynomial(n, k), (n, k)
+
+    def test_each_class_is_walked_once(self, monkeypatch):
+        walks = collections.Counter()
+        walk = genfun.avoidance_class
+
+        def counted(n, patterns=(), max_n=None):
+            walks[(n, tuple(patterns))] += 1
+            return walk(n, patterns, max_n=max_n)
+
+        monkeypatch.setattr(genfun, "avoidance_class", counted)
+        run_suite("all", n_max=6, caches=SweepCaches())
+        assert walks
+        assert [key for key, count in walks.items() if count > 1] == []
 
 
 class TestReports:

@@ -41,6 +41,11 @@ def test_normalize_widths():
         normalize_widths([2, 7], 7)  # width set must sit inside [1, n-1]
     with pytest.raises(InvalidInputError):
         normalize_widths([0, 2], 7)
+    # a word of length <= 1 keeps the classical width 1, and only it
+    assert normalize_widths([1], 0) == (1,)
+    assert normalize_widths([1], 1) == (1,)
+    with pytest.raises(InvalidInputError, match=r"\[2\] not contained in \[1, 1\]"):
+        normalize_widths([2], 1)
 
 
 class TestWorkedExample:
