@@ -59,9 +59,10 @@ def _gap_counts(word: Sequence[int]) -> list[int]:
     return [0] + [sum(map(operator.gt, word, word[g:])) for g in range(1, n)]
 
 
-def _maj_profile(word: Sequence[int]) -> list[int]:
-    # maj[g] = sum of ceil(i/g) over the width-g descents i; it depends on
-    # positions, so no grade of the joint descent distribution yields it.
+def _maj_profile(word: Sequence[int]) -> tuple[int, ...]:
+    # entry g-1 is maj_g, the sum of ceil(i/g) over the width-g descents i;
+    # it depends on positions, so no grade of the joint descent distribution
+    # yields it.
     n = len(word)
     maj = [0] * n
     for i in range(n - 1):
@@ -70,7 +71,7 @@ def _maj_profile(word: Sequence[int]) -> list[int]:
             if a > word[j]:
                 g = j - i
                 maj[g] += (i + g) // g
-    return maj
+    return tuple(maj[1:])
 
 
 def _exc_width(word: Sequence[int], k: int) -> int:
@@ -513,12 +514,14 @@ class SweepCaches:
     """
     Memo for the enumeration passes, shared across suites within one
     verification run.  Each (n, class) is walked once, into its joint
-    descent distribution; every swept des/inv/G distribution is a grade of it.
+    descent distribution; every swept des/inv/G distribution is a grade of
+    it.  S_n is walked once more, for the positional exc and maj.
     """
 
     def __init__(self) -> None:
         self._t_polys: dict[tuple, MultiPoly] = {}
-        self._sn_exc_maj: dict[int, tuple[dict, dict]] = {}
+        self._av_dists: dict[tuple, tuple[dict, dict]] = {}
+        self._sn_exc_maj: dict[int, tuple[dict, dict, MultiPoly]] = {}
 
     def t_poly(self, n: int, patterns: tuple[tuple[int, ...], ...]) -> MultiPoly:
         """Joint descent distribution over an avoidance class; () gives S_n."""
@@ -537,29 +540,37 @@ class SweepCaches:
         Width-k descent and inversion distributions over an avoidance class,
         every k; the empty pattern set gives S_n.
         """
-        joint = self.t_poly(n, patterns)
-        return (
-            {k: joint.grade(_indicator(n, (k,))) for k in range(1, n)},
-            {k: joint.grade(_indicator(n, range(k, n, k))) for k in range(1, n)},
-        )
+        key = (n, patterns)
+        if key not in self._av_dists:
+            joint = self.t_poly(n, patterns)
+            self._av_dists[key] = (
+                {k: joint.grade(_indicator(n, (k,))) for k in range(1, n)},
+                {k: joint.grade(_indicator(n, range(k, n, k))) for k in range(1, n)},
+            )
+        return self._av_dists[key]
 
-    def sn_exc_maj(self, n: int) -> tuple[dict[int, LaurentPoly], dict[int, LaurentPoly]]:
-        """Width-k excedance and major-index distributions over S_n, every k."""
+    def sn_exc_maj(self, n: int) -> tuple[dict, dict, MultiPoly]:
+        """
+        Width-k excedance and major-index distributions over S_n, every k,
+        and the joint major-index distribution: each word contributes
+        t_1^(maj_1) ... t_(n-1)^(maj_(n-1)), so maj_K is its grade by the
+        indicator of K.
+        """
         if n not in self._sn_exc_maj:
             exc_acc: list[dict[int, int]] = [{} for _ in range(n)]
-            maj_acc: list[dict[int, int]] = [{} for _ in range(n)]
+            maj_acc: dict[tuple[int, ...], int] = {}
             for word in enumerate_sn(n, max_n=n):
-                majp = _maj_profile(word)
                 for k in range(1, n):
                     e = _exc_width(word, k)
                     acc = exc_acc[k]
                     acc[e] = acc.get(e, 0) + 1
-                    e = majp[k]
-                    acc = maj_acc[k]
-                    acc[e] = acc.get(e, 0) + 1
+                majp = _maj_profile(word)
+                maj_acc[majp] = maj_acc.get(majp, 0) + 1
+            maj = MultiPoly(tuple(f"t{g}" for g in range(1, n)), maj_acc)
             self._sn_exc_maj[n] = (
                 {k: LaurentPoly(exc_acc[k]) for k in range(1, n)},
-                {k: LaurentPoly(maj_acc[k]) for k in range(1, n)},
+                {k: maj.grade(_indicator(n, (k,))) for k in range(1, n)},
+                maj,
             )
         return self._sn_exc_maj[n]
 
@@ -637,7 +648,7 @@ def suite_equidistribution(n_max: int | None = None, caches: SweepCaches | None 
     def cases(left: str, right: str, least_k=lambda n: 1) -> Iterator[Case]:
         for n in range(2, top + 1):
             des, inv = caches.av_dists(n, ())
-            exc, maj = caches.sn_exc_maj(n)
+            exc, maj, _ = caches.sn_exc_maj(n)
             dists = {"des": des, "inv": inv, "exc": exc, "maj": maj}
             for k in range(least_k(n), n):
                 yield {"n": n, "k": k}, dists[left][k], dists[right][k]
@@ -659,17 +670,12 @@ def suite_equidistribution(n_max: int | None = None, caches: SweepCaches | None 
         subsets = [K for K in _width_subsets(n) if len(K) >= 2]
         if not subsets:
             continue
-        maj_accs: list[dict[int, int]] = [{} for _ in subsets]
-        for word in enumerate_sn(n, max_n=n):
-            majp = _maj_profile(word)
-            for acc, K in zip(maj_accs, subsets):
-                e = sum(majp[k] for k in K)
-                acc[e] = acc.get(e, 0) + 1
         joint = caches.t_poly(n, ())
-        for acc, K in zip(maj_accs, subsets):
+        maj = caches.sn_exc_maj(n)[2]
+        for K in subsets:
             total += 1
             multiples = (m for k in K for m in range(k, n, k))
-            if joint.grade(_indicator(n, multiples)) == LaurentPoly(acc):
+            if joint.grade(_indicator(n, multiples)) == maj.grade(_indicator(n, K)):
                 equal += 1
             elif first_diff is None:
                 first_diff = (n, K)

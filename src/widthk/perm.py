@@ -192,33 +192,52 @@ def avoidance_class(
     All permutations of [n] avoiding every given pattern, lexicographically.
 
     Generated by depth-first prefix extension: a prefix that avoids the
-    patterns can only gain an occurrence ending at a newly appended letter,
-    so each extension needs one anchored containment check.
+    patterns can only gain an occurrence ending at a newly appended letter.
+    Length-3 patterns never reach that check.  Each pair of prefix letters
+    (a, v) whose order matches p[:2] forbids, for every later letter, the
+    value interval that p[2] dictates (below both, between, or above both),
+    so the branch carries a bitmask of forbidden values and the next letter
+    is drawn from the values outside it.  Patterns of any other length get
+    one anchored containment check per extension.
     """
     _check_cap(n, max_n)
     pats = check_patterns(patterns)
     if not pats:
         yield from enumerate_sn(n, max_n)
         return
+    generic = [p for p in pats if len(p) != 3]
+
+    # pair[a][v]: bit x set iff a before v, then x, would form a length-3
+    # pattern.  p[2] = 1, 2, 3 puts x in the gap below, between or above a, v.
+    pair = [[0] * (n + 1) for _ in range(n + 1)]
+    for p0, p1, p2 in (p for p in pats if len(p) == 3):
+        for a, v in itertools.permutations(range(1, n + 1), 2):
+            if (a < v) == (p0 < p1):
+                gaps = (0, min(a, v), max(a, v), n + 1)
+                pair[a][v] |= (1 << gaps[p2]) - (1 << (gaps[p2 - 1] + 1))
 
     prefix: list[int] = []
-    used = [False] * (n + 1)
+    everything = (1 << (n + 1)) - 2
 
-    def extend() -> Iterator[tuple[int, ...]]:
+    def extend(taken: int, rows: list[int]) -> Iterator[tuple[int, ...]]:
+        # taken: values used or forbidden; rows[v]: what v would forbid with
+        # the prefix letters before it
         if len(prefix) == n:
             yield tuple(prefix)
             return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
+        free = everything & ~taken
+        while free:
+            bit = free & -free
+            free ^= bit
+            v = bit.bit_length() - 1
             prefix.append(v)
-            if not any(_occurs_at_last(prefix, p) for p in pats):
-                used[v] = True
-                yield from extend()
-                used[v] = False
+            if not any(_occurs_at_last(prefix, p) for p in generic):
+                yield from extend(
+                    taken | bit | rows[v], [r | f for r, f in zip(rows, pair[v])]
+                )
             prefix.pop()
 
-    yield from extend()
+    yield from extend(0, [0] * (n + 1))
 
 
 def parse_perm(text: str) -> tuple[int, ...]:

@@ -291,6 +291,25 @@ class TestGradedDistributions:
                     assert des[k] == brute_distribution(n, "des", k, pats), (n, k, pats)
                     assert inv[k] == brute_distribution(n, "inv", k, pats), (n, k, pats)
 
+    def test_av_dists_are_graded_once(self):
+        caches = SweepCaches()
+        assert caches.av_dists(5, ()) is caches.av_dists(5, ())
+
+    def test_sn_exc_maj_match_enumeration(self):
+        # maj_K over a width set is a grade of the memoized joint maj polynomial
+        caches = SweepCaches()
+        for n in range(2, 7):
+            exc, maj, joint = caches.sn_exc_maj(n)
+            for k in range(1, n):
+                assert exc[k] == brute_distribution(n, "exc", k), (n, k)
+                assert maj[k] == brute_distribution(n, "maj", k), (n, k)
+            for size in range(1, n):
+                for ks in itertools.combinations(range(1, n), size):
+                    weights = [1 if g in ks else 0 for g in range(1, n)]
+                    assert joint.grade(weights) == brute_distribution(
+                        n, "maj", ks
+                    ), (n, ks)
+
     def test_width_set_grades_match_enumeration(self):
         caches = SweepCaches()
         for n in range(2, 7):
@@ -322,6 +341,19 @@ class TestGradedDistributions:
         run_suite("all", n_max=6, caches=SweepCaches())
         assert walks
         assert [key for key, count in walks.items() if count > 1] == []
+
+    def test_equidistribution_walks_each_sn_once(self, monkeypatch):
+        # the inv_K/maj_K info block grades the exc/maj pass instead of walking
+        walks = collections.Counter()
+        walk = genfun.enumerate_sn
+
+        def counted(n, max_n=None):
+            walks[n] += 1
+            return walk(n, max_n=max_n)
+
+        monkeypatch.setattr(genfun, "enumerate_sn", counted)
+        run_suite("equidistribution", n_max=6, caches=SweepCaches())
+        assert walks == collections.Counter(range(2, 7))
 
 
 class TestReports:

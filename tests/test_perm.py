@@ -113,10 +113,54 @@ def test_avoidance_class_single_patterns_are_catalan():
 
 
 def test_avoidance_class_matches_filter():
-    for pats in [((3, 1, 2),), ((1, 2, 3), (3, 2, 1)), ((2, 1),)]:
-        for n in range(6):
+    # lengths other than 3 take the anchored search; mixed sets take both paths
+    for pats in [
+        ((3, 1, 2),), ((1, 2, 3), (3, 2, 1)), ((2, 1),), ((1,),),
+        ((1, 2), (3, 1, 2)), ((1, 3, 2), (2, 4, 1, 3)), ((3, 1, 2), (1, 2, 3, 4)),
+    ]:
+        for n in range(8):
             expected = [w for w in enumerate_sn(n) if avoids(w, pats)]
-            assert list(avoidance_class(n, pats)) == expected
+            assert list(avoidance_class(n, pats)) == expected, (pats, n)
+
+
+S3 = sorted(itertools.permutations((1, 2, 3)))
+
+
+@pytest.fixture(scope="module")
+def s3_contents():
+    # n -> [(w, bit i set iff w contains S3[i])] over S_n, by the generic
+    # containment search; a class is the words whose bits miss its patterns
+    return {
+        n: [
+            (w, sum(1 << i for i, p in enumerate(S3) if contains(w, p)))
+            for w in enumerate_sn(n)
+        ]
+        for n in range(9)
+    }
+
+
+@pytest.mark.parametrize(
+    "pats",
+    [(p,) for p in S3] + list(itertools.combinations(S3, 2)),
+    ids=lambda pats: ",".join("".join(map(str, p)) for p in pats),
+)
+def test_mask_kernel_matches_containment_oracle(pats, s3_contents):
+    mask = sum(1 << S3.index(p) for p in pats)
+    for n, contents in s3_contents.items():
+        expected = [w for w, bits in contents if not bits & mask]
+        assert list(avoidance_class(n, pats)) == expected, n
+
+
+patterns = st.integers(1, 4).flatmap(
+    lambda m: st.permutations(list(range(1, m + 1))).map(tuple)
+)
+
+
+@given(st.lists(patterns, min_size=1, max_size=3), st.integers(0, 6))
+@settings(deadline=None)
+def test_avoidance_class_matches_filter_on_random_sets(pats, n):
+    expected = [w for w in enumerate_sn(n) if avoids(w, pats)]
+    assert list(avoidance_class(n, pats)) == expected
 
 
 def test_avoidance_class_is_lexicographic():
