@@ -9,8 +9,10 @@ is deterministic, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -155,21 +157,80 @@ def _cache_path(cache_dir: str, patterns) -> Path:
     return Path(cache_dir) / f"rec-{tag}.json"
 
 
-def _load_cache(path: Path) -> dict[tuple[int, int], LaurentPoly]:
-    if not path.exists():
-        return {}
-    raw = json.loads(path.read_text())
+# Version of the recursion cache file layout; a file with any other version
+# is ignored and rewritten.
+CACHE_SCHEMA = 1
+
+
+def _parse_cache(raw, patterns) -> dict[tuple[int, int], LaurentPoly]:
+    """
+    The recursion table in a decoded cache file, or ValueError naming the
+    first problem.  The file is one object: "schema", "patterns", and one
+    "m,k" key per table entry.  Every entry must be a width-k descent
+    distribution on m letters that could be right: nonnegative coefficients,
+    exponents in [0, max(m - k, 0)], and poly(1) equal to the class size.
+    """
+    if not isinstance(raw, dict) or raw.get("schema") != CACHE_SCHEMA:
+        raise ValueError(f"not a schema-{CACHE_SCHEMA} recursion cache")
+    if raw.get("patterns") != [format_perm(p) for p in patterns]:
+        raise ValueError("cache is for other patterns")
     out = {}
     for key, value in raw.items():
-        m, k = key.split(",")
-        out[(int(m), int(k))] = LaurentPoly.from_json(value)
+        if key in ("schema", "patterns"):
+            continue
+        m_text, _, k_text = key.partition(",")
+        if not (m_text.isdigit() and k_text.isdigit() and int(k_text) >= 1):
+            raise ValueError(f"bad key {key!r}")
+        m, k = int(m_text), int(k_text)
+        terms = value.get("terms") if isinstance(value, dict) else None
+        if not isinstance(terms, list):
+            raise ValueError(f"entry {key!r} has no terms list")
+        top = max(m - k, 0)
+        for term in terms:
+            if not (
+                isinstance(term, list)
+                and len(term) == 2
+                and all(type(x) is int for x in term)
+                and 0 <= term[0] <= top
+                and term[1] >= 0
+            ):
+                raise ValueError(f"entry {key!r} has a bad term {term!r}")
+        poly = LaurentPoly.from_json(value)
+        if poly(1) != genfun._class_size(m, patterns):
+            raise ValueError(f"entry {key!r} does not sum to the class size")
+        out[(m, k)] = poly
     return out
 
 
-def _save_cache(path: Path, cache: dict[tuple[int, int], LaurentPoly]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    raw = {f"{m},{k}": poly.to_json() for (m, k), poly in sorted(cache.items())}
-    path.write_text(json.dumps(raw))
+def _load_cache(path: Path, patterns) -> dict[tuple[int, int], LaurentPoly]:
+    # A missing file is an empty cache; an unreadable or invalid one is
+    # reported on stderr and ignored, so the answer is recomputed.
+    try:
+        return _parse_cache(json.loads(path.read_text()), patterns)
+    except FileNotFoundError:
+        return {}
+    except (OSError, ValueError, RecursionError) as exc:
+        print(f"warning: ignoring recursion cache {path}: {exc}", file=sys.stderr)
+        return {}
+
+
+def _save_cache(path: Path, patterns, cache: dict[tuple[int, int], LaurentPoly]) -> None:
+    # Write a sibling temporary file and rename it over the cache, so a
+    # reader never sees a half-written file.
+    raw = {
+        "schema": CACHE_SCHEMA,
+        "patterns": [format_perm(p) for p in patterns],
+        **{f"{m},{k}": poly.to_json() for (m, k), poly in sorted(cache.items())},
+    }
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(json.dumps(raw))
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        print(f"warning: cannot write recursion cache {path}: {exc}", file=sys.stderr)
 
 
 def cmd_gf(args: argparse.Namespace) -> int:
@@ -190,7 +251,8 @@ def cmd_gf(args: argparse.Namespace) -> int:
     cache_path = None
     if args.cache_dir and patterns in genfun.RECURSIONS:
         cache_path = _cache_path(args.cache_dir, patterns)
-        cache = _load_cache(cache_path)
+        cache = _load_cache(cache_path, patterns)
+        loaded = len(cache)
 
     routes: list[tuple[str, LaurentPoly]] = []
     if args.method in ("brute", "all"):
@@ -207,8 +269,8 @@ def cmd_gf(args: argparse.Namespace) -> int:
                     f"with patterns {args.avoid!r}"
                 )
         routes.extend(formulas)
-    if cache_path is not None and cache:
-        _save_cache(cache_path, cache)
+    if cache_path is not None and len(cache) > loaded:
+        _save_cache(cache_path, patterns, cache)
 
     agree = all(poly == routes[0][1] for _, poly in routes)
     data = {

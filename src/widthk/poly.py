@@ -1,26 +1,93 @@
 """
-Exact sparse polynomials over the integers.
+Exact polynomials over the integers.
 
 LaurentPoly is univariate in q and allows negative exponents, which the
-signed descent-difference generating functions need.  MultiPoly tracks one
-exponent per named variable and is used for joint descent distributions.
+signed descent-difference generating functions need.  It is stored densely,
+as a valuation and the tuple of coefficients from there up to the degree;
+large products of nonnegative polynomials take one big-integer product
+(Kronecker substitution).  MultiPoly tracks one exponent per named variable,
+is stored sparsely, and is used for joint descent distributions.
 Coefficients are plain Python ints, so nothing here ever rounds.
 """
 from __future__ import annotations
 
 import math
 import operator
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
 
+# Both operands of a product must have at least this many nonzero
+# coefficients, and no negative one, for the product to go through Kronecker
+# substitution; sparser or signed operands take the schoolbook loop.
+KRONECKER_MIN_TERMS = 8
+
+
+def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """
+    Coefficients of the product of two coefficient rows: one pass over b
+    for each nonzero coefficient of a.
+    """
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(b)
+    add, mul = operator.add, operator.mul
+    for i, c in enumerate(a):
+        if c:
+            out[i : i + width] = map(add, out[i : i + width], map(mul, b, repeat(c)))
+    return out
+
+
+# Array typecodes by item size, for slots of 1, 2, 4 or 8 bytes; array items
+# are native-endian, so this path is only taken on little-endian hosts.
+_SLOT_CODES = (
+    {array(code).itemsize: code for code in "BHIQ"} if sys.byteorder == "little" else {}
+)
+
+
+def _pack(row: Sequence[int], width: int, code: str | None) -> int:
+    # Coefficient i occupies bytes [i*width, (i+1)*width) of one integer.
+    if code:
+        raw = array(code, row).tobytes()
+    else:
+        raw = b"".join(map(int.to_bytes, row, repeat(width), repeat("little")))
+    return int.from_bytes(raw, "little")
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """
+    Coefficients of the product of two nonnegative coefficient rows by one
+    big-integer product: each row is read as the digits of an integer in
+    base 2^(8*width), with width large enough that no product coefficient
+    carries into the next slot.
+    """
+    bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
+    width = (bits + 7) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8 bytes
+    code = _SLOT_CODES.get(width)
+    x = _pack(a, width, code)
+    product = x * x if a is b else x * _pack(b, width, code)
+    size = len(a) + len(b) - 1
+    raw = product.to_bytes(size * width, "little")
+    if code:
+        return array(code, raw).tolist()
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, size * width, width)]
+
 
 class LaurentPoly:
     """
-    A Laurent polynomial in q with integer coefficients, stored sparsely
-    as exponent -> coefficient.
+    A Laurent polynomial in q with integer coefficients, stored densely as
+    a valuation and the tuple of coefficients from the valuation up to the
+    degree, with nonzero ends (the zero polynomial is the empty tuple).
+    A product whose operands both have at least KRONECKER_MIN_TERMS nonzero
+    coefficients, none negative, is one big-integer product (Kronecker
+    substitution); any other product runs the schoolbook loop over the
+    nonzero coefficients of the sparser operand.
 
     >>> p = LaurentPoly({0: 1, 1: 1})
     >>> p * p
@@ -29,71 +96,93 @@ class LaurentPoly:
     q^-1 + 1
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_val", "_coeffs")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, int] = {}
-        for e, c in items:
-            if c:
+        if not isinstance(terms, (dict, Mapping)):  # dict first: the ABC check is slow
+            acc: dict[int, int] = {}
+            for e, c in terms:
                 acc[e] = acc.get(e, 0) + c
-                if not acc[e]:
-                    del acc[e]
-        self._terms = acc
+            terms = acc
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
+        if not terms:
+            self._val, self._coeffs = 0, ()
+            return
+        lo = min(terms)
+        row = tuple(map(terms.get, range(lo, max(terms) + 1), repeat(0)))
+        self._val, self._coeffs = lo, row
+
+    @classmethod
+    def _dense(cls, val: int, coeffs: tuple[int, ...]) -> "LaurentPoly":
+        # coeffs must already have nonzero ends, or be empty with val 0.
+        out = object.__new__(cls)
+        out._val, out._coeffs = val, coeffs
+        return out
 
     @staticmethod
     def _coerce(other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly({0: other})
+            return LaurentPoly._dense(0, (other,) if other else ())
         raise TypeError(f"cannot combine LaurentPoly with {type(other).__name__}")
 
     def terms(self) -> list[tuple[int, int]]:
         """Nonzero (exponent, coefficient) pairs in ascending exponent order."""
-        return sorted(self._terms.items())
+        return [(e, c) for e, c in enumerate(self._coeffs, self._val) if c]
 
     def coeff(self, e: int) -> int:
-        return self._terms.get(e, 0)
+        i = e - self._val
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     @property
     def degree(self) -> int:
         """Largest exponent; raises on the zero polynomial."""
-        if not self._terms:
+        if not self._coeffs:
             raise InvalidInputError("zero polynomial has no degree")
-        return max(self._terms)
+        return self._val + len(self._coeffs) - 1
 
     @property
     def valuation(self) -> int:
         """Smallest exponent; raises on the zero polynomial."""
-        if not self._terms:
+        if not self._coeffs:
             raise InvalidInputError("zero polynomial has no valuation")
-        return min(self._terms)
+        return self._val
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = LaurentPoly({0: other})
+            other = self._coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._val == other._val and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self.terms()))
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = self._coerce(other)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        a, b = (self, other) if self._val <= other._val else (other, self)
+        # lay b's coefficients onto a copy of a's, padded far enough to hold them
+        row = list(a._coeffs)
+        start = b._val - a._val
+        stop = start + len(b._coeffs)
+        if stop > len(row):
+            row.extend(repeat(0, stop - len(row)))
+        row[start:stop] = map(operator.add, row[start:stop], b._coeffs)
+        return LaurentPoly._dense(*_trim(a._val, row))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._dense(self._val, tuple(map(operator.neg, self._coeffs)))
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -103,43 +192,59 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
+            if not other:
+                return ZERO
+            return LaurentPoly._dense(
+                self._val, tuple(map(operator.mul, self._coeffs, repeat(other)))
+            )
         other = self._coerce(other)
-        acc: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return ZERO
+        nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
+        if min(nonzero_a, nonzero_b) >= KRONECKER_MIN_TERMS and min(a) >= 0 and min(b) >= 0:
+            row = _kronecker(a, b)
+        elif nonzero_a <= nonzero_b:
+            row = _schoolbook(a, b)
+        else:
+            row = _schoolbook(b, a)
+        # The ends multiply to nonzero ends, so the row needs no trimming.
+        return LaurentPoly._dense(self._val + other._val, tuple(row))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
+        # Left to right over the bits of the exponent: one squaring per bit
+        # after the leading one and one product with self per set bit.
         if exponent < 0:
             raise InvalidInputError("negative powers of a polynomial are not defined")
-        out = LaurentPoly({0: 1})
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
+        out = ONE
+        for i, bit in enumerate(bin(exponent)[2:]):
+            if i:
+                out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def shift(self, s: int) -> "LaurentPoly":
         """Multiply by q^s."""
-        return LaurentPoly({e + s: c for e, c in self._terms.items()})
+        if not self._coeffs:
+            return self
+        return LaurentPoly._dense(self._val + s, self._coeffs)
 
     def inverse_q(self) -> "LaurentPoly":
         """Substitute q -> 1/q, i.e. negate every exponent."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
+        if not self._coeffs:
+            return self
+        return LaurentPoly._dense(-self.degree, self._coeffs[::-1])
 
     def __call__(self, x: int | Fraction) -> int | Fraction:
         """Evaluate exactly; negative exponents go through Fraction."""
         total: int | Fraction = 0
-        for e, c in self._terms.items():
-            total += c * (Fraction(x) ** e if e < 0 else x**e)
+        for c in reversed(self._coeffs):
+            total = total * x + c
+        if self._coeffs and self._val:
+            total *= Fraction(x) ** self._val if self._val < 0 else x**self._val
         if isinstance(total, Fraction) and total.denominator == 1:
             return int(total)
         return total
@@ -155,7 +260,7 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.terms())})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts: list[str] = []
         for e, c in self.terms():
@@ -171,6 +276,21 @@ class LaurentPoly:
         return " ".join(parts)
 
 
+def _trim(val: int, row: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Drop zero ends: the (valuation, coefficients) of a dense row at val."""
+    if row[0] and row[-1]:
+        return val, tuple(row)
+    hi = len(row)
+    while hi and not row[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not row[lo]:
+        lo += 1
+    if lo == hi:
+        return 0, ()
+    return val + lo, tuple(row[lo:hi])
+
+
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 Q = LaurentPoly({1: 1})
@@ -178,7 +298,7 @@ Q = LaurentPoly({1: 1})
 
 def q_power(e: int, c: int = 1) -> LaurentPoly:
     """The monomial c * q^e."""
-    return LaurentPoly({e: c})
+    return LaurentPoly._dense(e, (c,)) if c else ZERO
 
 
 def q_integer(m: int) -> LaurentPoly:
@@ -195,15 +315,22 @@ def q_integer(m: int) -> LaurentPoly:
 def q_factorial(m: int) -> LaurentPoly:
     """[m]_q! = [1]_q [2]_q ... [m]_q.
 
+    Multiplying by [i]_q is a sliding-window sum of width i, taken as a
+    difference of prefix sums.
+
     >>> print(q_factorial(3))
     1 + 2*q + 2*q^2 + q^3
     """
     if m < 0:
         raise InvalidInputError(f"q-factorial needs m >= 0, got {m}")
-    out = ONE
-    for i in range(1, m + 1):
-        out = out * q_integer(i)
-    return out
+    row = [1]
+    for i in range(2, m + 1):
+        # coefficient t of row * [i]_q is prefix[t + 1] - prefix[t + 1 - i],
+        # where prefix[j] sums the first j coefficients and is 0 for j <= 0
+        row.extend(repeat(0, i - 1))
+        prefix = list(accumulate(row, initial=0))
+        row = list(map(operator.sub, prefix[1:], chain(repeat(0, i - 1), prefix)))
+    return LaurentPoly._dense(0, tuple(row))
 
 
 @lru_cache(maxsize=None)

@@ -276,6 +276,31 @@ class TestProductsAndDegrees:
         }
 
 
+class TestLargeFormulas:
+    # Two formula routes cross-checked at n in the hundreds, with no
+    # enumeration: each family below runs in well under a second.
+
+    @pytest.mark.parametrize("n, k", [(150, 1), (97, 3), (150, 4), (60, 7)])
+    def test_product_at_multiples_of_k_is_closed_inv(self, n, k):
+        # des over the width set {k, 2k, ...} is inv_k word by word
+        assert product_132_312(n, tuple(range(k, n, k))) == closed_inv_132_312(n, k)
+
+    @pytest.mark.parametrize("n, k", [(60, 1), (100, 3), (90, 8)])
+    def test_rec_312_sums_to_catalan(self, n, k):
+        assert rec_312(n, k)(1) == catalan(n)
+
+    @pytest.mark.parametrize("n, k", [(60, 1), (150, 2), (131, 3), (150, 1)])
+    def test_closed_forms_sum_to_n_factorial(self, n, k):
+        assert closed_inv_k(n, k)(1) == math.factorial(n)
+        assert closed_des_k(n, k)(1) == math.factorial(n)
+
+    @pytest.mark.parametrize("n, k", [(150, 1), (120, 3), (150, 11)])
+    def test_two_pattern_recursions_sum_to_class_sizes(self, n, k):
+        assert rec_123_132(n, k)(1) == 2 ** (n - 1)
+        assert rec_132_213(n, k)(1) == 2 ** (n - 1)
+        assert rec_123_312(n, k)(1) == math.comb(n, 2) + 1
+
+
 class TestGradedDistributions:
     # every swept distribution is a grade of one memoized joint distribution;
     # enumeration and g_polynomial are the independent oracles

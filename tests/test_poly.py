@@ -2,13 +2,16 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widthk import poly
 from widthk.errors import InvalidInputError
 from widthk.poly import (
+    KRONECKER_MIN_TERMS,
     ONE,
     Q,
     ZERO,
@@ -199,3 +202,116 @@ def test_multipoly_json_roundtrip():
     data = p.to_json()
     assert data == {"vars": ["t1", "t2"], "terms": [[[1, 0], 2], [[1, 1], 1]]}
     assert MultiPoly.from_json(data) == p
+
+
+# ---------------------------------------------------------------------------
+# Fast multiply against an independent oracle
+
+
+def oracle_product(a, b) -> list[tuple[int, int]]:
+    """Schoolbook product over exponent -> coefficient dicts; ints are constants."""
+    def items(p):
+        return p.terms() if isinstance(p, LaurentPoly) else ([(0, p)] if p else [])
+
+    acc: dict[int, int] = {}
+    for e1, c1 in items(a):
+        for e2, c2 in items(b):
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return [(e, c) for e, c in sorted(acc.items()) if c]
+
+
+def _dense_poly(draw_coeffs):
+    # a valuation and a run of coefficients whose length crosses the
+    # Kronecker threshold; drawn zeros leave gaps inside the run
+    return st.tuples(st.integers(-8, 8), draw_coeffs).map(
+        lambda vc: LaurentPoly({vc[0] + i: c for i, c in enumerate(vc[1])})
+    )
+
+
+_wide_nonnegative = _dense_poly(st.lists(
+    st.one_of(st.integers(0, 3), st.integers(0, 2**64), st.integers(2**300, 2**400)),
+    max_size=40,
+))
+_wide_signed = _dense_poly(st.lists(st.integers(-(2**200), 2**200), max_size=30))
+polys = st.one_of(laurents, _wide_nonnegative, _wide_signed)
+
+
+@given(polys, st.one_of(polys, st.integers(-(2**70), 2**70)))
+@settings(max_examples=300, deadline=None)
+def test_product_matches_dict_oracle(a, b):
+    want = oracle_product(a, b)
+    assert (a * b).terms() == want
+    assert (b * a).terms() == want
+    assert (a * a).terms() == oracle_product(a, a)
+
+
+@given(st.one_of(laurents, _dense_poly(st.lists(st.integers(0, 2**80), max_size=12))),
+       st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_power_matches_repeated_product(p, e):
+    assert p**e == reduce(lambda acc, _: acc * p, range(e), ONE)
+
+
+def test_both_multiply_paths_are_taken(monkeypatch):
+    calls = []
+    kronecker = poly._kronecker
+    monkeypatch.setattr(poly, "_kronecker", lambda a, b: calls.append(1) or kronecker(a, b))
+    long = LaurentPoly({e: e + 1 for e in range(KRONECKER_MIN_TERMS)})
+    short = LaurentPoly({e: e + 1 for e in range(KRONECKER_MIN_TERMS - 1)})
+    sparse = LaurentPoly({0: 1, 100: 1})
+    signed = long - q_power(3, 100)
+    assert (long * long).terms() == oracle_product(long, long) and len(calls) == 1
+    for a in (short, sparse, signed):
+        assert (a * long).terms() == oracle_product(a, long)
+    assert len(calls) == 1
+
+
+def test_kronecker_slots_hold_the_largest_coefficients():
+    # all-ones rows give the largest possible middle coefficient, min(len)
+    for length in (8, 255, 256, 257):
+        for c in (1, 255, 256, 2**64 - 1, 2**64, 2**333):
+            row = (c,) * length
+            assert poly._kronecker(row, row) == poly._schoolbook(row, row)
+
+
+def test_power_makes_one_squaring_per_bit_and_one_product_per_set_bit(monkeypatch):
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    p = ONE + Q
+    for e in range(0, 70):
+        calls.clear()
+        assert p**e == LaurentPoly({i: math.comb(e, i) for i in range(e + 1)})
+        assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
+
+
+def test_q_factorial_matches_product_of_q_integers():
+    for m in range(0, 25):
+        want = [(0, 1)]
+        for i in range(1, m + 1):
+            want = oracle_product(LaurentPoly(want), q_integer(i))
+        assert q_factorial(m).terms() == want
+
+
+@given(laurents, st.one_of(st.integers(-4, 4).filter(bool),
+                           st.fractions(-3, 3).filter(bool)))
+def test_evaluation_matches_termwise_sum(p, x):
+    want = sum(Fraction(c) * Fraction(x) ** e for e, c in p.terms())
+    assert p(x) == want
+    if want.denominator == 1:
+        assert type(p(x)) is int
+
+
+def test_dense_storage_keeps_equality_and_hash_canonical():
+    a = LaurentPoly({5: 0, 1: 2, 3: 0, -1: 0})
+    b = LaurentPoly([(1, 1), (2, 7), (1, 1), (2, -7)])
+    assert a == b and hash(a) == hash(b) and a.terms() == [(1, 2)]
+    assert a.valuation == a.degree == 1
+    assert (a - b) == ZERO == 0 and hash(a - b) == hash(ZERO)
+    assert q_power(2, 0) == ZERO
+    assert repr(LaurentPoly({2: 3, 0: 1})) == "LaurentPoly({0: 1, 2: 3})"
