@@ -9,13 +9,10 @@ is deterministic, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
-import os
 import sys
 from collections import Counter
-from pathlib import Path
 
 from . import genfun, stats
 from .errors import EnumerationCapError, InvalidInputError
@@ -127,7 +124,7 @@ def _single_width(widths) -> int | None:
     return widths[0] if len(widths) == 1 else None
 
 
-def _formula_routes(n, statistic, widths, patterns, cache=None):
+def _formula_routes(n, statistic, widths, patterns):
     # every applicable non-enumerative route, tagged "closed" or "recursion"
     routes = []
     k = _single_width(widths)
@@ -141,7 +138,7 @@ def _formula_routes(n, statistic, widths, patterns, cache=None):
     if statistic == "des":
         fn = genfun.RECURSIONS.get(patterns)
         if fn is not None and k is not None:
-            routes.append(("recursion", fn(n, k, cache=cache)))
+            routes.append(("recursion", fn(n, k)))
         fn = genfun.PRODUCTS.get(patterns)
         if fn is not None:
             routes.append(("closed", fn(n, widths)))
@@ -150,87 +147,6 @@ def _formula_routes(n, statistic, widths, patterns, cache=None):
         if fn is not None and k is not None and 1 <= k <= n - 1:
             routes.append(("closed", fn(n, k)))
     return routes
-
-
-def _cache_path(cache_dir: str, patterns) -> Path:
-    tag = "-".join(format_perm(p) for p in patterns)
-    return Path(cache_dir) / f"rec-{tag}.json"
-
-
-# Version of the recursion cache file layout; a file with any other version
-# is ignored and rewritten.
-CACHE_SCHEMA = 1
-
-
-def _parse_cache(raw, patterns) -> dict[tuple[int, int], LaurentPoly]:
-    """
-    The recursion table in a decoded cache file, or ValueError naming the
-    first problem.  The file is one object: "schema", "patterns", and one
-    "m,k" key per table entry.  Every entry must be a width-k descent
-    distribution on m letters that could be right: nonnegative coefficients,
-    exponents in [0, max(m - k, 0)], and poly(1) equal to the class size.
-    """
-    if not isinstance(raw, dict) or raw.get("schema") != CACHE_SCHEMA:
-        raise ValueError(f"not a schema-{CACHE_SCHEMA} recursion cache")
-    if raw.get("patterns") != [format_perm(p) for p in patterns]:
-        raise ValueError("cache is for other patterns")
-    out = {}
-    for key, value in raw.items():
-        if key in ("schema", "patterns"):
-            continue
-        m_text, _, k_text = key.partition(",")
-        if not (m_text.isdigit() and k_text.isdigit() and int(k_text) >= 1):
-            raise ValueError(f"bad key {key!r}")
-        m, k = int(m_text), int(k_text)
-        terms = value.get("terms") if isinstance(value, dict) else None
-        if not isinstance(terms, list):
-            raise ValueError(f"entry {key!r} has no terms list")
-        top = max(m - k, 0)
-        for term in terms:
-            if not (
-                isinstance(term, list)
-                and len(term) == 2
-                and all(type(x) is int for x in term)
-                and 0 <= term[0] <= top
-                and term[1] >= 0
-            ):
-                raise ValueError(f"entry {key!r} has a bad term {term!r}")
-        poly = LaurentPoly.from_json(value)
-        if poly(1) != genfun._class_size(m, patterns):
-            raise ValueError(f"entry {key!r} does not sum to the class size")
-        out[(m, k)] = poly
-    return out
-
-
-def _load_cache(path: Path, patterns) -> dict[tuple[int, int], LaurentPoly]:
-    # A missing file is an empty cache; an unreadable or invalid one is
-    # reported on stderr and ignored, so the answer is recomputed.
-    try:
-        return _parse_cache(json.loads(path.read_text()), patterns)
-    except FileNotFoundError:
-        return {}
-    except (OSError, ValueError, RecursionError) as exc:
-        print(f"warning: ignoring recursion cache {path}: {exc}", file=sys.stderr)
-        return {}
-
-
-def _save_cache(path: Path, patterns, cache: dict[tuple[int, int], LaurentPoly]) -> None:
-    # Write a sibling temporary file and rename it over the cache, so a
-    # reader never sees a half-written file.
-    raw = {
-        "schema": CACHE_SCHEMA,
-        "patterns": [format_perm(p) for p in patterns],
-        **{f"{m},{k}": poly.to_json() for (m, k), poly in sorted(cache.items())},
-    }
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(raw))
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        print(f"warning: cannot write recursion cache {path}: {exc}", file=sys.stderr)
 
 
 def cmd_gf(args: argparse.Namespace) -> int:
@@ -247,20 +163,13 @@ def cmd_gf(args: argparse.Namespace) -> int:
         if not 1 <= widths <= top:
             raise InvalidInputError(f"width {widths} not contained in [1, {top}]")
 
-    cache = None
-    cache_path = None
-    if args.cache_dir and patterns in genfun.RECURSIONS:
-        cache_path = _cache_path(args.cache_dir, patterns)
-        cache = _load_cache(cache_path, patterns)
-        loaded = len(cache)
-
     routes: list[tuple[str, LaurentPoly]] = []
     if args.method in ("brute", "all"):
         routes.append(
             ("brute", genfun.brute_distribution(n, statistic, widths, patterns))
         )
     if args.method != "brute":
-        formulas = _formula_routes(n, statistic, widths, patterns, cache=cache)
+        formulas = _formula_routes(n, statistic, widths, patterns)
         if args.method in ("closed", "recursion"):
             formulas = [r for r in formulas if r[0] == args.method]
             if not formulas:
@@ -269,8 +178,6 @@ def cmd_gf(args: argparse.Namespace) -> int:
                     f"with patterns {args.avoid!r}"
                 )
         routes.extend(formulas)
-    if cache_path is not None and len(cache) > loaded:
-        _save_cache(cache_path, patterns, cache)
 
     agree = all(poly == routes[0][1] for _, poly in routes)
     data = {
@@ -480,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="brute",
         help="computation route; 'all' cross-checks every applicable route",
     )
-    p.add_argument("--cache-dir", default=None, help="persist recursion tables here")
     add_format(p)
     p.set_defaults(func=cmd_gf)
 

@@ -2,7 +2,7 @@
 Generating functions of width-k statistics, and the verification engine.
 
 Distributions arrive by three independent routes: exhaustive enumeration
-(the universal oracle), closed product formulas, and memoized recursions
+(the universal oracle), closed product formulas, and recursions
 for particular avoidance classes.  The verification suites sweep finite
 parameter ranges, compare the routes pairwise, and report the smallest
 offending parameters on any mismatch; a formula is never trusted without
@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, MutableMapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import stats
 from .errors import EnumerationCapError, InvalidInputError
@@ -35,13 +35,11 @@ from .poly import (
     catalan,
     eulerian_poly,
     q_factorial,
-    q_power,
 )
 
 DEFAULT_MULTI_MAX_N = 8
 
 Patterns = Iterable[Sequence[int]]
-RecCache = MutableMapping[tuple[int, int], LaurentPoly]
 
 
 def multivariate_cap() -> int:
@@ -234,119 +232,153 @@ def conjectured_g(n: int, k: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # avoidance-class formulas
 
-def _run_recursion(
-    n: int,
-    k: int,
-    cache: RecCache | None,
-    base: Callable[[int], LaurentPoly],
-    step: Callable[[int, int, Callable[[int], LaurentPoly]], LaurentPoly],
-) -> LaurentPoly:
-    # Bottom-up fill of cache[(m, k)].  Words of length m <= k have no
-    # width-k descents, so those levels are the constant class size.
+def _check_recursion_args(n: int, k: int) -> None:
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
     if k < 1:
         raise InvalidInputError(f"width must be >= 1, got {k}")
-    if cache is None:
-        cache = {}
+
+
+def _run_recursion(
+    n: int,
+    k: int,
+    base: Callable[[int], int],
+    step: Callable[[int, int, list[list[int]]], list[int]],
+) -> LaurentPoly:
+    # Bottom-up fill of rows[m], the coefficients of level m from q^0 up.
+    # Words of length m <= k have no width-k descents, so those levels are
+    # the constant class size; above that des_k <= m - k, so step returns
+    # m - k + 1 coefficients.
+    _check_recursion_args(n, k)
+    rows: list[list[int]] = []
     for m in range(n + 1):
-        if (m, k) in cache:
-            continue
-        if m <= k:
-            cache[(m, k)] = base(m)
-        else:
-            cache[(m, k)] = step(m, k, lambda j: cache[(j, k)])
-    return cache[(n, k)]
+        rows.append([base(m)] if m <= k else step(m, k, rows))
+    return LaurentPoly(dict(enumerate(rows[n])))
 
 
-def rec_312(n: int, k: int, cache: RecCache | None = None) -> LaurentPoly:
+def _add_shifted(row: list[int], src: Sequence[int], s: int) -> None:
+    # row += q^s * src, in place; row must be long enough
+    end = s + len(src)
+    row[s:end] = map(operator.add, row[s:end], src)
+
+
+def rec_312(n: int, k: int) -> LaurentPoly:
     """
-    Width-k descent distribution over the 312-avoiders, by recursion on the
-    position i of the letter 1: Catalan-many prefixes contribute nothing for
-    i <= k, while i > k splits the word and forces one extra descent.
+    Width-k descent distribution over the 312-avoiders.
+
+    The paper's recursion on the position i of the letter 1 (Catalan-many
+    prefixes contribute nothing for i <= k, while i > k splits the word and
+    forces one extra descent) says that F = sum_m rec_312(m, k) x^m solves
+
+        F = 1 + x (1 - q) P F + x q F^2,  P = C_0 + C_1 x + ... + C_(k-1) x^(k-1).
+
+    So 2xqF = A - S, where A = 1 - x (1 - q) P and S = sqrt(D) with
+    D = A^2 - 4xq, a polynomial of x-degree 2k whose coefficients d_j have
+    q-degree at most 2.  Differentiating S^2 = D gives 2 D S' = D' S, that
+    is, with s_0 = 1,
+
+        2m s_m = sum_(j=1..2k) (3j - 2m) d_j s_(m-j),
+        f_m = (a_(m+1) - s_(m+1)) / (2q).
+
+    Both divisions are exact over the integers: S = A - 2xqF has integer
+    coefficients because F counts words, so the sum is 2m times the integer
+    polynomial s_m, and a_(m+1) - s_(m+1) is 2q f_m.  A level costs 2k
+    products of a row by a quadratic in q.  Words of length n <= k have no
+    width-k descents, so k >= n gives the constant C_n at once, and the
+    recurrence only runs with 2k < 2n terms.
 
     >>> print(rec_312(3, 1))
     1 + 3*q + q^2
     >>> rec_312(4, 5)(1) == catalan(4)
     True
     """
+    _check_recursion_args(n, k)
+    if n <= k:
+        return LaurentPoly({0: catalan(n)})
+    # A = 1 + sum_(j=1..k) C_(j-1) (q - 1) x^j, so d_j, as its coefficients
+    # of q^0, q^1, q^2, is u_j (q - 1)^2 + 2 c_j (q - 1) - 4q [j = 1], where
+    # c_j = C_(j-1) for j <= k (else 0) and u_j is the sum of C_(i-1) C_(j-i-1)
+    # over 1 <= i <= k with 1 <= j - i <= k
+    cat = [catalan(i) for i in range(k)]
+    d = []
+    for j in range(1, 2 * k + 1):
+        pairs = range(max(1, j - k), min(k, j - 1) + 1)
+        u = sum(cat[i - 1] * cat[j - i - 1] for i in pairs)
+        c = cat[j - 1] if j <= k else 0
+        d.append((u - 2 * c, 2 * c - 2 * u - 4 * (j == 1), u))
+    s = [[1]]
+    for m in range(1, n + 2):
+        terms = [(3 * j - 2 * m, s[m - j], dj) for j, dj in enumerate(d[:m], 1)]
+        acc = [0] * (max(len(row) for _, row, _ in terms) + 2)
+        for coef, row, dj in terms:
+            for e, w in enumerate(dj):
+                if w:  # acc += coef * w * q^e * row
+                    end = e + len(row)
+                    scaled = map(operator.mul, row, itertools.repeat(coef * w))
+                    acc[e:end] = map(operator.add, acc[e:end], scaled)
+        while not acc[-1]:  # s_m is never zero
+            acc.pop()
+        s.append([x // (2 * m) for x in acc])
+    # a_(n+1) = 0 because n > k, so f_n = -s_(n+1) / (2q)
+    return LaurentPoly(dict(enumerate(-x // 2 for x in s[n + 1][1:])))
 
-    def base(m: int) -> LaurentPoly:
-        return LaurentPoly({0: catalan(m)})
 
-    def step(m: int, k: int, f: Callable[[int], LaurentPoly]) -> LaurentPoly:
-        total = LaurentPoly()
-        for i in range(1, k + 1):
-            total = total + catalan(i - 1) * f(m - i)
-        for i in range(k + 1, m + 1):
-            total = total + (f(i - 1) * f(m - i)).shift(1)
-        return total
-
-    return _run_recursion(n, k, cache, base, step)
-
-
-def rec_123_132(n: int, k: int, cache: RecCache | None = None) -> LaurentPoly:
+def rec_123_132(n: int, k: int) -> LaurentPoly:
     """
     Width-k descent distribution over the {123, 132}-avoiders, by recursion
     on the position of the letter n; the closing term collects the positions
     past max(k, n-k) in a single power of q.
     """
 
-    def base(m: int) -> LaurentPoly:
-        return LaurentPoly({0: 1 if m == 0 else 2 ** (m - 1)})
-
-    def step(m: int, k: int, f: Callable[[int], LaurentPoly]) -> LaurentPoly:
-        total = q_power(m - k - 1, 2 ** (m - max(k + 1, m - k + 1)))
+    def step(m: int, k: int, rows: list[list[int]]) -> list[int]:
+        row = [0] * (m - k + 1)
+        row[m - k - 1] = 2 ** (m - max(k + 1, m - k + 1))
         for i in range(1, k + 1):
-            total = total + f(m - i).shift(min(i, m - k))
+            _add_shifted(row, rows[m - i], min(i, m - k))
         for i in range(k + 1, m - k + 1):
-            total = total + f(m - i).shift(min(i - 1, m - k - 1))
-        return total
+            _add_shifted(row, rows[m - i], min(i - 1, m - k - 1))
+        return row
 
-    return _run_recursion(n, k, cache, base, step)
+    return _run_recursion(n, k, lambda m: 2 ** max(m - 1, 0), step)
 
 
-def rec_123_312(n: int, k: int, cache: RecCache | None = None) -> LaurentPoly:
+def rec_123_312(n: int, k: int) -> LaurentPoly:
     """
     Width-k descent distribution over the {123, 312}-avoiders.  A letter 1
     placed before the end freezes the whole word, so those cases contribute
     bare powers of q; only the final position recurses.
     """
 
-    def base(m: int) -> LaurentPoly:
-        return LaurentPoly({0: math.comb(m, 2) + 1})  # |Av_m(123,312)|
-
-    def step(m: int, k: int, f: Callable[[int], LaurentPoly]) -> LaurentPoly:
-        total = f(m - 1).shift(1)
+    def step(m: int, k: int, rows: list[list[int]]) -> list[int]:
+        row = [0] * (m - k + 1)
+        _add_shifted(row, rows[m - 1], 1)
         for i in range(1, k + 1):
-            total = total + q_power(max(0, m - k - i))
+            row[max(0, m - k - i)] += 1
         for i in range(k + 1, m):
-            total = total + q_power(max(m - 2 * k, i - k))
-        return total
+            row[max(m - 2 * k, i - k)] += 1
+        return row
 
-    return _run_recursion(n, k, cache, base, step)
+    # the base is |Av_m(123,312)|
+    return _run_recursion(n, k, lambda m: math.comb(m, 2) + 1, step)
 
 
-def rec_132_213(n: int, k: int, cache: RecCache | None = None) -> LaurentPoly:
+def rec_132_213(n: int, k: int) -> LaurentPoly:
     """
     Width-k descent distribution over the {132, 213}-avoiders, by recursion
     on the position of the letter n; three position ranges give three sums.
     """
 
-    def base(m: int) -> LaurentPoly:
-        return LaurentPoly({0: 1 if m == 0 else 2 ** (m - 1)})
-
-    def step(m: int, k: int, f: Callable[[int], LaurentPoly]) -> LaurentPoly:
-        total = LaurentPoly()
+    def step(m: int, k: int, rows: list[list[int]]) -> list[int]:
+        row = [0] * (m - k + 1)
         for i in range(1, k + 1):
-            total = total + f(m - i).shift(min(i, m - k))
+            _add_shifted(row, rows[m - i], min(i, m - k))
         for i in range(k + 1, m - k + 1):
-            total = total + f(m - i).shift(min(k, m - i))
+            _add_shifted(row, rows[m - i], min(k, m - i))
         for i in range(max(k + 1, m - k + 1), m + 1):
-            total = total + f(m - i).shift(m - i)
-        return total
+            _add_shifted(row, rows[m - i], m - i)
+        return row
 
-    return _run_recursion(n, k, cache, base, step)
+    return _run_recursion(n, k, lambda m: 2 ** max(m - 1, 0), step)
 
 
 def product_132_231(n: int, widths: stats.Widths) -> LaurentPoly:
@@ -400,7 +432,7 @@ def inv_degree_312(n: int, k: int) -> int:
     return sum((n - i) // k for i in range(1, n - k + 1))
 
 
-#: Memoized recursion per avoidance class, keyed by the sorted pattern tuple.
+#: Recursion per avoidance class, keyed by the sorted pattern tuple.
 RECURSIONS: dict[tuple[tuple[int, ...], ...], Callable] = {
     ((3, 1, 2),): rec_312,
     ((1, 2, 3), (1, 3, 2)): rec_123_132,
@@ -971,11 +1003,10 @@ def suite_avoidance(n_max: int | None = None, caches: SweepCaches | None = None)
     multi_top = min(top, 8)
 
     def recursion(pats, fn) -> Iterator[Case]:
-        memo: RecCache = {}
         for n in range(2, top + 1):
             des = caches.av_dists(n, pats)[0]
             for k in range(1, n):
-                yield {"n": n, "k": k}, fn(n, k, cache=memo), des[k]
+                yield {"n": n, "k": k}, fn(n, k), des[k]
 
     def product(pats, fn) -> Iterator[Case]:
         for n in range(2, multi_top + 1):
@@ -1006,20 +1037,17 @@ def suite_avoidance(n_max: int | None = None, caches: SweepCaches | None = None)
                 yield {"n": n, "k": k}, actual, (des_degree_312(n, k), inv_degree_312(n, k))
 
     def catalan_at_one() -> Iterator[Case]:
-        memo: RecCache = {}
         for n in range(2, top + 1):
             for k in range(1, n):
-                yield {"n": n, "k": k}, rec_312(n, k, cache=memo)(1), catalan(n)
+                yield {"n": n, "k": k}, rec_312(n, k)(1), catalan(n)
 
     def powers_of_two_at_one() -> Iterator[Case]:
-        memo_123_132: RecCache = {}
-        memo_132_213: RecCache = {}
         for n in range(2, top + 1):
             want = 2 ** (n - 1)
             for k in range(1, n):
                 values = (
-                    ("rec:123,132", rec_123_132(n, k, cache=memo_123_132)(1)),
-                    ("rec:132,213", rec_132_213(n, k, cache=memo_132_213)(1)),
+                    ("rec:123,132", rec_123_132(n, k)(1)),
+                    ("rec:132,213", rec_132_213(n, k)(1)),
                     ("closed-inv:132,312", closed_inv_132_312(n, k)(1)),
                 )
                 for label, got in values:

@@ -204,6 +204,8 @@ class TestRecursions:
         assert rec_123_132(4, 7) == 2**3
         assert rec_132_213(4, 9) == 2**3
         assert rec_123_312(4, 9) == 7  # |Av_4(123,312)| = C(4,2) + 1 (Simion-Schmidt)
+        assert all(rec_312(m, m) == catalan(m) for m in range(1, 6))
+        assert rec_312(3, 10**6) == 5  # at once: nothing is sized by k when k >= n
 
     def test_class_sizes_at_one(self):
         for n in range(1, 9):
@@ -213,11 +215,39 @@ class TestRecursions:
                 assert rec_132_213(n, k)(1) == 2 ** (n - 1)
                 assert rec_123_312(n, k)(1) == 1 + n * (n - 1) // 2
 
-    def test_shared_cache_is_reused_and_consistent(self):
-        cache = {}
-        first = rec_312(6, 2, cache=cache)
-        assert (6, 2) in cache and (0, 2) in cache
-        assert rec_312(6, 2, cache=cache) == first == rec_312(6, 2)
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_312_matches_convolution_oracle(self, k):
+        oracle = convolution_312_table(60, k)
+        for m in range(61):
+            assert rec_312(m, k) == oracle[m], (m, k)
+
+    def test_recursions_reject_bad_arguments(self):
+        for fn in RECURSIONS.values():
+            with pytest.raises(InvalidInputError):
+                fn(-1, 1)
+            with pytest.raises(InvalidInputError):
+                fn(3, 0)
+
+
+def convolution_312_table(n, k):
+    """
+    rec_312(m, k) for m = 0..n by the paper's recursion on the position i of
+    the letter 1: Catalan-many prefixes contribute nothing for i <= k, while
+    i > k splits the word and forces one extra descent.  This is the
+    independent oracle for the square-root recurrence in genfun.
+    """
+    f = []
+    for m in range(n + 1):
+        if m <= k:
+            f.append(LaurentPoly({0: catalan(m)}))
+            continue
+        total = LaurentPoly()
+        for i in range(1, k + 1):
+            total = total + catalan(i - 1) * f[m - i]
+        for i in range(k + 1, m + 1):
+            total = total + (f[i - 1] * f[m - i]).shift(1)
+        f.append(total)
+    return f
 
 
 class TestProductsAndDegrees:
