@@ -221,6 +221,16 @@ class TestRecursions:
         for m in range(61):
             assert rec_312(m, k) == oracle[m], (m, k)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize(
+        "pats", list(RECURSIONS), ids=lambda pats: "-".join("".join(map(str, p)) for p in pats)
+    )
+    def test_recursion_matches_enumeration_at_every_width(self, pats, n):
+        # every level of every recursion, k = n and k = n + 1 included
+        fn = RECURSIONS[pats]
+        for k in range(1, n + 2):
+            assert fn(n, k) == brute_distribution(n, "des", k, pats), (n, k)
+
     def test_recursions_reject_bad_arguments(self):
         for fn in RECURSIONS.values():
             with pytest.raises(InvalidInputError):
