@@ -72,15 +72,11 @@ def _maj_profile(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(maj[1:])
 
 
-def _exc_width(word: Sequence[int], k: int) -> int:
-    # Blockwise standardized excedances: within each block, position j holds
-    # an excedance iff its letter's rank exceeds j+1.
-    total = 0
-    for s in range(min(k, len(word))):
-        block = word[s::k]
-        order = sorted(range(len(block)), key=block.__getitem__)
-        total += sum(1 for r, j in enumerate(order) if r > j)
-    return total
+def _standardized_exc(block: Sequence[int]) -> int:
+    # Excedances of the standardized block: position j holds one iff its
+    # letter's rank exceeds j+1.
+    order = sorted(range(len(block)), key=block.__getitem__)
+    return sum(1 for r, j in enumerate(order) if r > j)
 
 
 _STAT_FUNCS: dict[str, Callable] = {
@@ -166,17 +162,67 @@ def t_polynomial(
     """
     Joint distribution of all width descents at once: each permutation in
     the class contributes the monomial t_1^(des_1) ... t_(n-1)^(des_(n-1)).
-    Subject to the multivariate enumeration cap (default 8).
+    Over S_n the walk builds no words; avoidance classes are scanned word by
+    word.  Subject to the multivariate enumeration cap (default 8).
     """
     cap = multivariate_cap() if max_n is None else max_n
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds multivariate cap {cap}")
+    if n < 0:
+        raise InvalidInputError("n must be >= 0")
+    pats = check_patterns(patterns)
     gaps = range(1, n)
-    acc: dict[tuple[int, ...], int] = {}
-    for word in avoidance_class(n, patterns, max_n=n):
-        exps = tuple([sum(map(operator.gt, word, word[g:])) for g in gaps])
-        acc[exps] = acc.get(exps, 0) + 1
+    if not pats and n >= 3:
+        acc = _sn_joint_descents(n)
+    else:
+        acc = {}  # one scan per word: avoidance classes, and S_0..S_2
+        for word in avoidance_class(n, pats, max_n=n):
+            exps = tuple([sum(map(operator.gt, word, word[g:])) for g in gaps])
+            acc[exps] = acc.get(exps, 0) + 1
     return MultiPoly(tuple(f"t{g}" for g in gaps), acc)
+
+
+def _sn_joint_descents(n: int) -> dict[tuple[int, ...], int]:
+    # Joint descent counts over S_n (n >= 3) by a depth-first walk that
+    # carries one packed int per word instead of the word.  Base-2^s digit g
+    # of a key holds des_g; des_g <= n - 1 < 2^s, so no digit overflows.
+    # hs lists, in increasing order of the values still to place, what
+    # placing that value next adds to the key: one unit in digit g for each
+    # larger value g positions back.  Placing hs[j] moves every other entry
+    # one digit up and adds one unit to the entries below it.  The last three
+    # placements are written out: with 0 < 1 < 2 the remaining values, a
+    # leaf is h_x + (h_y + [y < x]) << s + (h_z + [z < x]) << 2s + [z < y] << s
+    # for the placing order x, y, z.
+    s = (n - 1).bit_length()
+    s1 = 1 << s
+    s2 = s1 << s
+    keys: dict[int, int] = {}
+    get = keys.get
+
+    def walk(key: int, hs: list[int]) -> None:
+        if len(hs) == 3:
+            h0, h1, h2 = hs
+            a0, a1, a2 = h0 << s, h1 << s, h2 << s
+            b0, b1, b2 = a0 << s, a1 << s, a2 << s
+            for leaf in (
+                key + h0 + a1 + b2,
+                key + h0 + a2 + b1 + s1,
+                key + h1 + a0 + b2 + s1,
+                key + h1 + a2 + b0 + s1 + s2,
+                key + h2 + a0 + b1 + s1 + s2,
+                key + h2 + a1 + b0 + 2 * s1 + s2,
+            ):
+                keys[leaf] = get(leaf, 0) + 1
+            return
+        below = [(h + 1) << s for h in hs]
+        above = [h << s for h in hs]
+        for j, h in enumerate(hs):
+            walk(key + h, below[:j] + above[j + 1 :])
+
+    walk(0, [0] * n)
+    mask = s1 - 1
+    shifts = [s * g for g in range(1, n)]
+    return {tuple([key >> t & mask for t in shifts]): c for key, c in keys.items()}
 
 
 def _indicator(n: int, gaps: Iterable[int]) -> list[int]:
@@ -366,14 +412,23 @@ def rec_132_213(n: int, k: int) -> LaurentPoly:
     """
     Width-k descent distribution over the {132, 213}-avoiders, by recursion
     on the position of the letter n; three position ranges give three sums.
+    The middle range k < i <= m - k adds rows[m - i] for m - i = k..m-k-1,
+    each shifted by q^k, so it is one running sum of rows shifted once, and a
+    level costs O(k) row additions.
     """
+    middle: list[int] = []  # rows[k] + ... + rows[summed - 1]
+    summed = k
 
     def step(m: int, k: int, rows: list[list[int]]) -> list[int]:
+        nonlocal summed
         row = [0] * (m - k + 1)
         for i in range(1, k + 1):
             _add_shifted(row, rows[m - i], min(i, m - k))
-        for i in range(k + 1, m - k + 1):
-            _add_shifted(row, rows[m - i], min(k, m - i))
+        while summed < m - k:
+            middle.extend([0] * (len(rows[summed]) - len(middle)))
+            _add_shifted(middle, rows[summed], 0)
+            summed += 1
+        _add_shifted(row, middle, k)
         for i in range(max(k + 1, m - k + 1), m + 1):
             _add_shifted(row, rows[m - i], m - i)
         return row
@@ -392,7 +447,8 @@ def product_132_231(n: int, widths: stats.Widths) -> LaurentPoly:
     """
     if isinstance(widths, int):
         widths = (widths,)
-    anchors = (1, *stats.normalize_widths(widths, n), n)
+    # the empty word, like a word of length 1, has no descents
+    anchors = (1, *stats.normalize_widths(widths, n), max(n, 1))
     out = ONE
     for i in range(1, len(anchors)):
         out = out * LaurentPoly([(0, 1), (i - 1, 1)]) ** (anchors[i] - anchors[i - 1])
@@ -589,18 +645,33 @@ class SweepCaches:
         indicator of K.
         """
         if n not in self._sn_exc_maj:
-            exc_acc: list[dict[int, int]] = [{} for _ in range(n)]
+            # exc_1 counts the a_i > i.  For k >= 2, exc_k adds up the
+            # excedances of the standardized residue blocks word[s::k]; a
+            # block has at most ceil(n/2) letters, so few blocks recur
+            # (2,080 at n = 8) and each is ranked once.
+            ranks = range(1, n + 1)
+            residues = [[slice(s, None, k) for s in range(k)] for k in range(2, n)]
+            block_exc: dict[tuple[int, ...], int] = {}
+            exc_acc: list[dict[int, int]] = [{} for _ in range(1, n)]
             maj_acc: dict[tuple[int, ...], int] = {}
             for word in enumerate_sn(n, max_n=n):
-                for k in range(1, n):
-                    e = _exc_width(word, k)
-                    acc = exc_acc[k]
+                excs = [sum(map(operator.gt, word, ranks))]
+                for blocks in residues:
+                    e = 0
+                    for sl in blocks:
+                        block = word[sl]
+                        c = block_exc.get(block)
+                        if c is None:
+                            c = block_exc[block] = _standardized_exc(block)
+                        e += c
+                    excs.append(e)
+                for acc, e in zip(exc_acc, excs):
                     acc[e] = acc.get(e, 0) + 1
                 majp = _maj_profile(word)
                 maj_acc[majp] = maj_acc.get(majp, 0) + 1
             maj = MultiPoly(tuple(f"t{g}" for g in range(1, n)), maj_acc)
             self._sn_exc_maj[n] = (
-                {k: LaurentPoly(exc_acc[k]) for k in range(1, n)},
+                {k: LaurentPoly(acc) for k, acc in enumerate(exc_acc, 1)},
                 {k: maj.grade(_indicator(n, (k,))) for k in range(1, n)},
                 maj,
             )
@@ -751,30 +822,38 @@ def suite_inclusion_exclusion(n_max: int | None = None, caches: SweepCaches | No
     ]
 
     def sweep() -> Iterator[Case]:
+        # All K of a word are compared at once, as one case; only a word whose
+        # lists differ is split into its (n, K, sigma) cases, in K order, so
+        # the runner still reports the first disagreeing one.
         for n in range(2, top + 1):
             subsets = list(_width_subsets(n, max_size=3))
             unions = [sorted({m for k in K for m in range(k, n, k)}) for K in subsets]
-            signed: list[list[tuple[int, int]]] = []
+            # per K, the lcms < n of its odd- and of its even-sized subsets
+            signed: list[tuple[list[int], list[int]]] = []
             for K in subsets:
-                terms = []
+                odd: list[int] = []
+                even: list[int] = []
                 for size in range(1, len(K) + 1):
                     for sub in itertools.combinations(K, size):
                         l = math.lcm(*sub)
                         if l < n:
-                            terms.append((-1 if size % 2 == 0 else 1, l))
-                signed.append(terms)
+                            (even if size % 2 == 0 else odd).append(l)
+                signed.append((odd, even))
+            every_k = {"n": n}
             for word in enumerate_sn(n, max_n=n):
                 counts = _gap_counts(word)
                 invals = [0] * n
                 for g in range(1, n):
                     invals[g] = sum(counts[g::g])
+                at = invals.__getitem__
+                lhs = [sum(map(counts.__getitem__, u)) for u in unions]
+                rhs = [sum(map(at, odd)) - sum(map(at, even)) for odd, even in signed]
+                if lhs == rhs:
+                    yield every_k, lhs, rhs
+                    continue
                 sigma = format_perm(word)
-                for idx, K in enumerate(subsets):
-                    yield (
-                        {"n": n, "K": K, "sigma": sigma},
-                        sum(counts[g] for g in unions[idx]),
-                        sum(s * invals[l] for s, l in signed[idx]),
-                    )
+                for K, a, b in zip(subsets, lhs, rhs):
+                    yield {"n": n, "K": K, "sigma": sigma}, a, b
 
     return [
         _check(

@@ -1,11 +1,15 @@
 """CLI behavior: output shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from widthk import genfun
-from widthk.cli import main
+from widthk import genfun, perm
+from widthk.cli import FORMATS, main
 from widthk.genfun import VerificationReport
 from widthk.poly import LaurentPoly
 
@@ -322,3 +326,106 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "gf", "--n", "11", "--stat", "des")[0] == 2  # over cap
+
+
+# Random argv over every subcommand.  Sizes stay at n <= 6 (and verify always
+# gets --nmax), so no drawn case enumerates much; the values mix valid input
+# with the malformed and out-of-range kinds the parsers must reject.
+_TEXT = st.text(alphabet="0123456789,- x", max_size=6)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _choice(*values):
+    return st.sampled_from(values)
+
+
+_N = st.one_of(st.integers(-2, 6).map(str), _choice("", "x", "3,4", "1e3"))
+_FORMAT = _opt("--format", _choice(*FORMATS, "xml"))
+_PATTERNS = st.one_of(
+    _choice("", "312", "123,132", "132,213", "132,231", "123,321", "1", "21", "1234", "11"),
+    _TEXT,
+)
+_N_LIST = st.one_of(_choice("2", "4,5", "6", "1", "0", "-3"), _TEXT)
+_WIDTHS = st.one_of(_choice("1", "2,3", "1,1", "0", "-1", "5", ""), _TEXT)
+
+
+def _argv(name, *parts):
+    return st.tuples(*parts).map(lambda chunks: [name] + [a for c in chunks for a in c])
+
+
+def _req(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+_STAT = _req("--stat", _choice("des", "inv", "exc", "maj", "foo"))
+_ARGV = st.one_of(
+    _argv(
+        "stat",
+        _req("--perm", st.one_of(_choice("4136572", "", "1", "21", "10,3,1,2,4,5,6,7,8,9"), _TEXT)),
+        _opt("--widths", _WIDTHS),
+        _STAT,
+        _FORMAT,
+    ),
+    _argv(
+        "gf",
+        _req("--n", _N),
+        _STAT,
+        _opt("--width", st.integers(-2, 8).map(str)),
+        _opt("--widths", _WIDTHS),
+        _opt("--avoid", _PATTERNS),
+        _opt("--method", _choice("brute", "closed", "recursion", "all", "magic")),
+        _FORMAT,
+    ),
+    _argv("tpoly", _req("--n", _N), _opt("--avoid", _PATTERNS), _FORMAT),
+    _argv("gtable", _req("--n", _N_LIST), _FORMAT),
+    _argv(
+        "verify",
+        _opt("--suite", _choice(*genfun.SUITES, "all", "nope")),
+        _req("--nmax", st.integers(-1, 5).map(str)),
+        _FORMAT,
+    ),
+    _argv(
+        "avoid",
+        _req("--n", _N),
+        _opt("--patterns", _PATTERNS),
+        _choice([], ["--members"]),
+        _FORMAT,
+    ),
+    # argument soup: missing, repeated and unknown flags
+    st.lists(_choice("stat", "gf", "--n", "3", "--stat", "des", "--help", "-x", ""), max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_ARGV)
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gf", "--n", "11", "--stat", "des"),
+        ("tpoly", "--n", "9"),
+        ("gtable", "--n", "11"),
+        ("avoid", "--n", "11"),
+        ("verify", "--nmax", "11"),
+    ],
+)
+def test_above_the_cap_exits_2_before_enumerating(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated above the cap")
+
+    monkeypatch.setattr(perm, "enumerate_sn", refuse)
+    monkeypatch.setattr(genfun, "enumerate_sn", refuse)
+    monkeypatch.setattr(genfun, "_sn_joint_descents", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cap" in err

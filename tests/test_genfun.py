@@ -136,6 +136,18 @@ class TestJointAndSigned:
         )
         assert t_polynomial(4, [(3, 1, 2)]) == expected
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_t_polynomial_matches_per_word_count(self, n):
+        # the packed-key walk over S_n against one scan per word
+        expected = joint_descent_counts(n)
+        assert t_polynomial(n) == expected
+        assert t_polynomial(n, ()) == expected
+        assert t_polynomial(n, iter(())) == expected
+
+    def test_t_polynomial_rejects_negative_n(self):
+        with pytest.raises(InvalidInputError):
+            t_polynomial(-1)
+
     def test_t_polynomial_specializes_to_univariate(self):
         for n in (3, 4, 5, 6):
             tp = t_polynomial(n)
@@ -171,6 +183,17 @@ class TestJointAndSigned:
             for k in range(1, n):
                 if math.gcd(n, k) == 1:
                     assert conjectured_g(n, k) == g_polynomial(n, k), (n, k)
+
+
+def joint_descent_counts(n):
+    """t_polynomial(n) by scanning each word of S_n for every des_g."""
+    acc = collections.Counter()
+    for word in itertools.permutations(range(1, n + 1)):
+        exps = tuple(
+            sum(word[i] > word[i + g] for i in range(n - g)) for g in range(1, n)
+        )
+        acc[exps] += 1
+    return MultiPoly(tuple(f"t{g}" for g in range(1, n)), dict(acc))
 
 
 class TestRecursions:
@@ -231,6 +254,13 @@ class TestRecursions:
         for k in range(1, n + 2):
             assert fn(n, k) == brute_distribution(n, "des", k, pats), (n, k)
 
+    def test_132_213_matches_per_row_oracle(self):
+        # every n <= 40 and every k <= n + 1
+        for k in range(1, 42):
+            table = per_row_132_213_table(40, k)
+            for n in range(max(k - 1, 0), 41):
+                assert rec_132_213(n, k) == table[n], (n, k)
+
     def test_recursions_reject_bad_arguments(self):
         for fn in RECURSIONS.values():
             with pytest.raises(InvalidInputError):
@@ -260,6 +290,28 @@ def convolution_312_table(n, k):
     return f
 
 
+def per_row_132_213_table(n, k):
+    """
+    rec_132_213(m, k) for m = 0..n by the recursion on the position i of
+    the letter m, adding each row of its three position ranges on its own:
+    the independent oracle for the running sum in genfun.
+    """
+    rows = []
+    for m in range(n + 1):
+        if m <= k:
+            rows.append([2 ** max(m - 1, 0)])
+            continue
+        row = [0] * (m - k + 1)
+        shifts = [(i, min(i, m - k)) for i in range(1, k + 1)]
+        shifts += [(i, min(k, m - i)) for i in range(k + 1, m - k + 1)]
+        shifts += [(i, m - i) for i in range(max(k + 1, m - k + 1), m + 1)]
+        for i, s in shifts:
+            for e, c in enumerate(rows[m - i]):
+                row[s + e] += c
+        rows.append(row)
+    return [LaurentPoly(dict(enumerate(row))) for row in rows]
+
+
 class TestProductsAndDegrees:
     def test_products_known_values(self):
         assert product_132_231(4, (1, 2)) == P(1, 1, 2, 2, 1, 1)
@@ -267,6 +319,7 @@ class TestProductsAndDegrees:
         # K = {1}: the classical descent polynomial of the class
         assert product_132_231(3, (1,)) == P(1, 2, 1)
         assert product_132_231(2, 1) == P(1, 1)  # bare int width is accepted
+        assert product_132_231(0, 1) == product_132_312(1, (1,)) == 1
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_products_match_enumeration(self, n):
@@ -374,6 +427,10 @@ class TestGradedDistributions:
                     assert joint.grade(weights) == brute_distribution(
                         n, "maj", ks
                     ), (n, ks)
+        # n = 7 is the first size whose residue blocks reach 4 letters (k = 2)
+        exc = caches.sn_exc_maj(7)[0]
+        for k in range(1, 7):
+            assert exc[k] == brute_distribution(7, "exc", k), k
 
     def test_width_set_grades_match_enumeration(self):
         caches = SweepCaches()
@@ -452,6 +509,24 @@ class TestReports:
         assert des.counterexample["params"] == {"n": 5, "k": 2}
         assert LaurentPoly.from_json(des.counterexample["lhs"]) == closed_des_k(5, 2)
         assert inv.identity == "theorem[inv]" and inv.status == "verified"
+
+    def test_inclusion_exclusion_reports_first_broken_case(self, monkeypatch):
+        # Reading lcm(2, 3) as 5 adds a spurious -inv_5 to every K holding 2
+        # and 3 once n = 6, where the true lcm 6 drops out.  inv_5 is nonzero
+        # first at the earliest sigma with a_1 > a_6, 234561, and K = {2,3}
+        # is the first such K; there inv_{2,3} = 3 but the sum reads 2 + 1 - 1.
+        lcm = math.lcm
+        monkeypatch.setattr(
+            genfun.math, "lcm", lambda *ks: 5 if sorted(ks) == [2, 3] else lcm(*ks)
+        )
+        sweep = run_suite("inclusion-exclusion", n_max=7)[1]
+        assert sweep.identity == "inclusion-exclusion[sweep]"
+        assert sweep.status == "mismatch"
+        assert sweep.counterexample == {
+            "params": {"n": 6, "K": [2, 3], "sigma": "234561"},
+            "lhs": 3,
+            "rhs": 2,
+        }
 
 
 class TestSuites:
