@@ -11,10 +11,9 @@ from .genfun import (
     VerificationReport,
     brute_distribution,
     closed_des_k,
+    closed_g,
     closed_inv_132_312,
     closed_inv_k,
-    conjectured_g,
-    g_polynomial,
     g_table,
     product_132_231,
     product_132_312,
@@ -53,10 +52,10 @@ __all__ = [
     "brute_distribution",
     "catalan",
     "closed_des_k",
+    "closed_g",
     "closed_inv_132_312",
     "closed_inv_k",
     "complement",
-    "conjectured_g",
     "contains",
     "des",
     "des_set",
@@ -64,7 +63,6 @@ __all__ = [
     "enumeration_cap",
     "eulerian_poly",
     "exc",
-    "g_polynomial",
     "g_table",
     "inv",
     "inv_by_lcm",

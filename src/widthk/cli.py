@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections import Counter
 
@@ -225,28 +224,10 @@ def cmd_tpoly(args: argparse.Namespace) -> int:
 # gtable
 
 def _factored_g(poly: LaurentPoly, n: int, k: int) -> str | None:
-    terms = poly.terms()
-    if len(terms) == 1 and terms[0][0] == 0:
-        return str(terms[0][1])
-    candidates = []
-    ref = genfun.GTABLE_REFERENCE.get(n, {}).get(k)
-    if ref is not None:
-        candidates.append(ref)
-    if n >= 2 and math.gcd(n, k) == 1:
-        candidates.append((n, 1 - k, n - 1, 1))
-    for c, s, m, e in candidates:
-        if genfun.factored_form(c, s, m, e) == poly:
-            return genfun.format_factored(c, s, m, e)
-    total = poly(1)
-    valuation = poly.valuation
-    for m in range(n - 1, 1, -1):
-        base = math.factorial(m)
-        e = 1
-        while base**e <= total:
-            c, rem = divmod(total, base**e)
-            if rem == 0 and genfun.factored_form(c, valuation, m, e) == poly:
-                return genfun.format_factored(c, valuation, m, e)
-            e += 1
+    # the label is printed only when the closed form matches the enumerated row
+    shape = genfun.g_shape(n, k)
+    if genfun.factored_form(*shape) == poly:
+        return genfun.format_factored(*shape)
     return None
 
 

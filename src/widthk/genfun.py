@@ -72,13 +72,6 @@ def _maj_profile(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(maj[1:])
 
 
-def _standardized_exc(block: Sequence[int]) -> int:
-    # Excedances of the standardized block: position j holds one iff its
-    # letter's rank exceeds j+1.
-    order = sorted(range(len(block)), key=block.__getitem__)
-    return sum(1 for r, j in enumerate(order) if r > j)
-
-
 _STAT_FUNCS: dict[str, Callable] = {
     "des": stats.des,
     "inv": stats.inv,
@@ -121,9 +114,13 @@ def brute_distribution(
 # ---------------------------------------------------------------------------
 # closed forms over the full symmetric group
 
-def _block_shape(n: int, k: int) -> tuple[int, int]:
+def _check_width(n: int, k: int) -> None:
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"width must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+
+
+def _block_shape(n: int, k: int) -> tuple[int, int]:
+    _check_width(n, k)
     return divmod(n, k)
 
 
@@ -177,7 +174,7 @@ def t_polynomial(
     else:
         acc = {}  # one scan per word: avoidance classes, and S_0..S_2
         for word in avoidance_class(n, pats, max_n=n):
-            exps = tuple([sum(map(operator.gt, word, word[g:])) for g in gaps])
+            exps = tuple(_gap_counts(word)[1:])
             acc[exps] = acc.get(exps, 0) + 1
     return MultiPoly(tuple(f"t{g}" for g in gaps), acc)
 
@@ -239,40 +236,14 @@ def _g_grades(joint: MultiPoly, n: int) -> dict[int, LaurentPoly]:
     return {k: joint.grade([(g == k) - (g == n - k) for g in gaps]) for k in gaps}
 
 
-def g_polynomial(n: int, k: int, max_n: int | None = None) -> LaurentPoly:
-    """
-    The signed distribution sum of q^(des_k - des_(n-k)) over S_n, a Laurent
-    polynomial with negative exponents once k exceeds n/2.
-
-    >>> print(g_polynomial(4, 3))
-    4*q^-2 + 16*q^-1 + 4
-    """
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"width must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    kc = n - k
-    acc: dict[int, int] = {}
-    for word in enumerate_sn(n, max_n):
-        e = sum(map(operator.gt, word, word[k:])) - sum(
-            map(operator.gt, word, word[kc:])
-        )
-        acc[e] = acc.get(e, 0) + 1
-    return LaurentPoly(acc)
-
-
 def g_table(n: int, max_n: int | None = None) -> dict[int, LaurentPoly]:
     """
-    All g_polynomial(n, k) for k = 1..n-1, as grades of the joint descent
-    distribution over S_n.  Subject to the enumeration cap (default 10).
+    G[n,k], the sum of q^(des_k - des_(n-k)) over S_n, for k = 1..n-1, as
+    grades of the joint descent distribution over S_n (closed_g is the
+    closed form).  Subject to the enumeration cap (default 10).
     """
     joint = t_polynomial(n, max_n=enumeration_cap() if max_n is None else max_n)
     return _g_grades(joint, n)
-
-
-def conjectured_g(n: int, k: int) -> LaurentPoly:
-    """The conjectured closed form n * q^(1-k) * A_(n-1)(q) for gcd(k,n) = 1."""
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"width must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    return (n * eulerian_poly(n - 1)).shift(1 - k)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +619,7 @@ class SweepCaches:
             # exc_1 counts the a_i > i.  For k >= 2, exc_k adds up the
             # excedances of the standardized residue blocks word[s::k]; a
             # block has at most ceil(n/2) letters, so few blocks recur
-            # (2,080 at n = 8) and each is ranked once.
+            # (2,080 at n = 8) and stats.exc counts each once.
             ranks = range(1, n + 1)
             residues = [[slice(s, None, k) for s in range(k)] for k in range(2, n)]
             block_exc: dict[tuple[int, ...], int] = {}
@@ -662,7 +633,7 @@ class SweepCaches:
                         block = word[sl]
                         c = block_exc.get(block)
                         if c is None:
-                            c = block_exc[block] = _standardized_exc(block)
+                            c = block_exc[block] = stats.exc(block)
                         e += c
                     excs.append(e)
                 for acc, e in zip(exc_acc, excs):
@@ -910,6 +881,43 @@ _GTABLE_A9_NOTE = (
 )
 
 
+def g_shape(n: int, k: int) -> tuple[int, int, int, int]:
+    """
+    The shape (c, s, m, e) with G[n,k] = c * q^s * A_m(q)^e, for every
+    1 <= k <= n-1.  With d = gcd(n, k) and l = n/d,
+
+        G[n,k] = n!/((l-1)!)^d * q^(d-k) * A_(l-1)(q)^d.
+
+    Proof.  Join positions p -> p+k (mod n).  An edge that does not wrap is
+    a width-k descent when a_p > a_(p+k).  The k wrap edges run j+n-k -> j
+    for j < k, and one is a descent exactly when (j, j+n-k) is not a
+    width-(n-k) descent.  So des_k - des_(n-k) = cdes - k, where cdes counts
+    the descents along the edges, which form d cycles of l positions each.
+    The values split over the cycles in n!/(l!)^d ways.  On one cycle, the
+    l rotations of its values share cdes, and the rotation that puts the
+    largest value last has cdes one more than the des of the other l-1
+    values in cycle order, so the cycle contributes l * q * A_(l-1)(q).
+    At d = 1 this is the paper's conjectured n * q^(1-k) * A_(n-1)(q).
+
+    >>> g_shape(6, 2), g_shape(7, 3)
+    ((180, 0, 2, 2), (7, -2, 6, 1))
+    """
+    _check_width(n, k)
+    d = math.gcd(n, k)
+    m = n // d - 1
+    return math.factorial(n) // math.factorial(m) ** d, d - k, m, d
+
+
+def closed_g(n: int, k: int) -> LaurentPoly:
+    """
+    G[n,k] from its closed form (see g_shape).
+
+    >>> print(closed_g(4, 3))
+    4*q^-2 + 16*q^-1 + 4
+    """
+    return factored_form(*g_shape(n, k))
+
+
 def factored_form(c: int, s: int, m: int, e: int) -> LaurentPoly:
     """Expand the reference shape c * q^s * A_m(q)^e."""
     return (c * eulerian_poly(m) ** e).shift(s)
@@ -950,7 +958,7 @@ def suite_gtable(n_max: int | None = None, caches: SweepCaches | None = None):
 
 
 def suite_conjecture(n_max: int | None = None, caches: SweepCaches | None = None):
-    """The closed form n*q^(1-k)*A_(n-1)(q) at every coprime (n, k)."""
+    """closed_g at every coprime (n, k), where it is n*q^(1-k)*A_(n-1)(q)."""
     caches = caches or SweepCaches()
     top = 9 if n_max is None else n_max
 
@@ -959,7 +967,7 @@ def suite_conjecture(n_max: int | None = None, caches: SweepCaches | None = None
             table = caches.g_table(n)
             for k in range(1, n):
                 if math.gcd(n, k) == 1:
-                    yield {"n": n, "k": k}, table[k], conjectured_g(n, k)
+                    yield {"n": n, "k": k}, table[k], closed_g(n, k)
 
     return [
         _check(

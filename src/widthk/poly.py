@@ -507,16 +507,6 @@ class MultiPoly:
             acc[flipped] = c
         return MultiPoly(self.vars, acc)
 
-    def set_to_one_except(self, var: str) -> LaurentPoly:
-        """Set every other variable to 1, leaving a univariate polynomial."""
-        if var not in self.vars:
-            raise InvalidInputError(f"unknown variable {var!r}")
-        i = self.vars.index(var)
-        acc: dict[int, int] = {}
-        for exps, c in self._terms.items():
-            acc[exps[i]] = acc.get(exps[i], 0) + c
-        return LaurentPoly(acc)
-
     def grade(self, weights: Sequence[int]) -> LaurentPoly:
         """
         Substitute q^(w_i) for the i-th variable: each term lands on the

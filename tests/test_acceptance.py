@@ -12,7 +12,7 @@ import time
 
 from widthk.genfun import (
     GTABLE_REFERENCE,
-    conjectured_g,
+    closed_g,
     factored_form,
     g_table,
     rec_312,
@@ -84,7 +84,7 @@ def test_c06_coprime_closed_form():
         table = g_table(n)
         for k in range(1, n):
             if math.gcd(n, k) == 1:
-                assert table[k] == conjectured_g(n, k), (n, k)
+                assert table[k] == closed_g(n, k), (n, k)
     _all_verified(run_suite("conjecture"))
     print("PASS 6: G_(n,k) = n*q^(1-k)*A_(n-1)(q) whenever gcd(k,n)=1, n <= 9")
 

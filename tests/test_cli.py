@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthk import genfun, perm
-from widthk.cli import FORMATS, main
+from widthk.cli import FORMATS, _factored_g, main
 from widthk.genfun import VerificationReport
 from widthk.poly import LaurentPoly
 
@@ -218,8 +218,29 @@ def test_gtable_json_matches_polynomials(capsys):
         (5, k) for k in range(1, 5)
     ] + [(6, k) for k in range(1, 6)]
     for r in rows:
-        expected = genfun.g_polynomial(r["n"], r["k"])
+        expected = genfun.closed_g(r["n"], r["k"])
         assert LaurentPoly.from_json(r["poly"]) == expected
+
+
+def test_factored_g_labels_only_a_matching_row():
+    assert _factored_g(genfun.closed_g(10, 2), 10, 2) == "6300*A_4(q)^2"
+    assert _factored_g(genfun.closed_g(10, 4), 10, 4) == "6300*q^-2*A_4(q)^2"
+    assert _factored_g(genfun.closed_g(10, 5), 10, 5) == "3628800"
+    assert _factored_g(genfun.closed_g(10, 2) + 1, 10, 2) is None
+
+
+def test_gtable_prints_a_mismatched_row_unlabelled(capsys, monkeypatch):
+    def off_by_one(n):
+        return {k: genfun.closed_g(n, k) + (k == 1) for k in range(1, n)}
+
+    monkeypatch.setattr(genfun, "g_table", off_by_one)
+    code, out, _ = run(capsys, "gtable", "--n", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "G[4,1] = 5 + 16*q + 4*q^2",
+        "G[4,2] = 24",
+        "G[4,3] = 4*q^-2*A_3(q) = 4*q^-2 + 16*q^-1 + 4",
+    ]
 
 
 def test_verify_example_plain(capsys):

@@ -22,13 +22,13 @@ from widthk.genfun import (
     VerificationReport,
     brute_distribution,
     closed_des_k,
+    closed_g,
     closed_inv_132_312,
     closed_inv_k,
-    conjectured_g,
     des_degree_312,
     factored_form,
     format_factored,
-    g_polynomial,
+    g_shape,
     g_table,
     inv_degree_312,
     product_132_231,
@@ -152,37 +152,56 @@ class TestJointAndSigned:
         for n in (3, 4, 5, 6):
             tp = t_polynomial(n)
             for k in range(1, n):
-                assert tp.set_to_one_except(f"t{k}") == brute_distribution(n, "des", k)
+                weights = [int(g == k) for g in range(1, n)]
+                assert tp.grade(weights) == brute_distribution(n, "des", k)
             assert tp.at_ones() == math.factorial(n)
 
-    def test_g_polynomial_rows(self):
-        assert g_polynomial(4, 1) == P(4, 16, 4)
-        assert g_polynomial(4, 2) == P(24)
-        assert g_polynomial(4, 3) == LaurentPoly({-2: 4, -1: 16, 0: 4})
+    def test_g_table_rows(self):
         table = g_table(4)
         assert set(table) == {1, 2, 3}
-        assert table[3] == g_polynomial(4, 3)
+        assert table[1] == closed_g(4, 1) == P(4, 16, 4)
+        assert table[2] == closed_g(4, 2) == P(24)
+        assert table[3] == closed_g(4, 3) == LaurentPoly({-2: 4, -1: 16, 0: 4})
 
     def test_g_is_graded_difference_of_t(self):
-        # G_{n,k} is T_n with t_k -> q, t_{n-k} -> 1/q, the rest -> 1
-        for n, k in [(4, 1), (5, 2), (6, 2), (6, 3)]:
-            weights = [0] * (n - 1)
-            weights[k - 1] += 1
-            weights[n - k - 1] -= 1
-            assert t_polynomial(n).grade(weights) == g_polynomial(n, k)
+        # G_{n,k} is T_n with t_k -> q, t_{n-k} -> 1/q, the rest -> 1; the
+        # per-word scan is the oracle for the closed form
+        for n in range(2, 8):
+            joint = joint_descent_counts(n)
+            for k in range(1, n):
+                weights = [0] * (n - 1)
+                weights[k - 1] += 1
+                weights[n - k - 1] -= 1
+                assert joint.grade(weights) == closed_g(n, k), (n, k)
 
     def test_g_at_one_is_group_order(self):
         for n in range(2, 8):
             for k, poly in g_table(n).items():
                 assert poly(1) == math.factorial(n), (n, k)
 
-    def test_conjectured_g(self):
-        assert conjectured_g(4, 3) == LaurentPoly({-2: 4, -1: 16, 0: 4})
-        assert conjectured_g(4, 1) == 4 * eulerian_poly(3)
-        for n in range(2, 9):
+    def test_closed_g_is_conjectured_form_when_coprime(self):
+        assert closed_g(4, 1) == 4 * eulerian_poly(3)
+        for n in range(2, 16):
             for k in range(1, n):
                 if math.gcd(n, k) == 1:
-                    assert conjectured_g(n, k) == g_polynomial(n, k), (n, k)
+                    expected = (n * eulerian_poly(n - 1)).shift(1 - k)
+                    assert closed_g(n, k) == expected, (n, k)
+
+    def test_g_shape_at_shared_factors(self):
+        # d = gcd(n, k) cycles of l = n/d positions each
+        assert g_shape(10, 2) == (6300, 0, 4, 2)
+        assert g_shape(10, 4) == (6300, -2, 4, 2)
+        assert g_shape(12, 8) == (math.factorial(12) // 2**4, -4, 2, 4)
+        # k = n/2: every cycle has two positions and G is the constant n!
+        assert g_shape(10, 5) == (math.factorial(10), 0, 1, 5)
+        assert closed_g(10, 5) == P(math.factorial(10))
+
+    @pytest.mark.parametrize("n, k", [(4, 0), (4, 4), (4, -1), (2, 2), (1, 1), (0, 0)])
+    def test_closed_g_rejects_widths_outside_range(self, n, k):
+        with pytest.raises(InvalidInputError):
+            closed_g(n, k)
+        with pytest.raises(InvalidInputError):
+            g_shape(n, k)
 
 
 def joint_descent_counts(n):
@@ -396,7 +415,7 @@ class TestLargeFormulas:
 
 class TestGradedDistributions:
     # every swept distribution is a grade of one memoized joint distribution;
-    # enumeration and g_polynomial are the independent oracles
+    # enumeration and closed_g are the independent oracles
     CLASSES = [(), *RECURSIONS, *PRODUCTS]
 
     def test_av_dists_match_enumeration(self):
@@ -444,12 +463,13 @@ class TestGradedDistributions:
                             n, "des", ks, pats
                         ), (n, ks, pats)
 
-    def test_g_table_matches_g_polynomial(self):
-        for n in range(2, 8):
+    def test_closed_g_matches_g_table(self):
+        # every k at every n <= 9; g_table(10) alone would add about 1.3 s
+        for n in range(2, 10):
             table = g_table(n)
             assert set(table) == set(range(1, n))
             for k in range(1, n):
-                assert table[k] == g_polynomial(n, k), (n, k)
+                assert table[k] == closed_g(n, k), (n, k)
 
     def test_each_class_is_walked_once(self, monkeypatch):
         walks = collections.Counter()
@@ -570,6 +590,13 @@ class TestSuites:
                 # every quoted factorization must total n! at q = 1
                 claimed = factored_form(c, s, m, e)
                 assert claimed(1) == math.factorial(n), (n, k)
+
+    def test_gtable_reference_expands_to_closed_g(self):
+        # the quoted shapes differ from g_shape only in the power of A_1 = 1
+        for n, row in GTABLE_REFERENCE.items():
+            for k, shape in row.items():
+                assert factored_form(*shape) == closed_g(n, k), (n, k)
+                assert format_factored(*shape) == format_factored(*g_shape(n, k))
 
     def test_factored_form_and_format(self):
         assert factored_form(6, 0, 5, 1) == 6 * eulerian_poly(5)

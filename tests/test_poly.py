@@ -185,16 +185,17 @@ def test_multipoly_reflect():
 
 def test_multipoly_specializations():
     p = MultiPoly(("t1", "t2"), {(0, 0): 1, (1, 0): 2, (1, 1): 2, (2, 1): 1})
-    assert p.set_to_one_except("t1").terms() == [(0, 1), (1, 4), (2, 1)]
-    assert p.set_to_one_except("t2").terms() == [(0, 3), (1, 3)]
-    assert p.grade((1, 0)) == p.set_to_one_except("t1")
+    # a 0/1 weight vector sets every unmarked variable to 1
+    assert p.grade((1, 0)).terms() == [(0, 1), (1, 4), (2, 1)]
+    assert p.grade((0, 1)).terms() == [(0, 3), (1, 3)]
+    assert p.grade((0, 0)).terms() == [(0, 6)]
     assert p.grade((1, 1)).terms() == [(0, 1), (1, 2), (2, 2), (3, 1)]
     assert p.grade((1, -1)).terms() == [(0, 3), (1, 3)]
     assert p.at_ones() == 6
     with pytest.raises(InvalidInputError):
-        p.set_to_one_except("t9")
-    with pytest.raises(InvalidInputError):
         p.grade((1,))
+    with pytest.raises(InvalidInputError):
+        p.grade((1, 0, 0))
 
 
 def test_multipoly_json_roundtrip():
