@@ -125,31 +125,6 @@ def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     return search(0)
 
 
-def _occurs_at_last(word: Sequence[int], pattern: Sequence[int]) -> bool:
-    # Does some occurrence of pattern end exactly at the last letter of word?
-    m = len(pattern)
-    n = len(word)
-    if m > n:
-        return False
-    last = word[-1]
-    chosen: list[int] = []
-
-    def search(start: int) -> bool:
-        t = len(chosen)
-        if t == m - 1:
-            return _extends(chosen, pattern, last)
-        for p in range(start, (n - 1) - (m - 1 - t) + 1):
-            v = word[p]
-            if _extends(chosen, pattern, v):
-                chosen.append(v)
-                if search(p + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return search(0)
-
-
 def check_patterns(patterns: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Validate a pattern collection: each a nonempty permutation. Sorted, deduplicated."""
     out = sorted({as_perm(p) for p in patterns})
@@ -183,6 +158,17 @@ def enumerate_sn(n: int, max_n: int | None = None) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
+def _gap(pattern: Sequence[int], s: int, n: int) -> int:
+    # s: bitmask of the values of an occurrence of pattern[:t], t = |s|.
+    # Returns the bitmask of values x for which s plus a later letter x is an
+    # occurrence of pattern[:t+1]: those strictly between the r-th and
+    # (r+1)-th smallest values of s, r the rank of pattern[t] in pattern[:t+1].
+    t = s.bit_count()
+    r = sum(1 for x in pattern[:t] if x < pattern[t])
+    values = [0] + [v for v in range(1, n + 1) if s >> v & 1] + [n + 1]
+    return (1 << values[r + 1]) - (1 << (values[r] + 1))
+
+
 def avoidance_class(
     n: int,
     patterns: Iterable[Sequence[int]] = (),
@@ -191,21 +177,34 @@ def avoidance_class(
     """
     All permutations of [n] avoiding every given pattern, lexicographically.
 
-    Generated by depth-first prefix extension: a prefix that avoids the
-    patterns can only gain an occurrence ending at a newly appended letter.
-    Length-3 patterns never reach that check.  Each pair of prefix letters
-    (a, v) whose order matches p[:2] forbids, for every later letter, the
-    value interval that p[2] dictates (below both, between, or above both),
-    so the branch carries a bitmask of forbidden values and the next letter
-    is drawn from the values outside it.  Patterns of any other length get
-    one anchored containment check per extension.
+    Generated by depth-first prefix extension, with no containment search.
+    An occurrence of a prefix p[:t] of a pattern p of length m is kept as
+    the bitmask S of its values; a later letter extends it to p[:t+1]
+    exactly when it lies in the value interval gap(S) that the rank of p[t]
+    among p[:t+1] dictates.  Each branch carries a bitmask `taken` of the
+    values used or forbidden, and draws the next letter from the rest.  A
+    new occurrence of p[:m-1] forbids its gap for the whole subtree.
+
+    The occurrences of p[:m-2] are folded into `rows`: rows[x] is what
+    placing x next would forbid, so the occurrence of p[:m-1] that x
+    completes costs nothing to find.  Length 1 starts with every value
+    taken; length 2 starts rows[v] at gap({v}); for length 3 the letters
+    themselves are the occurrences of p[:1], and one table pair[a][v] holds
+    what (a, v) folds in for all length-3 patterns at once, which is faster
+    than the per-pattern occurrence lists below.  From length 4 on, placing
+    v extends the occurrences {a} of p[:1] (the earlier letters whose gap
+    holds v) and the stored occurrences of p[:2] .. p[:m-3] whose gap holds
+    v; a stored occurrence is dropped once no value left can fall in its
+    gap.  The gaps and folds are memoized per pattern for the call and freed
+    when it returns.  A prefix of length n - 1 has at most one value left
+    and is completed without another level.
     """
     _check_cap(n, max_n)
     pats = check_patterns(patterns)
     if not pats:
         yield from enumerate_sn(n, max_n)
         return
-    generic = [p for p in pats if len(p) != 3]
+    everything = (1 << (n + 1)) - 2
 
     # pair[a][v]: bit x set iff a before v, then x, would form a length-3
     # pattern.  p[2] = 1, 2, 3 puts x in the gap below, between or above a, v.
@@ -215,29 +214,73 @@ def avoidance_class(
             if (a < v) == (p0 < p1):
                 gaps = (0, min(a, v), max(a, v), n + 1)
                 pair[a][v] |= (1 << gaps[p2]) - (1 << (gaps[p2 - 1] + 1))
+    rows = [0] * (n + 1)
+    for p in (p for p in pats if len(p) == 2):
+        for v in range(1, n + 1):
+            rows[v] |= _gap(p, 1 << v, n)
+    taken = everything if any(len(p) == 1 for p in pats) else 0
+    # (pattern, p[0] < p[1], gap memo, fold memo) per pattern of length >= 4
+    long = [(p, p[0] < p[1], {}, {}) for p in pats if len(p) >= 4]
 
     prefix: list[int] = []
-    everything = (1 << (n + 1)) - 2
 
-    def extend(taken: int, rows: list[int]) -> Iterator[tuple[int, ...]]:
-        # taken: values used or forbidden; rows[v]: what v would forbid with
-        # the prefix letters before it
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
+    def grow(v: int, left: int, rows: list[int], stored: list) -> list:
+        # Place v after prefix: fold each new occurrence of p[:m-2] into
+        # rows, and return the stored occurrences of p[:2] .. p[:m-3] that
+        # are still live, given the values left to place.
+        # stored[i][j]: (S, gap(S)) per occurrence of p[:j+2], p = long[i][0].
+        bit = 1 << v
+        child = []
+        for (p, up, gaps, folds), levels in zip(long, stored):
+            grown = [1 << a | bit for a in prefix if (a < v) == up]
+            child_levels = []
+            for level in levels:
+                kept = [e for e in level if e[1] & left]
+                for s in grown:
+                    g = gaps.get(s)
+                    if g is None:
+                        g = gaps[s] = _gap(p, s, n)
+                    if g & left:
+                        kept.append((s, g))
+                child_levels.append(kept)
+                grown = [s | bit for s, g in level if g & bit]
+            for s in grown:
+                fold = folds.get(s)
+                if fold is None:
+                    g = _gap(p, s, n)
+                    fold = folds[s] = [
+                        (x, _gap(p, s | 1 << x, n)) for x in range(1, n + 1) if g >> x & 1
+                    ]
+                for x, g in fold:
+                    rows[x] |= g
+            child.append(child_levels)
+        return child
+
+    def extend(taken: int, rows: list[int], stored: list) -> Iterator[tuple[int, ...]]:
         free = everything & ~taken
+        if len(prefix) >= n - 1:
+            if len(prefix) == n:
+                yield tuple(prefix)
+            elif free:
+                yield (*prefix, free.bit_length() - 1)
+            return
         while free:
             bit = free & -free
             free ^= bit
             v = bit.bit_length() - 1
+            child_taken = taken | bit | rows[v]
+            child_rows = [r | f for r, f in zip(rows, pair[v])]
+            child_stored = (
+                grow(v, everything & ~child_taken, child_rows, stored) if long else stored
+            )
             prefix.append(v)
-            if not any(_occurs_at_last(prefix, p) for p in generic):
-                yield from extend(
-                    taken | bit | rows[v], [r | f for r, f in zip(rows, pair[v])]
-                )
+            yield from extend(child_taken, child_rows, child_stored)
             prefix.pop()
 
-    yield from extend(0, [0] * (n + 1))
+    try:
+        yield from extend(taken, rows, [[[] for _ in range(len(p) - 4)] for p, *_ in long])
+    finally:
+        del extend  # extend refers to itself; without this the memos wait for gc
 
 
 def parse_perm(text: str) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 """Permutation layer: symmetries, containment, enumeration, parsing."""
 
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -113,14 +115,39 @@ def test_avoidance_class_single_patterns_are_catalan():
 
 
 def test_avoidance_class_matches_filter():
-    # lengths other than 3 take the anchored search; mixed sets take both paths
+    # lengths 1 to 3 set up taken and rows before the walk; longer patterns
+    # extend their occurrences as it goes; mixed sets share one taken mask
     for pats in [
         ((3, 1, 2),), ((1, 2, 3), (3, 2, 1)), ((2, 1),), ((1,),),
         ((1, 2), (3, 1, 2)), ((1, 3, 2), (2, 4, 1, 3)), ((3, 1, 2), (1, 2, 3, 4)),
+        ((1,), (2, 4, 1, 3)), ((2, 1), (1, 3, 4, 2)), ((3, 1, 2), (1, 2, 3, 4, 5)),
+        ((1, 2, 3, 4), (4, 3, 2, 1)), ((2, 1, 4, 3), (3, 5, 1, 4, 2)),
     ]:
         for n in range(8):
             expected = [w for w in enumerate_sn(n) if avoids(w, pats)]
             assert list(avoidance_class(n, pats)) == expected, (pats, n)
+
+
+def _contents(length, nmax):
+    # n -> [(w, bit i set iff w contains the i-th pattern of this length in
+    # lexicographic order)] over S_n for n <= nmax.  contains() decides at
+    # n = length; a longer word contains a pattern iff one of its one-letter
+    # deletions, standardized, does.
+    pats = sorted(itertools.permutations(range(1, length + 1)))
+    contents = {n: [(w, 0) for w in enumerate_sn(n)] for n in range(length)}
+    contents[length] = [
+        (w, sum(1 << i for i, p in enumerate(pats) if contains(w, p)))
+        for w in enumerate_sn(length)
+    ]
+    for n in range(length + 1, nmax + 1):
+        shorter = dict(contents[n - 1])
+        contents[n] = [
+            (w, functools.reduce(
+                operator.or_, (shorter[tuple(x - (x > a) for x in w if x != a)] for a in w)
+            ))
+            for w in enumerate_sn(n)
+        ]
+    return contents
 
 
 S3 = sorted(itertools.permutations((1, 2, 3)))
@@ -128,15 +155,8 @@ S3 = sorted(itertools.permutations((1, 2, 3)))
 
 @pytest.fixture(scope="module")
 def s3_contents():
-    # n -> [(w, bit i set iff w contains S3[i])] over S_n, by the generic
-    # containment search; a class is the words whose bits miss its patterns
-    return {
-        n: [
-            (w, sum(1 << i for i, p in enumerate(S3) if contains(w, p)))
-            for w in enumerate_sn(n)
-        ]
-        for n in range(9)
-    }
+    # a class is the words whose bits miss its patterns
+    return _contents(3, 8)
 
 
 @pytest.mark.parametrize(
@@ -151,7 +171,33 @@ def test_mask_kernel_matches_containment_oracle(pats, s3_contents):
         assert list(avoidance_class(n, pats)) == expected, n
 
 
-patterns = st.integers(1, 4).flatmap(
+@pytest.mark.parametrize("length, nmax", [(4, 7), (5, 6)])
+def test_every_long_pattern_matches_containment_oracle(length, nmax):
+    # length 4 folds straight into rows; length 5 also stores occurrences
+    table = _contents(length, nmax)
+    for i, pattern in enumerate(sorted(itertools.permutations(range(1, length + 1)))):
+        for n, contents in table.items():
+            expected = [w for w, bits in contents if not bits >> i & 1]
+            assert list(avoidance_class(n, [pattern])) == expected, (pattern, n)
+
+
+# |Av_n(p)| for n = 1..8, one length-4 pattern per Wilf class: OEIS A005802,
+# A022558 and A061552 (Bona, Combinatorics of Permutations, ch. 4-5)
+WILF_CLASSES_4 = {
+    (1, 2, 3, 4): [1, 2, 6, 23, 103, 513, 2761, 15767],
+    (1, 3, 4, 2): [1, 2, 6, 23, 103, 512, 2740, 15485],
+    (1, 3, 2, 4): [1, 2, 6, 23, 103, 513, 2762, 15793],
+}
+
+
+@pytest.mark.parametrize("pattern", list(WILF_CLASSES_4), ids=lambda p: "".join(map(str, p)))
+def test_length4_wilf_class_counts(pattern):
+    for p in {pattern, reverse(pattern), complement(pattern)}:
+        counts = [sum(1 for _ in avoidance_class(n, [p])) for n in range(1, 9)]
+        assert counts == WILF_CLASSES_4[pattern], p
+
+
+patterns = st.integers(1, 5).flatmap(
     lambda m: st.permutations(list(range(1, m + 1))).map(tuple)
 )
 
