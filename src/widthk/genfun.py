@@ -42,11 +42,6 @@ DEFAULT_MULTI_MAX_N = 8
 Patterns = Iterable[Sequence[int]]
 
 
-def multivariate_cap() -> int:
-    """Size cap for joint-distribution enumeration (env WIDTHK_MAX_N overrides)."""
-    return enumeration_cap(DEFAULT_MULTI_MAX_N)
-
-
 # ---------------------------------------------------------------------------
 # enumeration scans
 
@@ -87,7 +82,6 @@ def brute_distribution(
     statistic: str,
     widths: stats.Widths = 1,
     patterns: Patterns = (),
-    max_n: int | None = None,
 ) -> LaurentPoly:
     """
     The exact distribution polynomial of a width statistic over S_n, or over
@@ -105,7 +99,7 @@ def brute_distribution(
             f"unknown statistic {statistic!r}; choose from {STATISTICS}"
         )
     acc: dict[int, int] = {}
-    for word in avoidance_class(n, patterns, max_n=max_n):
+    for word in avoidance_class(n, patterns):
         e = fn(word, widths)
         acc[e] = acc.get(e, 0) + 1
     return LaurentPoly(acc)
@@ -119,11 +113,6 @@ def _check_width(n: int, k: int) -> None:
         raise InvalidInputError(f"width must satisfy 1 <= k <= n-1, got k={k}, n={n}")
 
 
-def _block_shape(n: int, k: int) -> tuple[int, int]:
-    _check_width(n, k)
-    return divmod(n, k)
-
-
 def closed_des_k(n: int, k: int) -> LaurentPoly:
     """
     Closed form of the width-k descent distribution over S_n: with n = dk+r,
@@ -132,7 +121,8 @@ def closed_des_k(n: int, k: int) -> LaurentPoly:
     >>> print(closed_des_k(6, 3))
     90 + 270*q + 270*q^2 + 90*q^3
     """
-    d, r = _block_shape(n, k)
+    _check_width(n, k)
+    d, r = divmod(n, k)
     weight = block_multinomial(n, k)
     return weight * eulerian_poly(d + 1) ** r * eulerian_poly(d) ** (k - r)
 
@@ -145,7 +135,8 @@ def closed_inv_k(n: int, k: int) -> LaurentPoly:
     >>> closed_inv_k(5, 1) == q_factorial(5)
     True
     """
-    d, r = _block_shape(n, k)
+    _check_width(n, k)
+    d, r = divmod(n, k)
     weight = block_multinomial(n, k)
     return weight * q_factorial(d + 1) ** r * q_factorial(d) ** (k - r)
 
@@ -160,9 +151,10 @@ def t_polynomial(
     Joint distribution of all width descents at once: each permutation in
     the class contributes the monomial t_1^(des_1) ... t_(n-1)^(des_(n-1)).
     Over S_n the walk builds no words; avoidance classes are scanned word by
-    word.  Subject to the multivariate enumeration cap (default 8).
+    word.  Subject to the multivariate enumeration cap (default 8, env
+    WIDTHK_MAX_N overrides).
     """
-    cap = multivariate_cap() if max_n is None else max_n
+    cap = enumeration_cap(DEFAULT_MULTI_MAX_N) if max_n is None else max_n
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds multivariate cap {cap}")
     if n < 0:
@@ -236,13 +228,13 @@ def _g_grades(joint: MultiPoly, n: int) -> dict[int, LaurentPoly]:
     return {k: joint.grade([(g == k) - (g == n - k) for g in gaps]) for k in gaps}
 
 
-def g_table(n: int, max_n: int | None = None) -> dict[int, LaurentPoly]:
+def g_table(n: int) -> dict[int, LaurentPoly]:
     """
     G[n,k], the sum of q^(des_k - des_(n-k)) over S_n, for k = 1..n-1, as
     grades of the joint descent distribution over S_n (closed_g is the
     closed form).  Subject to the enumeration cap (default 10).
     """
-    joint = t_polynomial(n, max_n=enumeration_cap() if max_n is None else max_n)
+    joint = t_polynomial(n, max_n=enumeration_cap())
     return _g_grades(joint, n)
 
 
@@ -438,7 +430,8 @@ def closed_inv_132_312(n: int, k: int) -> LaurentPoly:
     >>> print(closed_inv_132_312(3, 1))
     1 + q + q^2 + q^3
     """
-    d, r = _block_shape(n, k)
+    _check_width(n, k)
+    d, r = divmod(n, k)
     out = LaurentPoly({0: 2 ** (k - 1)}) * LaurentPoly([(0, 1), (d, 1)]) ** r
     for i in range(1, d):
         out = out * LaurentPoly([(0, 1), (i, 1)]) ** k
@@ -447,15 +440,13 @@ def closed_inv_132_312(n: int, k: int) -> LaurentPoly:
 
 def des_degree_312(n: int, k: int) -> int:
     """Degree of the width-k descent distribution over the 312-avoiders."""
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"width must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+    _check_width(n, k)
     return n - k
 
 
 def inv_degree_312(n: int, k: int) -> int:
     """Degree of the width-k inversion distribution over the 312-avoiders."""
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"width must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+    _check_width(n, k)
     return sum((n - i) // k for i in range(1, n - k + 1))
 
 
@@ -659,7 +650,7 @@ _EXAMPLE_WORD = (4, 1, 3, 6, 5, 7, 2)
 _EXAMPLE_WIDTHS = (2, 3)
 
 
-def suite_example(n_max: int | None = None, caches: SweepCaches | None = None):
+def suite_example(n_max: int | None, caches: SweepCaches):
     """The worked statistics of 4136572 at width set {2, 3}."""
     word = _EXAMPLE_WORD
     widths = _EXAMPLE_WIDTHS
@@ -684,9 +675,8 @@ def suite_example(n_max: int | None = None, caches: SweepCaches | None = None):
     return [_check(identity, swept, [(params, got, want)]) for identity, got, want in checks]
 
 
-def suite_theorem(n_max: int | None = None, caches: SweepCaches | None = None):
+def suite_theorem(n_max: int | None, caches: SweepCaches):
     """Brute-force des_k and inv_k over S_n against their closed forms."""
-    caches = caches or SweepCaches()
     top = 8 if n_max is None else n_max
     swept = f"2<=n<={top}, 1<=k<=n-1"
 
@@ -709,13 +699,12 @@ def _width_subsets(n: int, max_size: int | None = None) -> Iterator[tuple[int, .
         yield from itertools.combinations(range(1, n), size)
 
 
-def suite_equidistribution(n_max: int | None = None, caches: SweepCaches | None = None):
+def suite_equidistribution(n_max: int | None, caches: SweepCaches):
     """
     des_k ~ exc_k and inv_k ~ maj_k for every n, k; des_k ~ inv_k once
     k >= n/2.  Also reports, without asserting, how inv and maj compare on
     width sets of size >= 2, where no equidistribution is claimed.
     """
-    caches = caches or SweepCaches()
     top = 8 if n_max is None else n_max
     swept = f"2<=n<={top}, 1<=k<=n-1"
 
@@ -772,7 +761,7 @@ def suite_equidistribution(n_max: int | None = None, caches: SweepCaches | None 
     return reports
 
 
-def suite_inclusion_exclusion(n_max: int | None = None, caches: SweepCaches | None = None):
+def suite_inclusion_exclusion(n_max: int | None, caches: SweepCaches):
     """
     inv over a width set equals the alternating sum of single-width inv
     counts at subset lcms (terms with lcm >= n vanish), for every
@@ -933,12 +922,11 @@ def format_factored(c: int, s: int, m: int, e: int) -> str:
     return "*".join(parts)
 
 
-def suite_gtable(n_max: int | None = None, caches: SweepCaches | None = None):
+def suite_gtable(n_max: int | None, caches: SweepCaches):
     """
     Every reference entry for the signed descent difference at n=6,8,9; a
     row above n_max has no cases and reports not-applicable.
     """
-    caches = caches or SweepCaches()
 
     def cases(n: int) -> Iterator[Case]:
         table = caches.g_table(n)
@@ -957,9 +945,8 @@ def suite_gtable(n_max: int | None = None, caches: SweepCaches | None = None):
     return reports
 
 
-def suite_conjecture(n_max: int | None = None, caches: SweepCaches | None = None):
+def suite_conjecture(n_max: int | None, caches: SweepCaches):
     """closed_g at every coprime (n, k), where it is n*q^(1-k)*A_(n-1)(q)."""
-    caches = caches or SweepCaches()
     top = 9 if n_max is None else n_max
 
     def cases() -> Iterator[Case]:
@@ -1028,13 +1015,12 @@ def _duality_sides(
     return caches.t_poly(n, check_patterns(image)), expected
 
 
-def suite_duality(n_max: int | None = None, caches: SweepCaches | None = None):
+def suite_duality(n_max: int | None, caches: SweepCaches):
     """
     The reflect dualities of the joint descent distribution over every
     pattern class from S_3 of size <= 2, plus their single-width corollaries
     relating 123 to 321 and 132, 213, 231, 312 to one another.
     """
-    caches = caches or SweepCaches()
     multi_top = 7 if n_max is None else min(n_max, 7)
     uni_top = 8 if n_max is None else n_max
     classes = _small_pattern_classes()
@@ -1079,13 +1065,12 @@ def suite_duality(n_max: int | None = None, caches: SweepCaches | None = None):
     ]
 
 
-def suite_avoidance(n_max: int | None = None, caches: SweepCaches | None = None):
+def suite_avoidance(n_max: int | None, caches: SweepCaches):
     """
     Every avoidance-class formula against brute force: the four recursions,
     the two width-set products, the closed inversion form, the 312 degree
     formulas, and the q=1 specializations to C_n and 2^(n-1).
     """
-    caches = caches or SweepCaches()
     top = 9 if n_max is None else n_max
     multi_top = min(top, 8)
 
@@ -1144,32 +1129,22 @@ def suite_avoidance(n_max: int | None = None, caches: SweepCaches | None = None)
                     params = {"n": n, "K": K, "formula": "product:132,312"}
                     yield params, product_132_312(n, K)(1), want
 
-    recursions = (
-        ("rec:312", ((3, 1, 2),), rec_312),
-        ("rec:123,132", ((1, 2, 3), (1, 3, 2)), rec_123_132),
-        ("rec:123,312", ((1, 2, 3), (3, 1, 2)), rec_123_312),
-        ("rec:132,213", ((1, 3, 2), (2, 1, 3)), rec_132_213),
-    )
-    products = (
-        ("product:132,231", ((1, 3, 2), (2, 3, 1)), product_132_231),
-        ("product:132,312", ((1, 3, 2), (3, 1, 2)), product_132_312),
-    )
     return [
         *(
             _check(
-                f"avoidance[{label}]",
+                f"avoidance[rec:{','.join(map(format_perm, pats))}]",
                 f"2<=n<={top}, 1<=k<=n-1, {_format_class(pats)}",
                 recursion(pats, fn),
             )
-            for label, pats, fn in recursions
+            for pats, fn in RECURSIONS.items()
         ),
         *(
             _check(
-                f"avoidance[{label}]",
+                f"avoidance[product:{','.join(map(format_perm, pats))}]",
                 f"2<=n<={multi_top}, nonempty K subsets of [n-1], {_format_class(pats)}",
                 product(pats, fn),
             )
-            for label, pats, fn in products
+            for pats, fn in PRODUCTS.items()
         ),
         _check(
             "avoidance[closed-inv:132,312|132,231]", f"2<=n<={top}, 1<=k<=n-1", closed_inv()
@@ -1186,13 +1161,12 @@ def suite_avoidance(n_max: int | None = None, caches: SweepCaches | None = None)
     ]
 
 
-def suite_counting(n_max: int | None = None, caches: SweepCaches | None = None):
+def suite_counting(n_max: int | None, caches: SweepCaches):
     """
     Class-size sanity: Catalan counts for single patterns from S_3, the
     empty class for {123, 321} past n = 4, and distributions evaluating at
     q = 1 to their domain sizes.
     """
-    caches = caches or SweepCaches()
     top = 8 if n_max is None else n_max
     small_top = min(top, 7)
 

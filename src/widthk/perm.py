@@ -43,16 +43,6 @@ def as_perm(word: Iterable[int]) -> tuple[int, ...]:
     return w
 
 
-def identity(n: int) -> tuple[int, ...]:
-    """The identity permutation 1 2 ... n."""
-    return tuple(range(1, n + 1))
-
-
-def decreasing(n: int) -> tuple[int, ...]:
-    """The decreasing permutation n (n-1) ... 1."""
-    return tuple(range(n, 0, -1))
-
-
 def standardize(word: Sequence[int]) -> tuple[int, ...]:
     """
     Replace each entry by its rank, giving the order-isomorphic permutation.
@@ -101,28 +91,25 @@ def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     >>> contains((1, 2, 3, 4), (2, 1))
     False
     """
+    return _embeds(word, pattern, [], 0)
+
+
+def _embeds(word: Sequence[int], pattern: Sequence[int], chosen: list[int], start: int) -> bool:
+    # Complete chosen, the values of an occurrence of pattern[:len(chosen)],
+    # from the letters at start and after.  A module-level recursion, so no
+    # call leaves a self-referencing closure for the garbage collector.
+    t = len(chosen)
     m = len(pattern)
-    n = len(word)
-    if m == 0:
+    if t == m:
         return True
-    if m > n:
-        return False
-    chosen: list[int] = []
-
-    def search(start: int) -> bool:
-        t = len(chosen)
-        if t == m:
-            return True
-        for p in range(start, n - (m - t) + 1):
-            v = word[p]
-            if _extends(chosen, pattern, v):
-                chosen.append(v)
-                if search(p + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return search(0)
+    for p in range(start, len(word) - (m - t) + 1):
+        v = word[p]
+        if _extends(chosen, pattern, v):
+            chosen.append(v)
+            if _embeds(word, pattern, chosen, p + 1):
+                return True
+            chosen.pop()
+    return False
 
 
 def check_patterns(patterns: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -132,26 +132,12 @@ class LaurentPoly:
         """Nonzero (exponent, coefficient) pairs in ascending exponent order."""
         return [(e, c) for e, c in enumerate(self._coeffs, self._val) if c]
 
-    def coeff(self, e: int) -> int:
-        i = e - self._val
-        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     @property
     def degree(self) -> int:
         """Largest exponent; raises on the zero polynomial."""
         if not self._coeffs:
             raise InvalidInputError("zero polynomial has no degree")
         return self._val + len(self._coeffs) - 1
-
-    @property
-    def valuation(self) -> int:
-        """Smallest exponent; raises on the zero polynomial."""
-        if not self._coeffs:
-            raise InvalidInputError("zero polynomial has no valuation")
-        return self._val
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -252,10 +238,6 @@ class LaurentPoly:
     def to_json(self) -> dict:
         return {"terms": [[e, c] for e, c in self.terms()]}
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "LaurentPoly":
-        return cls((int(e), int(c)) for e, c in data["terms"])
-
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.terms())})"
 
@@ -293,23 +275,6 @@ def _trim(val: int, row: list[int]) -> tuple[int, tuple[int, ...]]:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-Q = LaurentPoly({1: 1})
-
-
-def q_power(e: int, c: int = 1) -> LaurentPoly:
-    """The monomial c * q^e."""
-    return LaurentPoly._dense(e, (c,)) if c else ZERO
-
-
-def q_integer(m: int) -> LaurentPoly:
-    """[m]_q = 1 + q + ... + q^(m-1).
-
-    >>> print(q_integer(3))
-    1 + q + q^2
-    """
-    if m < 0:
-        raise InvalidInputError(f"q-integer needs m >= 0, got {m}")
-    return LaurentPoly({e: 1 for e in range(m)})
 
 
 def q_factorial(m: int) -> LaurentPoly:
@@ -392,8 +357,8 @@ class MultiPoly:
     A polynomial in a fixed tuple of named variables, stored sparsely as
     exponent-vector -> coefficient.  Exponents are nonnegative.
 
-    >>> t = MultiPoly.gens(("t1", "t2"))
-    >>> print(t["t1"] * t["t2"] + 2 * t["t1"])
+    >>> p = MultiPoly(("t1", "t2"), {(1, 1): 1, (1, 0): 2})
+    >>> print(p)
     2*t1 + t1*t2
     """
 
@@ -421,70 +386,16 @@ class MultiPoly:
                     del acc[exps]
         self._terms = acc
 
-    @classmethod
-    def one(cls, variables: Sequence[str]) -> "MultiPoly":
-        return cls(variables, {(0,) * len(tuple(variables)): 1})
-
-    @classmethod
-    def monomial(
-        cls, variables: Sequence[str], exps: Sequence[int], coeff: int = 1
-    ) -> "MultiPoly":
-        return cls(variables, {tuple(exps): coeff})
-
-    @classmethod
-    def gens(cls, variables: Sequence[str]) -> dict[str, "MultiPoly"]:
-        """One degree-one monomial per variable, keyed by name."""
-        variables = tuple(variables)
-        out = {}
-        for i, v in enumerate(variables):
-            exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-            out[v] = cls(variables, {exps: 1})
-        return out
-
-    def _check_vars(self, other: "MultiPoly") -> None:
-        if self.vars != other.vars:
-            raise InvalidInputError(
-                f"variable mismatch: {self.vars!r} vs {other.vars!r}"
-            )
-
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self._terms.items())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = MultiPoly(self.vars, {(0,) * len(self.vars): other})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.vars == other.vars and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.vars, frozenset(self._terms.items())))
-
-    def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
-        if isinstance(other, int):
-            other = MultiPoly(self.vars, {(0,) * len(self.vars): other})
-        self._check_vars(other)
-        acc = dict(self._terms)
-        for exps, c in other._terms.items():
-            acc[exps] = acc.get(exps, 0) + c
-        return MultiPoly(self.vars, acc)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
-        if isinstance(other, int):
-            return MultiPoly(
-                self.vars, {exps: c * other for exps, c in self._terms.items()}
-            )
-        self._check_vars(other)
-        acc: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return MultiPoly(self.vars, acc)
-
-    __rmul__ = __mul__
 
     def reflect(self, caps: Sequence[int]) -> "MultiPoly":
         """
@@ -532,13 +443,6 @@ class MultiPoly:
             "vars": list(self.vars),
             "terms": [[list(exps), c] for exps, c in self.terms()],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "MultiPoly":
-        return cls(
-            tuple(data["vars"]),
-            ((tuple(int(e) for e in exps), int(c)) for exps, c in data["terms"]),
-        )
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars!r}, {dict(self.terms())})"

@@ -119,41 +119,6 @@ def inv_by_lcm(word: Sequence[int], widths: Widths) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """The k interleaved subsequences taking every k-th letter of a word."""
-
-    width: int
-    quotient: int
-    remainder: int
-    blocks: tuple[tuple[int, ...], ...]
-    std_blocks: tuple[tuple[int, ...], ...]
-
-
-def block_decompose(word: Sequence[int], k: int) -> BlockDecomposition:
-    """
-    Split a_1...a_n into blocks a_i a_{i+k} a_{i+2k}... for i = 1..k.
-    With n = dk + r, the first r blocks have length d+1 and the rest length d.
-
-    >>> block_decompose((4, 1, 3, 6, 5, 7, 2), 3).blocks
-    ((4, 6, 2), (1, 5), (3, 7))
-    """
-    n = len(word)
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"block width must satisfy 1 <= k <= {n}, got {k}")
-    d, r = divmod(n, k)
-    blocks = tuple(tuple(word[i::k]) for i in range(k))
-    assert all(len(b) == d + 1 for b in blocks[:r])
-    assert all(len(b) == d for b in blocks[r:])
-    return BlockDecomposition(
-        width=k,
-        quotient=d,
-        remainder=r,
-        blocks=blocks,
-        std_blocks=tuple(standardize(b) for b in blocks),
-    )
-
-
 def _exc_classical(word: Sequence[int]) -> int:
     return sum(1 for i, a in enumerate(word) if a > i + 1)
 
@@ -161,7 +126,8 @@ def _exc_classical(word: Sequence[int]) -> int:
 def exc(word: Sequence[int], widths: Widths = 1) -> int:
     """
     Width-k excedance count: the classical excedances of the standardized
-    blocks, summed over blocks and over the widths.
+    blocks a_i a_(i+k) a_(i+2k) ... for i = 1..k, summed over blocks and
+    over the widths.
     """
     n = len(word)
     ks = normalize_widths(widths, n)
@@ -169,8 +135,8 @@ def exc(word: Sequence[int], widths: Widths = 1) -> int:
     for k in ks:
         if k >= n:
             continue  # blocks have at most one letter
-        for b in block_decompose(word, k).std_blocks:
-            total += _exc_classical(b)
+        for i in range(k):
+            total += _exc_classical(standardize(word[i::k]))
     return total
 
 

@@ -219,7 +219,7 @@ def test_gtable_json_matches_polynomials(capsys):
     ] + [(6, k) for k in range(1, 6)]
     for r in rows:
         expected = genfun.closed_g(r["n"], r["k"])
-        assert LaurentPoly.from_json(r["poly"]) == expected
+        assert LaurentPoly(map(tuple, r["poly"]["terms"])) == expected
 
 
 def test_factored_g_labels_only_a_matching_row():

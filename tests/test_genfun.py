@@ -527,7 +527,8 @@ class TestReports:
         des, inv = run_suite("theorem", n_max=6)
         assert des.identity == "theorem[des]" and des.status == "mismatch"
         assert des.counterexample["params"] == {"n": 5, "k": 2}
-        assert LaurentPoly.from_json(des.counterexample["lhs"]) == closed_des_k(5, 2)
+        lhs = LaurentPoly(map(tuple, des.counterexample["lhs"]["terms"]))
+        assert lhs == closed_des_k(5, 2)
         assert inv.identity == "theorem[inv]" and inv.status == "verified"
 
     def test_inclusion_exclusion_reports_first_broken_case(self, monkeypatch):
@@ -573,6 +574,71 @@ class TestSuites:
             "example[des]", "example[inv]", "example[exc]", "example[maj]",
         ]
         assert all(r.status == "verified" for r in reports)
+
+    def test_full_run_report_list_is_frozen(self, caches):
+        # (identity, range, status) of every report at default bounds, frozen:
+        # a registry edit that drops, reorders or relabels a family fails here
+        reports = run_suite("all", caches=caches)
+        assert [(r.identity, r.range, r.status) for r in reports] == [
+            ("example[des]", "sigma=4136572, K={2,3}", "verified"),
+            ("example[inv]", "sigma=4136572, K={2,3}", "verified"),
+            ("example[exc]", "sigma=4136572, K={2,3}", "verified"),
+            ("example[maj]", "sigma=4136572, K={2,3}", "verified"),
+            ("theorem[des]", "2<=n<=8, 1<=k<=n-1", "verified"),
+            ("theorem[inv]", "2<=n<=8, 1<=k<=n-1", "verified"),
+            ("equidistribution[des=exc]", "2<=n<=8, 1<=k<=n-1", "verified"),
+            ("equidistribution[inv=maj]", "2<=n<=8, 1<=k<=n-1", "verified"),
+            ("equidistribution[des=inv|2k>=n]", "2<=n<=8, 1<=k<=n-1", "verified"),
+            (
+                "equidistribution[inv_K=maj_K|info]",
+                "2<=n<=7, K subsets of [n-1] with |K|>=2",
+                "not-applicable",
+            ),
+            ("inclusion-exclusion[example]", "sigma=4136572, K={2,3}", "verified"),
+            (
+                "inclusion-exclusion[sweep]",
+                "2<=n<=7, K subsets of [n-1] with |K|<=3, all sigma",
+                "verified",
+            ),
+            ("gtable[n=6]", "n=6, 1<=k<=n-1", "verified"),
+            ("gtable[n=8]", "n=8, 1<=k<=n-1", "verified"),
+            ("gtable[n=9]", "n=9, 1<=k<=n-1", "verified"),
+            ("conjecture[G=n*q^(1-k)*A_(n-1)]", "2<=n<=9, 1<=k<=n-1 with gcd(k,n)=1", "verified"),
+            ("duality[reverse]", "1<=n<=7, all pattern sets from S_3 of size <= 2", "verified"),
+            ("duality[complement]", "1<=n<=7, all pattern sets from S_3 of size <= 2", "verified"),
+            (
+                "duality[reverse-complement]",
+                "1<=n<=7, all pattern sets from S_3 of size <= 2",
+                "verified",
+            ),
+            ("duality[univariate:123~321]", "2<=n<=8, 1<=k<=n-1", "verified"),
+            ("duality[univariate:132~213~231~312]", "2<=n<=8, 1<=k<=n-1", "verified"),
+            ("avoidance[rec:312]", "2<=n<=9, 1<=k<=n-1, Av(312)", "verified"),
+            ("avoidance[rec:123,132]", "2<=n<=9, 1<=k<=n-1, Av(123,132)", "verified"),
+            ("avoidance[rec:123,312]", "2<=n<=9, 1<=k<=n-1, Av(123,312)", "verified"),
+            ("avoidance[rec:132,213]", "2<=n<=9, 1<=k<=n-1, Av(132,213)", "verified"),
+            (
+                "avoidance[product:132,231]",
+                "2<=n<=8, nonempty K subsets of [n-1], Av(132,231)",
+                "verified",
+            ),
+            (
+                "avoidance[product:132,312]",
+                "2<=n<=8, nonempty K subsets of [n-1], Av(132,312)",
+                "verified",
+            ),
+            ("avoidance[closed-inv:132,312|132,231]", "2<=n<=9, 1<=k<=n-1", "verified"),
+            ("avoidance[degree:312]", "2<=n<=9, 1<=k<=n-1, Av(312)", "verified"),
+            ("avoidance[catalan@1]", "2<=n<=9, 1<=k<=n-1, Av(312)", "verified"),
+            ("avoidance[2^(n-1)@1]", "2<=n<=9, all k and K (products to n<=8)", "verified"),
+            ("counting[catalan]", "0<=n<=8, single patterns from S_3", "verified"),
+            ("counting[Av(123,321)-vanishes]", "5<=n<=8", "verified"),
+            (
+                "counting[eval@1=domain-size]",
+                "closed forms 2<=n<=8; signed difference and joint to n<=7",
+                "verified",
+            ),
+        ]
 
     def test_small_full_run_report_shape(self, caches):
         for report in run_suite("all", n_max=5, caches=caches):

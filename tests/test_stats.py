@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthk.errors import InvalidInputError
+from widthk.perm import standardize
 from widthk.stats import (
-    block_decompose,
     classical_stats,
     des,
     des_set,
@@ -115,17 +115,6 @@ def test_width_at_least_n_is_trivial():
     assert exc(W, 7) == 0
 
 
-def test_block_decompose():
-    dec = block_decompose(W, 3)
-    assert (dec.quotient, dec.remainder) == (2, 1)
-    assert dec.blocks == ((4, 6, 2), (1, 5), (3, 7))
-    assert dec.std_blocks == ((2, 3, 1), (1, 2), (1, 2))
-    with pytest.raises(InvalidInputError):
-        block_decompose(W, 0)
-    with pytest.raises(InvalidInputError):
-        block_decompose(W, 8)
-
-
 def test_inclusion_exclusion_matches_direct_count_exhaustively():
     # every sigma in S_5, every nonempty width set
     for w in itertools.permutations(range(1, 6)):
@@ -161,9 +150,6 @@ def test_single_width_internal_consistency(w, k):
     assert des(w, k) == len(des_set(w, k))
     assert inv(w, k) == len(inv_set(w, k))
     if k < len(w):
-        assert maj(w, k) == sum(
-            classical_stats(b)[2] for b in block_decompose(w, k).std_blocks
-        )
-        assert exc(w, k) == sum(
-            classical_stats(b)[3] for b in block_decompose(w, k).std_blocks
-        )
+        blocks = [standardize(w[i::k]) for i in range(k)]
+        assert maj(w, k) == sum(classical_stats(b)[2] for b in blocks)
+        assert exc(w, k) == sum(classical_stats(b)[3] for b in blocks)
