@@ -267,13 +267,15 @@ def cmd_gtable(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.nmax is not None and args.nmax < 0:
-        raise InvalidInputError(f"nmax must be >= 0, got {args.nmax}")
-    if args.nmax is not None and args.nmax > enumeration_cap():
-        raise EnumerationCapError(
-            f"nmax={args.nmax} exceeds enumeration cap {enumeration_cap()} "
-            "(raise WIDTHK_MAX_N to override)"
-        )
+    if args.nmax is not None:
+        if args.nmax < 0:
+            raise InvalidInputError(f"nmax must be >= 0, got {args.nmax}")
+        cap = enumeration_cap()
+        if args.nmax > cap:
+            raise EnumerationCapError(
+                f"nmax={args.nmax} exceeds enumeration cap {cap} "
+                "(raise WIDTHK_MAX_N to override)"
+            )
     # Print each suite's reports as soon as it returns.  The csv header waits
     # for the first suite, so an unknown suite name prints nothing.
     caches = genfun.SweepCaches()

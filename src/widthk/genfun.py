@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import stats
-from .errors import EnumerationCapError, InvalidInputError
+from .errors import InvalidInputError
 from .perm import (
     avoidance_class,
+    check_cap,
     check_patterns,
     complement,
     enumerate_sn,
-    enumeration_cap,
     format_perm,
     reverse,
 )
@@ -36,8 +36,6 @@ from .poly import (
     eulerian_poly,
     q_factorial,
 )
-
-DEFAULT_MULTI_MAX_N = 8
 
 Patterns = Iterable[Sequence[int]]
 
@@ -144,28 +142,21 @@ def closed_inv_k(n: int, k: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # joint distributions and the signed descent difference
 
-def t_polynomial(
-    n: int, patterns: Patterns = (), max_n: int | None = None
-) -> MultiPoly:
+def t_polynomial(n: int, patterns: Patterns = ()) -> MultiPoly:
     """
     Joint distribution of all width descents at once: each permutation in
     the class contributes the monomial t_1^(des_1) ... t_(n-1)^(des_(n-1)).
     Over S_n the walk builds no words; avoidance classes are scanned word by
-    word.  Subject to the multivariate enumeration cap (default 8, env
-    WIDTHK_MAX_N overrides).
+    word.  Subject to the enumeration cap.
     """
-    cap = enumeration_cap(DEFAULT_MULTI_MAX_N) if max_n is None else max_n
-    if n > cap:
-        raise EnumerationCapError(f"n={n} exceeds multivariate cap {cap}")
-    if n < 0:
-        raise InvalidInputError("n must be >= 0")
+    check_cap(n)
     pats = check_patterns(patterns)
     gaps = range(1, n)
     if not pats and n >= 3:
         acc = _sn_joint_descents(n)
     else:
         acc = {}  # one scan per word: avoidance classes, and S_0..S_2
-        for word in avoidance_class(n, pats, max_n=n):
+        for word in avoidance_class(n, pats):
             exps = tuple(_gap_counts(word)[1:])
             acc[exps] = acc.get(exps, 0) + 1
     return MultiPoly(tuple(f"t{g}" for g in gaps), acc)
@@ -232,10 +223,9 @@ def g_table(n: int) -> dict[int, LaurentPoly]:
     """
     G[n,k], the sum of q^(des_k - des_(n-k)) over S_n, for k = 1..n-1, as
     grades of the joint descent distribution over S_n (closed_g is the
-    closed form).  Subject to the enumeration cap (default 10).
+    closed form).  Subject to the enumeration cap.
     """
-    joint = t_polynomial(n, max_n=enumeration_cap())
-    return _g_grades(joint, n)
+    return _g_grades(t_polynomial(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +567,7 @@ class SweepCaches:
         """Joint descent distribution over an avoidance class; () gives S_n."""
         key = (n, patterns)
         if key not in self._t_polys:
-            self._t_polys[key] = t_polynomial(n, patterns, max_n=n)
+            self._t_polys[key] = t_polynomial(n, patterns)
         return self._t_polys[key]
 
     def g_table(self, n: int) -> dict[int, LaurentPoly]:
@@ -616,7 +606,7 @@ class SweepCaches:
             block_exc: dict[tuple[int, ...], int] = {}
             exc_acc: list[dict[int, int]] = [{} for _ in range(1, n)]
             maj_acc: dict[tuple[int, ...], int] = {}
-            for word in enumerate_sn(n, max_n=n):
+            for word in enumerate_sn(n):
                 excs = [sum(map(operator.gt, word, ranks))]
                 for blocks in residues:
                     e = 0
@@ -800,7 +790,7 @@ def suite_inclusion_exclusion(n_max: int | None, caches: SweepCaches):
                             (even if size % 2 == 0 else odd).append(l)
                 signed.append((odd, even))
             every_k = {"n": n}
-            for word in enumerate_sn(n, max_n=n):
+            for word in enumerate_sn(n):
                 counts = _gap_counts(word)
                 invals = [0] * n
                 for g in range(1, n):

@@ -19,15 +19,18 @@ DEFAULT_MAX_N = 10
 _ENV_CAP = "WIDTHK_MAX_N"
 
 
-def enumeration_cap(default: int = DEFAULT_MAX_N) -> int:
+def enumeration_cap() -> int:
     """Current size cap for exhaustive enumeration (env WIDTHK_MAX_N overrides)."""
     raw = os.environ.get(_ENV_CAP)
     if raw is None:
-        return default
+        return DEFAULT_MAX_N
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InvalidInputError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise InvalidInputError(f"{_ENV_CAP} must be >= 0, got {raw!r}")
+    return cap
 
 
 def as_perm(word: Iterable[int]) -> tuple[int, ...]:
@@ -126,22 +129,23 @@ def avoids(word: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
     return all(not contains(word, p) for p in check_patterns(patterns))
 
 
-def _check_cap(n: int, max_n: int | None) -> None:
-    cap = enumeration_cap() if max_n is None else max_n
+def check_cap(n: int) -> None:
+    """Refuse to enumerate a domain of size n beyond the enumeration cap, or n < 0."""
+    cap = enumeration_cap()
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds enumeration cap {cap}")
     if n < 0:
         raise InvalidInputError("n must be >= 0")
 
 
-def enumerate_sn(n: int, max_n: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_sn(n: int) -> Iterator[tuple[int, ...]]:
     """
     All n! permutations of [n], in lexicographic order of one-line notation.
 
     >>> list(enumerate_sn(3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    _check_cap(n, max_n)
+    check_cap(n)
     return itertools.permutations(range(1, n + 1))
 
 
@@ -157,9 +161,7 @@ def _gap(pattern: Sequence[int], s: int, n: int) -> int:
 
 
 def avoidance_class(
-    n: int,
-    patterns: Iterable[Sequence[int]] = (),
-    max_n: int | None = None,
+    n: int, patterns: Iterable[Sequence[int]] = ()
 ) -> Iterator[tuple[int, ...]]:
     """
     All permutations of [n] avoiding every given pattern, lexicographically.
@@ -186,10 +188,10 @@ def avoidance_class(
     when it returns.  A prefix of length n - 1 has at most one value left
     and is completed without another level.
     """
-    _check_cap(n, max_n)
+    check_cap(n)
     pats = check_patterns(patterns)
     if not pats:
-        yield from enumerate_sn(n, max_n)
+        yield from enumerate_sn(n)
         return
     everything = (1 << (n + 1)) - 2
 

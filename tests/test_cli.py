@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import math
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +200,12 @@ def test_tpoly(capsys):
     ]
 
 
+def test_tpoly_answers_up_to_the_cap(capsys):
+    code, out, _ = run(capsys, "tpoly", "--n", "9", "--format", "json")
+    assert code == 0
+    assert sum(c for _, c in json.loads(out)["terms"]) == math.factorial(9)
+
+
 def test_gtable_plain_and_csv(capsys):
     code, out, _ = run(capsys, "gtable", "--n", "4")
     assert code == 0
@@ -349,9 +358,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "gf", "--n", "11", "--stat", "des")[0] == 2  # over cap
 
 
-# Random argv over every subcommand.  Sizes stay at n <= 6 (and verify always
-# gets --nmax), so no drawn case enumerates much; the values mix valid input
-# with the malformed and out-of-range kinds the parsers must reject.
+# Random argv over every subcommand, under an unset, lowered, negative or
+# malformed WIDTHK_MAX_N.  Sizes stay at n <= 6 (and verify always gets
+# --nmax), so no drawn case enumerates much; the values mix valid input with
+# the malformed and out-of-range kinds the parsers must reject.
 _TEXT = st.text(alphabet="0123456789,- x", max_size=6)
 
 
@@ -421,20 +431,33 @@ _ARGV = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=_ARGV)
-def test_fuzzed_argv_exits_cleanly(argv):
+@given(argv=_ARGV, cap=_choice(None, "3", "6", "-1", "x"))
+def test_fuzzed_argv_exits_cleanly(argv, cap):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2), (argv, code)
+    with mock.patch.dict(os.environ):
+        os.environ.pop("WIDTHK_MAX_N", None)
+        if cap is not None:
+            os.environ["WIDTHK_MAX_N"] = cap
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, cap, code)
     assert "Traceback" not in err.getvalue()
+
+
+def test_verify_under_a_lowered_cap_exits_2(capsys, monkeypatch):
+    # the default bounds reach n = 9: the suites before gtable print, then one line
+    monkeypatch.setenv("WIDTHK_MAX_N", "8")
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert out.startswith("[verified] ")
+    assert err == "error: n=9 exceeds enumeration cap 8\n"
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("gf", "--n", "11", "--stat", "des"),
-        ("tpoly", "--n", "9"),
+        ("tpoly", "--n", "11"),
         ("gtable", "--n", "11"),
         ("avoid", "--n", "11"),
         ("verify", "--nmax", "11"),

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from widthk import genfun
-from widthk.errors import InvalidInputError
+from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import (
     CLOSED_INV,
     GTABLE_REFERENCE,
@@ -40,6 +40,7 @@ from widthk.genfun import (
     run_suite,
     t_polynomial,
 )
+from widthk.perm import avoidance_class, enumerate_sn
 from widthk.poly import LaurentPoly, MultiPoly, block_multinomial, catalan, eulerian_poly, q_factorial
 
 
@@ -144,6 +145,15 @@ class TestJointAndSigned:
         assert t_polynomial(n, ()) == expected
         assert t_polynomial(n, iter(())) == expected
 
+    def test_t_polynomial_above_the_per_word_oracle(self):
+        # n = 9 is beyond the per-word oracle above; check it against the
+        # group order and the closed form of every single-width grade
+        tp = t_polynomial(9)
+        assert tp.at_ones() == math.factorial(9)
+        for k in range(1, 9):
+            weights = [int(g == k) for g in range(1, 9)]
+            assert tp.grade(weights) == closed_des_k(9, k), k
+
     def test_t_polynomial_rejects_negative_n(self):
         with pytest.raises(InvalidInputError):
             t_polynomial(-1)
@@ -213,6 +223,28 @@ def joint_descent_counts(n):
         )
         acc[exps] += 1
     return MultiPoly(tuple(f"t{g}" for g in range(1, n)), dict(acc))
+
+
+@pytest.mark.parametrize(
+    "enumerate_n",
+    [
+        lambda n: list(enumerate_sn(n)),
+        lambda n: list(avoidance_class(n)),
+        lambda n: list(avoidance_class(n, [(3, 1, 2)])),
+        lambda n: list(avoidance_class(n, [(4, 3, 2, 1)])),
+        lambda n: brute_distribution(n, "des"),
+        t_polynomial,
+        lambda n: t_polynomial(n, [(1, 3, 2)]),
+        g_table,
+    ],
+    ids=["S_n", "class-none", "class-312", "class-4321", "brute", "tpoly", "tpoly-class", "gtable"],
+)
+def test_every_enumeration_obeys_one_cap(monkeypatch, enumerate_n):
+    monkeypatch.setenv("WIDTHK_MAX_N", "5")
+    assert enumerate_n(5)
+    with pytest.raises(EnumerationCapError) as exc:
+        enumerate_n(6)
+    assert str(exc.value) == "n=6 exceeds enumeration cap 5"
 
 
 class TestRecursions:
@@ -475,9 +507,9 @@ class TestGradedDistributions:
         walks = collections.Counter()
         walk = genfun.avoidance_class
 
-        def counted(n, patterns=(), max_n=None):
+        def counted(n, patterns=()):
             walks[(n, tuple(patterns))] += 1
-            return walk(n, patterns, max_n=max_n)
+            return walk(n, patterns)
 
         monkeypatch.setattr(genfun, "avoidance_class", counted)
         run_suite("all", n_max=6, caches=SweepCaches())
@@ -489,9 +521,9 @@ class TestGradedDistributions:
         walks = collections.Counter()
         walk = genfun.enumerate_sn
 
-        def counted(n, max_n=None):
+        def counted(n):
             walks[n] += 1
-            return walk(n, max_n=max_n)
+            return walk(n)
 
         monkeypatch.setattr(genfun, "enumerate_sn", counted)
         run_suite("equidistribution", n_max=6, caches=SweepCaches())

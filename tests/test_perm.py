@@ -234,16 +234,12 @@ def test_enumeration_cap_default_and_env(monkeypatch):
         list(avoidance_class(11, [(2, 1)]))
     monkeypatch.setenv("WIDTHK_MAX_N", "12")
     assert enumeration_cap() == 12
-    monkeypatch.setenv("WIDTHK_MAX_N", "three")
-    with pytest.raises(InvalidInputError):
-        enumeration_cap()
-
-
-def test_explicit_max_n_overrides_cap():
-    # callers that already hold a handle may lift the cap per call
-    assert sum(1 for _ in enumerate_sn(4, max_n=4)) == 24
-    with pytest.raises(EnumerationCapError):
-        list(enumerate_sn(5, max_n=4))
+    for bad in ("three", "-3"):
+        monkeypatch.setenv("WIDTHK_MAX_N", bad)
+        with pytest.raises(InvalidInputError):
+            enumeration_cap()
+        with pytest.raises(InvalidInputError):
+            list(avoidance_class(0))
 
 
 def test_parse_and_format_roundtrip():
