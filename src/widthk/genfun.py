@@ -43,13 +43,6 @@ Patterns = Iterable[Sequence[int]]
 # ---------------------------------------------------------------------------
 # enumeration scans
 
-def _gap_counts(word: Sequence[int]) -> list[int]:
-    # counts[g] = number of pairs (i, i+g) with word[i] > word[i+g]; this is
-    # the width-g descent count, and summing over multiples of k gives inv_k.
-    n = len(word)
-    return [0] + [sum(map(operator.gt, word, word[g:])) for g in range(1, n)]
-
-
 def _maj_profile(word: Sequence[int]) -> tuple[int, ...]:
     # entry g-1 is maj_g, the sum of ceil(i/g) over the width-g descents i;
     # it depends on positions, so no grade of the joint descent distribution
@@ -111,6 +104,17 @@ def _check_width(n: int, k: int) -> None:
         raise InvalidInputError(f"width must satisfy 1 <= k <= n-1, got k={k}, n={n}")
 
 
+def _by_blocks(n: int, k: int, dist: Callable[[int], LaurentPoly]) -> LaurentPoly:
+    # The width-k distribution over S_n, given dist(m), the classical one
+    # over S_m.  Proof: sending sigma to the value sets of its residue blocks
+    # sigma[r::k] and to the standardized blocks is a bijection from S_n onto
+    # (ordered set partitions with the block sizes) x prod S_(m_r), and each
+    # of des_k, inv_k, exc_k and maj_k is the sum over blocks of the
+    # classical statistic.  With n = dk+r, r blocks have d+1 letters.
+    d, r = divmod(n, k)
+    return block_multinomial(n, k) * dist(d + 1) ** r * dist(d) ** (k - r)
+
+
 def closed_des_k(n: int, k: int) -> LaurentPoly:
     """
     Closed form of the width-k descent distribution over S_n: with n = dk+r,
@@ -120,9 +124,7 @@ def closed_des_k(n: int, k: int) -> LaurentPoly:
     90 + 270*q + 270*q^2 + 90*q^3
     """
     _check_width(n, k)
-    d, r = divmod(n, k)
-    weight = block_multinomial(n, k)
-    return weight * eulerian_poly(d + 1) ** r * eulerian_poly(d) ** (k - r)
+    return _by_blocks(n, k, eulerian_poly)
 
 
 def closed_inv_k(n: int, k: int) -> LaurentPoly:
@@ -134,9 +136,7 @@ def closed_inv_k(n: int, k: int) -> LaurentPoly:
     True
     """
     _check_width(n, k)
-    d, r = divmod(n, k)
-    weight = block_multinomial(n, k)
-    return weight * q_factorial(d + 1) ** r * q_factorial(d) ** (k - r)
+    return _by_blocks(n, k, q_factorial)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,8 @@ def t_polynomial(n: int, patterns: Patterns = ()) -> MultiPoly:
     else:
         acc = {}  # one scan per word: avoidance classes, and S_0..S_2
         for word in avoidance_class(n, pats):
-            exps = tuple(_gap_counts(word)[1:])
+            # entry g-1 counts the pairs (i, i+g) with word[i] > word[i+g]
+            exps = tuple([sum(map(operator.gt, word, word[g:])) for g in gaps])
             acc[exps] = acc.get(exps, 0) + 1
     return MultiPoly(tuple(f"t{g}" for g in gaps), acc)
 
@@ -555,7 +556,8 @@ class SweepCaches:
     Memo for the enumeration passes, shared across suites within one
     verification run.  Each (n, class) is walked once, into its joint
     descent distribution; every swept des/inv/G distribution is a grade of
-    it.  S_n is walked once more, for the positional exc and maj.
+    it.  S_n is walked once more, for the positional exc_1 and maj; exc_k
+    for k >= 2 is a product of smaller exc_1 distributions.
     """
 
     def __init__(self) -> None:
@@ -597,33 +599,25 @@ class SweepCaches:
         indicator of K.
         """
         if n not in self._sn_exc_maj:
-            # exc_1 counts the a_i > i.  For k >= 2, exc_k adds up the
-            # excedances of the standardized residue blocks word[s::k]; a
-            # block has at most ceil(n/2) letters, so few blocks recur
-            # (2,080 at n = 8) and stats.exc counts each once.
+            # exc_1 counts the a_i > i.  exc_k for k >= 2 is a block product
+            # (see _by_blocks) of the exc_1 distributions of blocks shorter
+            # than n, so it only reads smaller entries of this memo.
             ranks = range(1, n + 1)
-            residues = [[slice(s, None, k) for s in range(k)] for k in range(2, n)]
-            block_exc: dict[tuple[int, ...], int] = {}
-            exc_acc: list[dict[int, int]] = [{} for _ in range(1, n)]
+            exc_acc: dict[int, int] = {}
             maj_acc: dict[tuple[int, ...], int] = {}
             for word in enumerate_sn(n):
-                excs = [sum(map(operator.gt, word, ranks))]
-                for blocks in residues:
-                    e = 0
-                    for sl in blocks:
-                        block = word[sl]
-                        c = block_exc.get(block)
-                        if c is None:
-                            c = block_exc[block] = stats.exc(block)
-                        e += c
-                    excs.append(e)
-                for acc, e in zip(exc_acc, excs):
-                    acc[e] = acc.get(e, 0) + 1
+                e = sum(map(operator.gt, word, ranks))
+                exc_acc[e] = exc_acc.get(e, 0) + 1
                 majp = _maj_profile(word)
                 maj_acc[majp] = maj_acc.get(majp, 0) + 1
+            exc = {1: LaurentPoly(exc_acc)}
+            for k in range(2, n):
+                exc[k] = _by_blocks(
+                    n, k, lambda m: self.sn_exc_maj(m)[0][1] if m > 1 else ONE
+                )
             maj = MultiPoly(tuple(f"t{g}" for g in range(1, n)), maj_acc)
             self._sn_exc_maj[n] = (
-                {k: LaurentPoly(acc) for k, acc in enumerate(exc_acc, 1)},
+                exc,
                 {k: maj.grade(_indicator(n, (k,))) for k in range(1, n)},
                 maj,
             )
@@ -772,12 +766,15 @@ def suite_inclusion_exclusion(n_max: int | None, caches: SweepCaches):
     ]
 
     def sweep() -> Iterator[Case]:
-        # All K of a word are compared at once, as one case; only a word whose
-        # lists differ is split into its (n, K, sigma) cases, in K order, so
-        # the runner still reports the first disagreeing one.
+        # Both sides are linear in (des_1, ..., des_(n-1)), so checking each
+        # exponent vector of the memoized joint distribution covers every
+        # sigma.  All K of a vector are compared at once, as one case; only a
+        # vector whose lists differ is split into its (n, K, des_g) cases, in
+        # K order, so the runner still reports the first disagreeing one.
         for n in range(2, top + 1):
             subsets = list(_width_subsets(n, max_size=3))
-            unions = [sorted({m for k in K for m in range(k, n, k)}) for K in subsets]
+            # per K, the indices g-1 of the gaps g counted by inv_K
+            unions = [sorted({m - 1 for k in K for m in range(k, n, k)}) for K in subsets]
             # per K, the lcms < n of its odd- and of its even-sized subsets
             signed: list[tuple[list[int], list[int]]] = []
             for K in subsets:
@@ -790,20 +787,15 @@ def suite_inclusion_exclusion(n_max: int | None, caches: SweepCaches):
                             (even if size % 2 == 0 else odd).append(l)
                 signed.append((odd, even))
             every_k = {"n": n}
-            for word in enumerate_sn(n):
-                counts = _gap_counts(word)
-                invals = [0] * n
-                for g in range(1, n):
-                    invals[g] = sum(counts[g::g])
-                at = invals.__getitem__
-                lhs = [sum(map(counts.__getitem__, u)) for u in unions]
+            for exps, _ in caches.t_poly(n, ()).terms():
+                at = [0, *(sum(exps[g - 1 :: g]) for g in range(1, n))].__getitem__
+                lhs = [sum(map(exps.__getitem__, u)) for u in unions]
                 rhs = [sum(map(at, odd)) - sum(map(at, even)) for odd, even in signed]
                 if lhs == rhs:
                     yield every_k, lhs, rhs
                     continue
-                sigma = format_perm(word)
                 for K, a, b in zip(subsets, lhs, rhs):
-                    yield {"n": n, "K": K, "sigma": sigma}, a, b
+                    yield {"n": n, "K": K, "des_g": list(exps)}, a, b
 
     return [
         _check(

@@ -147,7 +147,10 @@ class LaurentPoly:
         return self._val == other._val and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms()))
+        # a constant equals its int, so it must hash like it
+        if self._val == 0 and len(self._coeffs) <= 1:
+            return hash(sum(self._coeffs))
+        return hash((self._val, self._coeffs))
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = self._coerce(other)

@@ -1,6 +1,7 @@
 """CLI behavior: output shapes, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -268,6 +269,18 @@ def test_verify_json_stream(capsys):
     reports = [json.loads(line) for line in out.splitlines()]
     assert [r["identity"] for r in reports] == ["theorem[des]", "theorem[inv]"]
     assert all(r["status"] == "verified" for r in reports)
+
+
+def test_verify_csv_rows_parse_to_the_json_reports(capsys):
+    # identities such as avoidance[rec:123,132] hold commas, so they are quoted
+    code, out, _ = run(capsys, "verify", "--nmax", "4", "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["identity", "status", "range"]
+    code, out, _ = run(capsys, "verify", "--nmax", "4", "--format", "json")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert rows == [[r["identity"], r["status"], r["range"]] for r in reports]
 
 
 def test_verify_rejects_bad_arguments(capsys):

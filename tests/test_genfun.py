@@ -478,7 +478,8 @@ class TestGradedDistributions:
                     assert joint.grade(weights) == brute_distribution(
                         n, "maj", ks
                     ), (n, ks)
-        # n = 7 is the first size whose residue blocks reach 4 letters (k = 2)
+        # exc_k by blocks against stats.exc per word; n = 7 is the first size
+        # whose block product reads a block of 4 letters (k = 2)
         exc = caches.sn_exc_maj(7)[0]
         for k in range(1, 7):
             assert exc[k] == brute_distribution(7, "exc", k), k
@@ -517,7 +518,9 @@ class TestGradedDistributions:
         assert [key for key, count in walks.items() if count > 1] == []
 
     def test_equidistribution_walks_each_sn_once(self, monkeypatch):
-        # the inv_K/maj_K info block grades the exc/maj pass instead of walking
+        # the inv_K/maj_K info block grades the exc/maj pass, exc_k multiplies
+        # smaller exc_1 distributions, and inclusion-exclusion reads the
+        # joint descent distribution, so none of them walks S_n again
         walks = collections.Counter()
         walk = genfun.enumerate_sn
 
@@ -526,8 +529,10 @@ class TestGradedDistributions:
             return walk(n)
 
         monkeypatch.setattr(genfun, "enumerate_sn", counted)
-        run_suite("equidistribution", n_max=6, caches=SweepCaches())
-        assert walks == collections.Counter(range(2, 7))
+        for suite in ("equidistribution", "all"):
+            walks.clear()
+            run_suite(suite, n_max=6, caches=SweepCaches())
+            assert walks == collections.Counter(range(2, 7)), suite
 
 
 class TestReports:
@@ -565,9 +570,11 @@ class TestReports:
 
     def test_inclusion_exclusion_reports_first_broken_case(self, monkeypatch):
         # Reading lcm(2, 3) as 5 adds a spurious -inv_5 to every K holding 2
-        # and 3 once n = 6, where the true lcm 6 drops out.  inv_5 is nonzero
-        # first at the earliest sigma with a_1 > a_6, 234561, and K = {2,3}
-        # is the first such K; there inv_{2,3} = 3 but the sum reads 2 + 1 - 1.
+        # and 3 once n = 6, where the true lcm 6 drops out.  The sweep checks
+        # gap vectors (des_1, ..., des_5) in increasing order, and the first
+        # with des_5 = inv_5 > 0 is (1, 1, 1, 1, 1), the vector of 234561.
+        # K = {2,3} is the first such K; there inv_{2,3} = 3 but the sum
+        # reads 2 + 1 - 1.
         lcm = math.lcm
         monkeypatch.setattr(
             genfun.math, "lcm", lambda *ks: 5 if sorted(ks) == [2, 3] else lcm(*ks)
@@ -576,7 +583,7 @@ class TestReports:
         assert sweep.identity == "inclusion-exclusion[sweep]"
         assert sweep.status == "mismatch"
         assert sweep.counterexample == {
-            "params": {"n": 6, "K": [2, 3], "sigma": "234561"},
+            "params": {"n": 6, "K": [2, 3], "des_g": [1, 1, 1, 1, 1]},
             "lhs": 3,
             "rhs": 2,
         }

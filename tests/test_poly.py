@@ -317,5 +317,8 @@ def test_dense_storage_keeps_equality_and_hash_canonical():
     b = LaurentPoly([(1, 1), (2, 7), (1, 1), (2, -7)])
     assert a == b and hash(a) == hash(b) and a.terms() == [(1, 2)]
     assert a.degree == 1
-    assert (a - b) == ZERO == 0 and hash(a - b) == hash(ZERO)
+    assert (a - b) == ZERO == 0 and hash(a - b) == hash(ZERO) == hash(0)
+    # a constant equals its int, so it is the same dict key
+    assert LaurentPoly({0: 3}) == 3 and hash(LaurentPoly({0: 3})) == hash(3)
+    assert {3: "x"}[LaurentPoly({0: 3})] == "x" and {0: "z"}[ZERO] == "z"
     assert repr(LaurentPoly({2: 3, 0: 1})) == "LaurentPoly({0: 1, 2: 3})"
