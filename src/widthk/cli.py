@@ -9,6 +9,7 @@ is deterministic, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -56,6 +57,7 @@ def _emit_kv(data: dict) -> None:
             cell = value if isinstance(value, (int, str)) else json.dumps(value)
             print(f"{prefix},{cell}")
     walk("", data)
+    del walk  # walk refers to itself; without this it waits for gc
 
 
 def _emit_poly_csv(poly: LaurentPoly, prefix: str = "") -> None:
@@ -315,14 +317,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_avoid(args: argparse.Namespace) -> int:
     patterns = parse_patterns(args.patterns)
-    members = list(avoidance_class(args.n, patterns))
+    # without --members the class is only counted, never held
+    members = avoidance_class(args.n, patterns)
+    if args.members:
+        members = [format_perm(w) for w in members]
+        count = len(members)
+    else:
+        count = sum(1 for _ in members)
     data: dict = {
         "n": args.n,
         "patterns": [format_perm(p) for p in patterns],
-        "count": len(members),
+        "count": count,
     }
     if args.members:
-        data["members"] = [format_perm(w) for w in members]
+        data["members"] = members
     if args.format == "json":
         print(json.dumps(data))
     elif args.format == "csv":
@@ -338,7 +346,10 @@ def cmd_avoid(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: building it costs more than most small calls,
+    # and parse_args leaves it as it was.
     parser = argparse.ArgumentParser(
         prog="widthk",
         description=(
@@ -407,9 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

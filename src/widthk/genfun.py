@@ -19,11 +19,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import stats
 from .errors import InvalidInputError
 from .perm import (
+    _sn_exc_maj_walk,
+    _sn_joint_descents,
     avoidance_class,
     check_cap,
     check_patterns,
     complement,
-    enumerate_sn,
     format_perm,
     reverse,
 )
@@ -42,21 +43,6 @@ Patterns = Iterable[Sequence[int]]
 
 # ---------------------------------------------------------------------------
 # enumeration scans
-
-def _maj_profile(word: Sequence[int]) -> tuple[int, ...]:
-    # entry g-1 is maj_g, the sum of ceil(i/g) over the width-g descents i;
-    # it depends on positions, so no grade of the joint descent distribution
-    # yields it.
-    n = len(word)
-    maj = [0] * n
-    for i in range(n - 1):
-        a = word[i]
-        for j in range(i + 1, n):
-            if a > word[j]:
-                g = j - i
-                maj[g] += (i + g) // g
-    return tuple(maj[1:])
-
 
 _STAT_FUNCS: dict[str, Callable] = {
     "des": stats.des,
@@ -163,49 +149,6 @@ def t_polynomial(n: int, patterns: Patterns = ()) -> MultiPoly:
     return MultiPoly(tuple(f"t{g}" for g in gaps), acc)
 
 
-def _sn_joint_descents(n: int) -> dict[tuple[int, ...], int]:
-    # Joint descent counts over S_n (n >= 3) by a depth-first walk that
-    # carries one packed int per word instead of the word.  Base-2^s digit g
-    # of a key holds des_g; des_g <= n - 1 < 2^s, so no digit overflows.
-    # hs lists, in increasing order of the values still to place, what
-    # placing that value next adds to the key: one unit in digit g for each
-    # larger value g positions back.  Placing hs[j] moves every other entry
-    # one digit up and adds one unit to the entries below it.  The last three
-    # placements are written out: with 0 < 1 < 2 the remaining values, a
-    # leaf is h_x + (h_y + [y < x]) << s + (h_z + [z < x]) << 2s + [z < y] << s
-    # for the placing order x, y, z.
-    s = (n - 1).bit_length()
-    s1 = 1 << s
-    s2 = s1 << s
-    keys: dict[int, int] = {}
-    get = keys.get
-
-    def walk(key: int, hs: list[int]) -> None:
-        if len(hs) == 3:
-            h0, h1, h2 = hs
-            a0, a1, a2 = h0 << s, h1 << s, h2 << s
-            b0, b1, b2 = a0 << s, a1 << s, a2 << s
-            for leaf in (
-                key + h0 + a1 + b2,
-                key + h0 + a2 + b1 + s1,
-                key + h1 + a0 + b2 + s1,
-                key + h1 + a2 + b0 + s1 + s2,
-                key + h2 + a0 + b1 + s1 + s2,
-                key + h2 + a1 + b0 + 2 * s1 + s2,
-            ):
-                keys[leaf] = get(leaf, 0) + 1
-            return
-        below = [(h + 1) << s for h in hs]
-        above = [h << s for h in hs]
-        for j, h in enumerate(hs):
-            walk(key + h, below[:j] + above[j + 1 :])
-
-    walk(0, [0] * n)
-    mask = s1 - 1
-    shifts = [s * g for g in range(1, n)]
-    return {tuple([key >> t & mask for t in shifts]): c for key, c in keys.items()}
-
-
 def _indicator(n: int, gaps: Iterable[int]) -> list[int]:
     # Weights over t_1..t_(n-1) marking the given gaps.  Grading the joint
     # distribution by the indicator of {k} gives des_k, of the multiples of
@@ -217,7 +160,8 @@ def _indicator(n: int, gaps: Iterable[int]) -> list[int]:
 def _g_grades(joint: MultiPoly, n: int) -> dict[int, LaurentPoly]:
     # G[n,k] is the joint distribution over S_n with t_k -> q, t_(n-k) -> 1/q
     gaps = range(1, n)
-    return {k: joint.grade([(g == k) - (g == n - k) for g in gaps]) for k in gaps}
+    rows = [[(g == k) - (g == n - k) for g in gaps] for k in gaps]
+    return dict(zip(gaps, joint.grades(rows)))
 
 
 def g_table(n: int) -> dict[int, LaurentPoly]:
@@ -327,19 +271,30 @@ def rec_123_132(n: int, k: int) -> LaurentPoly:
     """
     Width-k descent distribution over the {123, 132}-avoiders, by recursion
     on the position of the letter n; the closing term collects the positions
-    past max(k, n-k) in a single power of q.
+    past max(k, n-k) in a single power of q.  Each level is stored from its
+    valuation up, which is far above q^0 once n is large against k.
     """
-
-    def step(m: int, k: int, rows: list[list[int]]) -> list[int]:
-        row = [0] * (m - k + 1)
-        row[m - k - 1] = 2 ** (m - max(k + 1, m - k + 1))
-        for i in range(1, k + 1):
-            _add_shifted(row, rows[m - i], min(i, m - k))
-        for i in range(k + 1, m - k + 1):
-            _add_shifted(row, rows[m - i], min(i - 1, m - k - 1))
-        return row
-
-    return _run_recursion(n, k, lambda m: 2 ** max(m - 1, 0), step)
+    _check_recursion_args(n, k)
+    rows: list[tuple[int, list[int]]] = []  # (valuation, coefficients from it)
+    for m in range(n + 1):
+        if m <= k:
+            rows.append((0, [2 ** max(m - 1, 0)]))
+            continue
+        # (shift, row) per summand; every stored row starts at a nonzero
+        # coefficient, and all are positive, so the least shift is the valuation
+        parts = [(m - k - 1, [2 ** (m - max(k + 1, m - k + 1))])]
+        parts += [(min(i, m - k) + rows[m - i][0], rows[m - i][1]) for i in range(1, k + 1)]
+        parts += [
+            (min(i - 1, m - k - 1) + rows[m - i][0], rows[m - i][1])
+            for i in range(k + 1, m - k + 1)
+        ]
+        low = min(s for s, _ in parts)
+        row = [0] * (m - k + 1 - low)
+        for s, src in parts:
+            _add_shifted(row, src, s - low)
+        rows.append((low, row))
+    low, row = rows[n]
+    return LaurentPoly(dict(enumerate(row, low)))
 
 
 def rec_123_312(n: int, k: int) -> LaurentPoly:
@@ -556,13 +511,15 @@ class SweepCaches:
     Memo for the enumeration passes, shared across suites within one
     verification run.  Each (n, class) is walked once, into its joint
     descent distribution; every swept des/inv/G distribution is a grade of
-    it.  S_n is walked once more, for the positional exc_1 and maj; exc_k
-    for k >= 2 is a product of smaller exc_1 distributions.
+    it.  S_n is walked once more, for the positional exc_1 and joint maj;
+    exc_k and maj_k for k >= 2 are block products of smaller exc_1 and maj_1
+    distributions.
     """
 
     def __init__(self) -> None:
         self._t_polys: dict[tuple, MultiPoly] = {}
         self._av_dists: dict[tuple, tuple[dict, dict]] = {}
+        self._g_tables: dict[int, dict[int, LaurentPoly]] = {}
         self._sn_exc_maj: dict[int, tuple[dict, dict, MultiPoly]] = {}
 
     def t_poly(self, n: int, patterns: tuple[tuple[int, ...], ...]) -> MultiPoly:
@@ -573,7 +530,9 @@ class SweepCaches:
         return self._t_polys[key]
 
     def g_table(self, n: int) -> dict[int, LaurentPoly]:
-        return _g_grades(self.t_poly(n, ()), n)
+        if n not in self._g_tables:
+            self._g_tables[n] = _g_grades(self.t_poly(n, ()), n)
+        return self._g_tables[n]
 
     def av_dists(
         self, n: int, patterns: tuple[tuple[int, ...], ...]
@@ -584,11 +543,11 @@ class SweepCaches:
         """
         key = (n, patterns)
         if key not in self._av_dists:
-            joint = self.t_poly(n, patterns)
-            self._av_dists[key] = (
-                {k: joint.grade(_indicator(n, (k,))) for k in range(1, n)},
-                {k: joint.grade(_indicator(n, range(k, n, k))) for k in range(1, n)},
-            )
+            ks = range(1, n)
+            rows = [_indicator(n, (k,)) for k in ks]
+            rows += [_indicator(n, range(k, n, k)) for k in ks]
+            dists = self.t_poly(n, patterns).grades(rows)
+            self._av_dists[key] = (dict(zip(ks, dists)), dict(zip(ks, dists[n - 1 :])))
         return self._av_dists[key]
 
     def sn_exc_maj(self, n: int) -> tuple[dict, dict, MultiPoly]:
@@ -599,28 +558,19 @@ class SweepCaches:
         indicator of K.
         """
         if n not in self._sn_exc_maj:
-            # exc_1 counts the a_i > i.  exc_k for k >= 2 is a block product
-            # (see _by_blocks) of the exc_1 distributions of blocks shorter
-            # than n, so it only reads smaller entries of this memo.
-            ranks = range(1, n + 1)
-            exc_acc: dict[int, int] = {}
-            maj_acc: dict[tuple[int, ...], int] = {}
-            for word in enumerate_sn(n):
-                e = sum(map(operator.gt, word, ranks))
-                exc_acc[e] = exc_acc.get(e, 0) + 1
-                majp = _maj_profile(word)
-                maj_acc[majp] = maj_acc.get(majp, 0) + 1
-            exc = {1: LaurentPoly(exc_acc)}
+            # exc_k and maj_k for k >= 2 are block products (see _by_blocks)
+            # of the exc_1 and maj_1 distributions of blocks shorter than n,
+            # so they only read smaller entries of this memo.  Position
+            # i = r + (t-1)k of residue block r has ceil(i/k) = t, so maj_k
+            # is the sum of the blocks' classical maj.
+            exc_counts, maj_counts = _sn_exc_maj_walk(n)
+            joint = MultiPoly(tuple(f"t{g}" for g in range(1, n)), maj_counts)
+            exc = {1: LaurentPoly(exc_counts)}
+            maj = {1: joint.grade(_indicator(n, (1,)))}
             for k in range(2, n):
-                exc[k] = _by_blocks(
-                    n, k, lambda m: self.sn_exc_maj(m)[0][1] if m > 1 else ONE
-                )
-            maj = MultiPoly(tuple(f"t{g}" for g in range(1, n)), maj_acc)
-            self._sn_exc_maj[n] = (
-                exc,
-                {k: maj.grade(_indicator(n, (k,))) for k in range(1, n)},
-                maj,
-            )
+                exc[k] = _by_blocks(n, k, lambda m: self.sn_exc_maj(m)[0][1] if m > 1 else ONE)
+                maj[k] = _by_blocks(n, k, lambda m: self.sn_exc_maj(m)[1][1] if m > 1 else ONE)
+            self._sn_exc_maj[n] = (exc, maj, joint)
         return self._sn_exc_maj[n]
 
 
@@ -717,12 +667,12 @@ def suite_equidistribution(n_max: int | None, caches: SweepCaches):
         subsets = [K for K in _width_subsets(n) if len(K) >= 2]
         if not subsets:
             continue
-        joint = caches.t_poly(n, ())
-        maj = caches.sn_exc_maj(n)[2]
-        for K in subsets:
+        multiples = [[m for k in K for m in range(k, n, k)] for K in subsets]
+        invs = caches.t_poly(n, ()).grades([_indicator(n, ms) for ms in multiples])
+        majs = caches.sn_exc_maj(n)[2].grades([_indicator(n, K) for K in subsets])
+        for K, inv_K, maj_K in zip(subsets, invs, majs):
             total += 1
-            multiples = (m for k in K for m in range(k, n, k))
-            if joint.grade(_indicator(n, multiples)) == maj.grade(_indicator(n, K)):
+            if inv_K == maj_K:
                 equal += 1
             elif first_diff is None:
                 first_diff = (n, K)
@@ -1064,9 +1014,10 @@ def suite_avoidance(n_max: int | None, caches: SweepCaches):
 
     def product(pats, fn) -> Iterator[Case]:
         for n in range(2, multi_top + 1):
-            joint = caches.t_poly(n, pats)
-            for K in _width_subsets(n):
-                yield {"n": n, "K": K}, fn(n, K), joint.grade(_indicator(n, K))
+            subsets = list(_width_subsets(n))
+            grades = caches.t_poly(n, pats).grades([_indicator(n, K) for K in subsets])
+            for K, des_K in zip(subsets, grades):
+                yield {"n": n, "K": K}, fn(n, K), des_K
 
     def closed_inv() -> Iterator[Case]:
         for n in range(2, top + 1):

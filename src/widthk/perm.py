@@ -1,6 +1,8 @@
 """
 Permutations in one-line notation, their symmetries, pattern containment,
-and enumeration of symmetric groups and pattern-avoidance classes.
+and enumeration of symmetric groups and pattern-avoidance classes.  Two
+walks over S_n build no words: they count its joint descent and joint
+major-index profiles (with exc_1) directly.  Every enumeration checks the cap.
 
 A permutation of [n] = {1, ..., n} is represented as a tuple of its values
 a_1, ..., a_n.  The empty tuple is the empty permutation, which is a valid
@@ -147,6 +149,111 @@ def enumerate_sn(n: int) -> Iterator[tuple[int, ...]]:
     """
     check_cap(n)
     return itertools.permutations(range(1, n + 1))
+
+
+def _sn_joint_descents(n: int) -> dict[tuple[int, ...], int]:
+    # Joint descent counts over S_n (n >= 3) by a depth-first walk that
+    # carries one packed int per word instead of the word.  Base-2^s digit g
+    # of a key holds des_g; des_g <= n - 1 < 2^s, so no digit overflows.
+    # hs lists, in increasing order of the values still to place, what
+    # placing that value next adds to the key: one unit in digit g for each
+    # larger value g positions back.  Placing hs[j] moves every other entry
+    # one digit up and adds one unit to the entries below it.  The last three
+    # placements are written out: with 0 < 1 < 2 the remaining values, a
+    # leaf is h_x + (h_y + [y < x]) << s + (h_z + [z < x]) << 2s + [z < y] << s
+    # for the placing order x, y, z.
+    check_cap(n)
+    s = (n - 1).bit_length()
+    s1 = 1 << s
+    s2 = s1 << s
+    keys: dict[int, int] = {}
+    get = keys.get
+
+    def walk(key: int, hs: list[int]) -> None:
+        if len(hs) == 3:
+            h0, h1, h2 = hs
+            a0, a1, a2 = h0 << s, h1 << s, h2 << s
+            b0, b1, b2 = a0 << s, a1 << s, a2 << s
+            for leaf in (
+                key + h0 + a1 + b2,
+                key + h0 + a2 + b1 + s1,
+                key + h1 + a0 + b2 + s1,
+                key + h1 + a2 + b0 + s1 + s2,
+                key + h2 + a0 + b1 + s1 + s2,
+                key + h2 + a1 + b0 + 2 * s1 + s2,
+            ):
+                keys[leaf] = get(leaf, 0) + 1
+            return
+        below = [(h + 1) << s for h in hs]
+        above = [h << s for h in hs]
+        for j, h in enumerate(hs):
+            walk(key + h, below[:j] + above[j + 1 :])
+
+    walk(0, [0] * n)
+    del walk  # walk refers to itself; without this keys waits for gc
+    mask = s1 - 1
+    shifts = [s * g for g in range(1, n)]
+    return {tuple([key >> t & mask for t in shifts]): c for key, c in keys.items()}
+
+
+def _sn_exc_maj_walk(n: int) -> tuple[dict[int, int], dict[tuple[int, ...], int]]:
+    # The exc_1 counts over S_n, and the joint counts of (maj_1, ..., maj_(n-1)),
+    # by a depth-first walk that builds no words.  Base-2^w digit g-1 of a
+    # key holds maj_g <= maj_1 <= n(n-1)/2 < 2^w.  Positions fill from 1 up;
+    # each value still to place carries the bitmask of the earlier positions
+    # (bit i-1 for position i) that hold larger letters, and placing it at
+    # position j adds tables[j][mask]: ceil(i/(j-i)) in digit j-i-1 for each
+    # i in the mask, a width-(j-i) descent at i.  It also adds [v > j] to
+    # exc_1, which is tallied apart so the key dict holds maj profiles only.
+    # The last two placements are written out.
+    check_cap(n)
+    w = (n * (n - 1) // 2).bit_length()
+    tables = [[], [0]]
+    for j in range(2, n + 1):
+        table = [0] * (1 << (j - 1))
+        for mask in range(1, len(table)):
+            low = mask & -mask
+            i = low.bit_length()
+            g = j - i
+            table[mask] = table[mask ^ low] + ((i + g - 1) // g << w * (g - 1))
+        tables.append(table)
+    keys: dict[int, int] = {}
+    get = keys.get
+    excs = [0] * (n + 1)
+
+    def walk(j: int, key: int, e: int, values: list[int], masks: list[int]) -> None:
+        table = tables[j]
+        bit = 1 << (j - 1)
+        if len(values) == 2:  # a < b go to positions j, j+1 in either order
+            a, b = values
+            ma, mb = masks
+            last = tables[j + 1]
+            leaf = key + table[ma] + last[mb]
+            keys[leaf] = get(leaf, 0) + 1
+            leaf = key + table[mb] + last[ma | bit]
+            keys[leaf] = get(leaf, 0) + 1
+            excs[e + (a > j)] += 1
+            excs[e + (b > j)] += 1
+            return
+        below = [m | bit for m in masks]
+        for t, v in enumerate(values):
+            walk(
+                j + 1,
+                key + table[masks[t]],
+                e + (v > j),
+                values[:t] + values[t + 1 :],
+                below[:t] + masks[t + 1 :],
+            )
+
+    if n >= 2:
+        walk(1, 0, 0, list(range(1, n + 1)), [0] * n)
+    else:  # S_0 and S_1 hold one word each, with no excedance
+        keys[0] = excs[0] = 1
+    del walk  # walk refers to itself; without this keys waits for gc
+    digit = (1 << w) - 1
+    shifts = [w * g for g in range(n - 1)]
+    maj = {tuple([key >> t & digit for t in shifts]): c for key, c in keys.items()}
+    return {e: c for e, c in enumerate(excs) if c}, maj
 
 
 def _gap(pattern: Sequence[int], s: int, n: int) -> int:

@@ -427,16 +427,37 @@ class MultiPoly:
         exponent dot(weights, exps).  Weight vectors of 0/1 entries realize
         the usual set-all-others-to-one specializations.
         """
-        weights = tuple(weights)
-        if len(weights) != len(self.vars):
-            raise InvalidInputError(
-                f"weights {weights!r} do not match variables {self.vars!r}"
-            )
-        acc: dict[int, int] = {}
-        for exps, c in self._terms.items():
-            e = sum(map(operator.mul, weights, exps))
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        return self.grades([weights])[0]
+
+    def grades(self, rows: Iterable[Sequence[int]]) -> list[LaurentPoly]:
+        """
+        The grade by each weight vector in rows, in order.  A row is read
+        through its nonzero entries only: its exponents stream from the
+        columns of the term table that it weights, with no per-term loop
+        over the variables.
+        """
+        rows = [tuple(w) for w in rows]
+        for weights in rows:
+            if len(weights) != len(self.vars):
+                raise InvalidInputError(
+                    f"weights {weights!r} do not match variables {self.vars!r}"
+                )
+        terms = self._terms
+        out = []
+        for weights in rows:
+            exps: Iterable[int] = repeat(0)
+            for i, x in enumerate(weights):
+                if x:
+                    col = map(operator.itemgetter(i), terms)
+                    if x != 1:
+                        col = map(operator.mul, col, repeat(x))
+                    exps = map(operator.add, exps, col)
+            acc: dict[int, int] = {}
+            get = acc.get
+            for e, c in zip(exps, terms.values()):
+                acc[e] = get(e, 0) + c
+            out.append(LaurentPoly(acc))
+        return out
 
     def at_ones(self) -> int:
         return sum(self._terms.values())

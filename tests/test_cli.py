@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthk import genfun, perm
-from widthk.cli import FORMATS, _factored_g, main
+from widthk.cli import FORMATS, _emit_kv, _factored_g, main
 from widthk.genfun import VerificationReport
 from widthk.poly import LaurentPoly
 
@@ -481,8 +482,47 @@ def test_above_the_cap_exits_2_before_enumerating(capsys, monkeypatch, argv):
         raise AssertionError("enumerated above the cap")
 
     monkeypatch.setattr(perm, "enumerate_sn", refuse)
-    monkeypatch.setattr(genfun, "enumerate_sn", refuse)
+    monkeypatch.setattr(genfun, "_sn_exc_maj_walk", refuse)
     monkeypatch.setattr(genfun, "_sn_joint_descents", refuse)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "cap" in err
+
+
+def test_parser_is_reused_across_calls(capsys):
+    # main parses every call with one parser; two different argvs in turn
+    # must each get their own answer
+    for _ in range(2):
+        code, out, _ = run(capsys, "stat", "--perm", "4136572", "--widths", "2,3", "--stat", "maj")
+        assert code == 0 and out.splitlines()[0] == "maj_{2,3}(4136572) = 6"
+        code, out, _ = run(capsys, "gf", "--n", "3", "--stat", "des", "--format", "csv")
+        assert code == 0 and out == "method,exponent,coefficient\nbrute,0,1\nbrute,1,4\nbrute,2,1\n"
+
+
+_EVERY_SUBCOMMAND = (
+    ("stat", "--perm", "4136572", "--widths", "2,3", "--stat", "inv"),
+    ("stat", "--perm", "4136572", "--widths", "2,3", "--stat", "exc"),
+    ("gf", "--n", "5", "--stat", "des", "--width", "2", "--avoid", "312", "--method", "all"),
+    ("tpoly", "--n", "4", "--avoid", "132"),
+    ("gtable", "--n", "4,5"),
+    ("verify", "--suite", "all", "--nmax", "4"),
+    ("avoid", "--n", "5", "--patterns", "123,4321", "--members"),
+)
+
+
+def test_main_leaves_no_garbage():
+    # every successful call, in every format, frees all it made without the
+    # cyclic collector; so does the csv writer of nested values
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["stat", "--perm", "21", "--stat", "des"])  # builds the parser
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in _EVERY_SUBCOMMAND:
+                for fmt in FORMATS:
+                    assert main([*argv, "--format", fmt]) == 0, (argv, fmt)
+            _emit_kv({"a": {"b": [1, 2], "c": {"d": "x"}}})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

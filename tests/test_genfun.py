@@ -236,8 +236,12 @@ def joint_descent_counts(n):
         t_polynomial,
         lambda n: t_polynomial(n, [(1, 3, 2)]),
         g_table,
+        lambda n: SweepCaches().sn_exc_maj(n),
     ],
-    ids=["S_n", "class-none", "class-312", "class-4321", "brute", "tpoly", "tpoly-class", "gtable"],
+    ids=[
+        "S_n", "class-none", "class-312", "class-4321", "brute", "tpoly", "tpoly-class",
+        "gtable", "exc-maj",
+    ],
 )
 def test_every_enumeration_obeys_one_cap(monkeypatch, enumerate_n):
     monkeypatch.setenv("WIDTHK_MAX_N", "5")
@@ -305,6 +309,13 @@ class TestRecursions:
         for k in range(1, n + 2):
             assert fn(n, k) == brute_distribution(n, "des", k, pats), (n, k)
 
+    def test_123_132_matches_rows_from_q0_oracle(self):
+        # every n <= 40 and every k <= n + 1
+        for k in range(1, 42):
+            table = from_q0_123_132_table(40, k)
+            for n in range(41):
+                assert rec_123_132(n, k) == table[n], (n, k)
+
     def test_132_213_matches_per_row_oracle(self):
         # every n <= 40 and every k <= n + 1
         for k in range(1, 42):
@@ -356,6 +367,27 @@ def per_row_132_213_table(n, k):
         shifts = [(i, min(i, m - k)) for i in range(1, k + 1)]
         shifts += [(i, min(k, m - i)) for i in range(k + 1, m - k + 1)]
         shifts += [(i, m - i) for i in range(max(k + 1, m - k + 1), m + 1)]
+        for i, s in shifts:
+            for e, c in enumerate(rows[m - i]):
+                row[s + e] += c
+        rows.append(row)
+    return [LaurentPoly(dict(enumerate(row))) for row in rows]
+
+
+def from_q0_123_132_table(n, k):
+    """
+    rec_123_132(m, k) for m = 0..n with every row stored from q^0: the
+    independent oracle for the rows that genfun stores from their valuation.
+    """
+    rows = []
+    for m in range(n + 1):
+        if m <= k:
+            rows.append([2 ** max(m - 1, 0)])
+            continue
+        row = [0] * (m - k + 1)
+        row[m - k - 1] = 2 ** (m - max(k + 1, m - k + 1))
+        shifts = [(i, min(i, m - k)) for i in range(1, k + 1)]
+        shifts += [(i, min(i - 1, m - k - 1)) for i in range(k + 1, m - k + 1)]
         for i, s in shifts:
             for e, c in enumerate(rows[m - i]):
                 row[s + e] += c
@@ -478,11 +510,17 @@ class TestGradedDistributions:
                     assert joint.grade(weights) == brute_distribution(
                         n, "maj", ks
                     ), (n, ks)
-        # exc_k by blocks against stats.exc per word; n = 7 is the first size
-        # whose block product reads a block of 4 letters (k = 2)
-        exc = caches.sn_exc_maj(7)[0]
+        # exc_k and maj_k by blocks against stats.exc and stats.maj per word;
+        # n = 7 is the first size whose block product reads a block of 4
+        # letters (k = 2)
+        exc, maj, _ = caches.sn_exc_maj(7)
         for k in range(1, 7):
             assert exc[k] == brute_distribution(7, "exc", k), k
+            assert maj[k] == brute_distribution(7, "maj", k), k
+
+    def test_g_table_is_graded_once(self):
+        caches = SweepCaches()
+        assert caches.g_table(9) is caches.g_table(9)
 
     def test_width_set_grades_match_enumeration(self):
         caches = SweepCaches()
@@ -518,17 +556,18 @@ class TestGradedDistributions:
         assert [key for key, count in walks.items() if count > 1] == []
 
     def test_equidistribution_walks_each_sn_once(self, monkeypatch):
-        # the inv_K/maj_K info block grades the exc/maj pass, exc_k multiplies
-        # smaller exc_1 distributions, and inclusion-exclusion reads the
-        # joint descent distribution, so none of them walks S_n again
+        # the inv_K/maj_K info block grades the exc/maj walk, exc_k and maj_k
+        # multiply smaller exc_1 and maj_1 distributions, and
+        # inclusion-exclusion reads the joint descent distribution, so none
+        # of them walks S_n again
         walks = collections.Counter()
-        walk = genfun.enumerate_sn
+        walk = genfun._sn_exc_maj_walk
 
         def counted(n):
             walks[n] += 1
             return walk(n)
 
-        monkeypatch.setattr(genfun, "enumerate_sn", counted)
+        monkeypatch.setattr(genfun, "_sn_exc_maj_walk", counted)
         for suite in ("equidistribution", "all"):
             walks.clear()
             run_suite(suite, n_max=6, caches=SweepCaches())

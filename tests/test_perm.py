@@ -1,5 +1,6 @@
 """Permutation layer: symmetries, containment, enumeration, parsing."""
 
+import collections
 import functools
 import gc
 import itertools
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.perm import (
+    _sn_exc_maj_walk,
+    _sn_joint_descents,
     as_perm,
     avoidance_class,
     avoids,
@@ -85,6 +88,47 @@ def test_contains_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_sn_walks_leave_no_garbage():
+    # a self-referencing walk closure would keep its key dict alive until
+    # the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(3, 7):
+            _sn_joint_descents(n)
+            _sn_exc_maj_walk(n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _maj_profile(word):
+    """
+    (maj_1, ..., maj_(n-1)) of one word: entry g-1 sums ceil(i/g) over its
+    width-g descents i.  The per-word oracle for the exc/maj walk.
+    """
+    n = len(word)
+    maj = [0] * n
+    for i in range(n - 1):
+        a = word[i]
+        for j in range(i + 1, n):
+            if a > word[j]:
+                g = j - i
+                maj[g] += (i + g) // g
+    return tuple(maj[1:])
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_exc_maj_walk_matches_per_word_scan(n):
+    ranks = range(1, n + 1)
+    excs = collections.Counter()
+    majs = collections.Counter()
+    for word in itertools.permutations(ranks):
+        excs[sum(a > i for a, i in zip(word, ranks))] += 1
+        majs[_maj_profile(word)] += 1
+    assert _sn_exc_maj_walk(n) == (dict(excs), dict(majs))
 
 
 def _contains_brute(word, pattern):

@@ -201,6 +201,36 @@ def test_multipoly_specializations():
         p.grade((1, 0, 0))
 
 
+multipolys = st.integers(0, 4).flatmap(
+    lambda size: st.tuples(
+        st.just(size),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 5)] * size), st.integers(-9, 9), max_size=12
+        ),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * size), max_size=5),
+    )
+)
+
+
+@given(multipolys)
+@settings(max_examples=150)
+def test_grades_match_per_row_dot_products(case):
+    # the one-call grading against a per-term, per-row dot product
+    size, terms, rows = case
+    p = MultiPoly([f"t{g}" for g in range(1, size + 1)], terms)
+    expected = []
+    for weights in rows:
+        acc = {}
+        for exps, c in terms.items():
+            e = sum(w * x for w, x in zip(weights, exps))
+            acc[e] = acc.get(e, 0) + c
+        expected.append(LaurentPoly(acc))
+    assert p.grades(rows) == expected
+    assert [p.grade(w) for w in rows] == expected
+    with pytest.raises(InvalidInputError):
+        p.grades([*rows, (0,) * (size + 1)])
+
+
 def test_multipoly_json_roundtrip():
     p = MultiPoly(("t1", "t2"), {(1, 1): 1, (1, 0): 2})
     data = p.to_json()
