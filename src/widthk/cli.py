@@ -16,7 +16,14 @@ from collections import Counter
 
 from . import genfun, stats
 from .errors import EnumerationCapError, InvalidInputError
-from .perm import avoidance_class, enumeration_cap, format_perm, parse_patterns, parse_perm
+from .perm import (
+    avoidance_class,
+    check_cap,
+    enumeration_cap,
+    format_perm,
+    parse_patterns,
+    parse_perm,
+)
 from .poly import LaurentPoly
 
 FORMATS = ("plain", "json", "csv")
@@ -280,10 +287,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"nmax={args.nmax} exceeds enumeration cap {cap} "
                 "(raise WIDTHK_MAX_N to override)"
             )
+    names = list(genfun.SUITES) if args.suite == "all" else [args.suite]
+    if args.nmax is None:
+        # the default bounds are known up front, so the cap refuses a run
+        # before it prints anything
+        check_cap(max(genfun.SUITE_NMAX.get(name, 0) for name in names))
     # Print each suite's reports as soon as it returns.  The csv header waits
     # for the first suite, so an unknown suite name prints nothing.
     caches = genfun.SweepCaches()
-    names = list(genfun.SUITES) if args.suite == "all" else [args.suite]
     tally: Counter[str] = Counter()
     rows = csv.writer(sys.stdout, lineterminator="\n")
     for index, name in enumerate(names):

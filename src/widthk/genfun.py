@@ -611,7 +611,7 @@ def suite_example(n_max: int | None, caches: SweepCaches):
 
 def suite_theorem(n_max: int | None, caches: SweepCaches):
     """Brute-force des_k and inv_k over S_n against their closed forms."""
-    top = 8 if n_max is None else n_max
+    top = SUITE_NMAX["theorem"] if n_max is None else n_max
     swept = f"2<=n<={top}, 1<=k<=n-1"
 
     def cases(side: int, closed: Callable[[int, int], LaurentPoly]) -> Iterator[Case]:
@@ -639,7 +639,7 @@ def suite_equidistribution(n_max: int | None, caches: SweepCaches):
     k >= n/2.  Also reports, without asserting, how inv and maj compare on
     width sets of size >= 2, where no equidistribution is claimed.
     """
-    top = 8 if n_max is None else n_max
+    top = SUITE_NMAX["equidistribution"] if n_max is None else n_max
     swept = f"2<=n<={top}, 1<=k<=n-1"
 
     def cases(left: str, right: str, least_k=lambda n: 1) -> Iterator[Case]:
@@ -701,7 +701,7 @@ def suite_inclusion_exclusion(n_max: int | None, caches: SweepCaches):
     counts at subset lcms (terms with lcm >= n vanish), for every
     permutation; includes the worked 4 + 2 - 1 = 5 instance.
     """
-    top = 7 if n_max is None else n_max
+    top = SUITE_NMAX["inclusion-exclusion"] if n_max is None else n_max
 
     word = _EXAMPLE_WORD
     parts = {k: stats.inv(word, k) for k in (2, 3, 6)}
@@ -879,7 +879,7 @@ def suite_gtable(n_max: int | None, caches: SweepCaches):
 
 def suite_conjecture(n_max: int | None, caches: SweepCaches):
     """closed_g at every coprime (n, k), where it is n*q^(1-k)*A_(n-1)(q)."""
-    top = 9 if n_max is None else n_max
+    top = SUITE_NMAX["conjecture"] if n_max is None else n_max
 
     def cases() -> Iterator[Case]:
         for n in range(2, top + 1):
@@ -954,7 +954,7 @@ def suite_duality(n_max: int | None, caches: SweepCaches):
     relating 123 to 321 and 132, 213, 231, 312 to one another.
     """
     multi_top = 7 if n_max is None else min(n_max, 7)
-    uni_top = 8 if n_max is None else n_max
+    uni_top = SUITE_NMAX["duality"] if n_max is None else n_max
     classes = _small_pattern_classes()
 
     def joint(mode: str) -> Iterator[Case]:
@@ -1003,7 +1003,7 @@ def suite_avoidance(n_max: int | None, caches: SweepCaches):
     the two width-set products, the closed inversion form, the 312 degree
     formulas, and the q=1 specializations to C_n and 2^(n-1).
     """
-    top = 9 if n_max is None else n_max
+    top = SUITE_NMAX["avoidance"] if n_max is None else n_max
     multi_top = min(top, 8)
 
     def recursion(pats, fn) -> Iterator[Case]:
@@ -1100,7 +1100,7 @@ def suite_counting(n_max: int | None, caches: SweepCaches):
     empty class for {123, 321} past n = 4, and distributions evaluating at
     q = 1 to their domain sizes.
     """
-    top = 8 if n_max is None else n_max
+    top = SUITE_NMAX["counting"] if n_max is None else n_max
     small_top = min(top, 7)
 
     def size(n: int, patterns) -> int:
@@ -1157,6 +1157,22 @@ SUITES: dict[str, Callable] = {
     "duality": suite_duality,
     "avoidance": suite_avoidance,
     "counting": suite_counting,
+}
+
+
+#: The largest n each suite enumerates at its default bounds.  With no
+#: --nmax, verify compares the largest for the chosen suites with the cap
+#: before it prints anything.
+SUITE_NMAX: dict[str, int] = {
+    "example": 0,
+    "theorem": 8,
+    "equidistribution": 8,
+    "inclusion-exclusion": 7,
+    "gtable": max(GTABLE_REFERENCE),
+    "conjecture": 9,
+    "duality": 8,
+    "avoidance": 9,
+    "counting": 8,
 }
 
 

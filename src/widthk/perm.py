@@ -277,53 +277,62 @@ def avoidance_class(
     An occurrence of a prefix p[:t] of a pattern p of length m is kept as
     the bitmask S of its values; a later letter extends it to p[:t+1]
     exactly when it lies in the value interval gap(S) that the rank of p[t]
-    among p[:t+1] dictates.  Each branch carries a bitmask `taken` of the
-    values used or forbidden, and draws the next letter from the rest.  A
-    new occurrence of p[:m-1] forbids its gap for the whole subtree.
+    among p[:t+1] dictates.  A new occurrence of p[:m-1] forbids its gap for
+    the whole subtree, and every member still places every value, so a
+    letter whose placing would forbid a value not yet placed opens no
+    branch: the walk opens only prefixes that extend to a member, each
+    branch draws the next letter from the bitmask `left` of the values not
+    yet placed, and a prefix of length n - 1 is completed by the one value
+    left, without another level.
 
-    The occurrences of p[:m-2] are folded into `rows`: rows[x] is what
-    placing x next would forbid, so the occurrence of p[:m-1] that x
-    completes costs nothing to find.  Length 1 starts with every value
-    taken; length 2 starts rows[v] at gap({v}); for length 3 the letters
-    themselves are the occurrences of p[:1], and one table pair[a][v] holds
-    what (a, v) folds in for all length-3 patterns at once, which is faster
-    than the per-pattern occurrence lists below.  From length 4 on, placing
-    v extends the occurrences {a} of p[:1] (the earlier letters whose gap
-    holds v) and the stored occurrences of p[:2] .. p[:m-3] whose gap holds
-    v; a stored occurrence is dropped once no value left can fall in its
-    gap.  The gaps and folds are memoized per pattern for the call and freed
-    when it returns.  A prefix of length n - 1 has at most one value left
-    and is completed without another level.
+    The occurrences of p[:m-2] are folded into `rows`, one int with a field
+    of n + 2 bits per value: field x holds what placing x next would
+    forbid, so the occurrence of p[:m-1] that x completes costs nothing to
+    find.  Length 2 starts field v at gap({v}); for length 3 the letters
+    themselves are the occurrences of p[:1], and one int pair[a] per letter,
+    with field v holding what (a, v) folds in for all length-3 patterns at
+    once, makes a child's rows one OR.  From length 4 on, placing v extends
+    the occurrences {a} of p[:1] (the earlier letters whose gap holds v) and
+    the stored occurrences of p[:2] .. p[:m-3] whose gap holds v; a stored
+    occurrence is dropped once no value left can fall in its gap.  The gaps
+    and folds are memoized per pattern for the call and freed when it
+    returns.
     """
     check_cap(n)
     pats = check_patterns(patterns)
     if not pats:
         yield from enumerate_sn(n)
         return
+    if n == 0:
+        yield ()  # the empty word contains no nonempty pattern
+        return
+    if (1,) in pats:
+        return  # every letter is an occurrence of the pattern 1
     everything = (1 << (n + 1)) - 2
+    width = n + 2  # bits per field of rows
 
-    # pair[a][v]: bit x set iff a before v, then x, would form a length-3
-    # pattern.  p[2] = 1, 2, 3 puts x in the gap below, between or above a, v.
-    pair = [[0] * (n + 1) for _ in range(n + 1)]
+    # pair[a], field v: bit x set iff a before v, then x, would form a
+    # length-3 pattern.  p[2] = 1, 2, 3 puts x in the gap below, between or
+    # above a, v.
+    pair = [0] * (n + 1)
     for p0, p1, p2 in (p for p in pats if len(p) == 3):
         for a, v in itertools.permutations(range(1, n + 1), 2):
             if (a < v) == (p0 < p1):
                 gaps = (0, min(a, v), max(a, v), n + 1)
-                pair[a][v] |= (1 << gaps[p2]) - (1 << (gaps[p2 - 1] + 1))
-    rows = [0] * (n + 1)
+                pair[a] |= (1 << gaps[p2]) - (1 << (gaps[p2 - 1] + 1)) << width * v
+    rows = 0
     for p in (p for p in pats if len(p) == 2):
         for v in range(1, n + 1):
-            rows[v] |= _gap(p, 1 << v, n)
-    taken = everything if any(len(p) == 1 for p in pats) else 0
+            rows |= _gap(p, 1 << v, n) << width * v
     # (pattern, p[0] < p[1], gap memo, fold memo) per pattern of length >= 4
     long = [(p, p[0] < p[1], {}, {}) for p in pats if len(p) >= 4]
 
     prefix: list[int] = []
 
-    def grow(v: int, left: int, rows: list[int], stored: list) -> list:
-        # Place v after prefix: fold each new occurrence of p[:m-2] into
-        # rows, and return the stored occurrences of p[:2] .. p[:m-3] that
-        # are still live, given the values left to place.
+    def grow(v: int, left: int, rows: int, stored: list) -> tuple[int, list]:
+        # Place v after prefix: return rows with each new occurrence of
+        # p[:m-2] folded in, and the stored occurrences of p[:2] .. p[:m-3]
+        # that are still live, given the values left to place.
         # stored[i][j]: (S, gap(S)) per occurrence of p[:j+2], p = long[i][0].
         bit = 1 << v
         child = []
@@ -344,37 +353,37 @@ def avoidance_class(
                 fold = folds.get(s)
                 if fold is None:
                     g = _gap(p, s, n)
-                    fold = folds[s] = [
-                        (x, _gap(p, s | 1 << x, n)) for x in range(1, n + 1) if g >> x & 1
-                    ]
-                for x, g in fold:
-                    rows[x] |= g
+                    fold = folds[s] = sum(
+                        _gap(p, s | 1 << x, n) << width * x
+                        for x in range(1, n + 1)
+                        if g >> x & 1
+                    )
+                rows |= fold
             child.append(child_levels)
-        return child
+        return rows, child
 
-    def extend(taken: int, rows: list[int], stored: list) -> Iterator[tuple[int, ...]]:
-        free = everything & ~taken
-        if len(prefix) >= n - 1:
-            if len(prefix) == n:
-                yield tuple(prefix)
-            elif free:
-                yield (*prefix, free.bit_length() - 1)
+    def extend(left: int, rows: int, stored: list) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == n - 1:
+            yield (*prefix, left.bit_length() - 1)
             return
+        free = left
         while free:
             bit = free & -free
             free ^= bit
             v = bit.bit_length() - 1
-            child_taken = taken | bit | rows[v]
-            child_rows = [r | f for r, f in zip(rows, pair[v])]
-            child_stored = (
-                grow(v, everything & ~child_taken, child_rows, stored) if long else stored
-            )
+            rest = left ^ bit
+            if rows >> width * v & rest:
+                continue  # placing v would forbid a value still to place
+            child_rows = rows | pair[v]
+            child_stored = stored
+            if long:
+                child_rows, child_stored = grow(v, rest, child_rows, stored)
             prefix.append(v)
-            yield from extend(child_taken, child_rows, child_stored)
+            yield from extend(rest, child_rows, child_stored)
             prefix.pop()
 
     try:
-        yield from extend(taken, rows, [[[] for _ in range(len(p) - 4)] for p, *_ in long])
+        yield from extend(everything, rows, [[[] for _ in range(len(p) - 4)] for p, *_ in long])
     finally:
         del extend  # extend refers to itself; without this the memos wait for gc
 

@@ -373,20 +373,32 @@ class MultiPoly:
         terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = (),
     ):
         self.vars = tuple(variables)
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], int] = {}
-        for exps, c in items:
-            exps = tuple(exps)
-            if len(exps) != len(self.vars):
-                raise InvalidInputError(
-                    f"exponent vector {exps!r} does not match variables {self.vars!r}"
-                )
-            if any(e < 0 for e in exps):
-                raise InvalidInputError(f"negative exponent in {exps!r}")
-            if c:
-                acc[exps] = acc.get(exps, 0) + c
-                if not acc[exps]:
-                    del acc[exps]
+        if isinstance(terms, Mapping):
+            keys, coeffs = list(map(tuple, terms)), list(terms.values())
+        else:
+            pairs = list(terms)
+            keys = list(map(tuple, map(operator.itemgetter(0), pairs)))
+            coeffs = list(map(operator.itemgetter(1), pairs))
+        # Check every vector in C-level passes; only a failure looks for the
+        # first bad vector, to name it.
+        size = len(self.vars)
+        if keys and (set(map(len, keys)) != {size} or size and min(map(min, keys)) < 0):
+            for exps in keys:
+                if len(exps) != size:
+                    raise InvalidInputError(
+                        f"exponent vector {exps!r} does not match variables {self.vars!r}"
+                    )
+                if any(e < 0 for e in exps):
+                    raise InvalidInputError(f"negative exponent in {exps!r}")
+        acc = dict(zip(keys, coeffs))
+        if len(acc) < len(keys) or not all(coeffs):
+            # repeated vectors add up and zero coefficients drop out
+            acc = {}
+            for exps, c in zip(keys, coeffs):
+                if c:
+                    acc[exps] = acc.get(exps, 0) + c
+                    if not acc[exps]:
+                        del acc[exps]
         self._terms = acc
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:

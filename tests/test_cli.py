@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from widthk import genfun, perm
 from widthk.cli import FORMATS, _emit_kv, _factored_g, main
+from widthk.errors import EnumerationCapError
 from widthk.genfun import VerificationReport
 from widthk.poly import LaurentPoly
 
@@ -459,12 +460,30 @@ def test_fuzzed_argv_exits_cleanly(argv, cap):
 
 
 def test_verify_under_a_lowered_cap_exits_2(capsys, monkeypatch):
-    # the default bounds reach n = 9: the suites before gtable print, then one line
+    # the default bounds reach n = 9, and the cap refuses before any output
     monkeypatch.setenv("WIDTHK_MAX_N", "8")
-    code, out, err = run(capsys, "verify")
-    assert code == 2
-    assert out.startswith("[verified] ")
-    assert err == "error: n=9 exceeds enumeration cap 8\n"
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "verify", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "error: n=9 exceeds enumeration cap 8\n"
+
+
+@pytest.mark.parametrize("name", list(genfun.SUITES))
+def test_each_suite_runs_at_its_declared_bound(capsys, monkeypatch, name):
+    # example enumerates nothing, so it runs at WIDTHK_MAX_N=0
+    bound = genfun.SUITE_NMAX[name]
+    monkeypatch.setenv("WIDTHK_MAX_N", str(bound))
+    code, out, err = run(capsys, "verify", "--suite", name)
+    assert code == 0 and err == ""
+    assert " 0 mismatched" in out
+    if bound:
+        monkeypatch.setenv("WIDTHK_MAX_N", str(bound - 1))
+        # the bound is tight: the suite itself reaches n = bound
+        with pytest.raises(EnumerationCapError):
+            genfun.run_suite(name)
+        code, out, err = run(capsys, "verify", "--suite", name)
+        assert code == 2 and out == ""
+        assert err == f"error: n={bound} exceeds enumeration cap {bound - 1}\n"
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,16 @@
 import collections
 import functools
 import gc
+import inspect
 import itertools
 import operator
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widthk import perm
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.perm import (
     _sn_exc_maj_walk,
@@ -258,6 +261,60 @@ patterns = st.integers(1, 5).flatmap(
 def test_avoidance_class_matches_filter_on_random_sets(pats, n):
     expected = [w for w in enumerate_sn(n) if avoids(w, pats)]
     assert list(avoidance_class(n, pats)) == expected
+
+
+def _opened_prefixes(n, pats):
+    # (prefixes the walk opens, members): one opened prefix per frame of a
+    # generator function of perm other than avoidance_class itself, i.e. per
+    # level of the recursive walk.  The frames stay referenced until the
+    # count is taken, so no two share an id.
+    frames = {}
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_filename == perm.__file__
+            and code.co_flags & inspect.CO_GENERATOR
+            and code.co_name != "avoidance_class"
+            and not code.co_name.startswith("<")
+        ):
+            frames[id(frame)] = frame
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        members = list(avoidance_class(n, pats))
+    finally:
+        sys.setprofile(previous)
+    return len(frames), members
+
+
+@pytest.mark.parametrize("length", [3, 4])
+def test_walk_opens_only_live_prefixes(length):
+    # a walk must open every proper prefix of a member; one that opens no
+    # other prefix has the same count
+    for pattern in itertools.permutations(range(1, length + 1)):
+        for n in range(8):
+            opened, members = _opened_prefixes(n, [pattern])
+            live = {w[:i] for w in members for i in range(n)}
+            assert opened == len(live), (pattern, n)
+
+
+# prefixes opened for Av_7 of each pair from S_3 before the walk skipped
+# letters that forbid a value still to place
+PAIR_PREFIXES_7 = {
+    "123,132": 1030, "123,213": 1030, "123,231": 778, "123,312": 778, "123,321": 330,
+    "132,213": 1030, "132,231": 1030, "132,312": 1030, "132,321": 778,
+    "213,231": 1030, "213,312": 1030, "213,321": 778,
+    "231,312": 1030, "231,321": 1030, "312,321": 1030,
+}
+
+
+@pytest.mark.parametrize("pats", list(PAIR_PREFIXES_7))
+def test_pair_walks_open_no_more_prefixes(pats):
+    opened, members = _opened_prefixes(7, parse_patterns(pats))
+    assert len({w[:i] for w in members for i in range(7)}) <= opened <= PAIR_PREFIXES_7[pats]
 
 
 def test_avoidance_class_is_lexicographic():

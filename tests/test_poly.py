@@ -175,6 +175,27 @@ def test_multipoly_basics():
         MultiPoly(("t1",), {(-1,): 1})
 
 
+@pytest.mark.parametrize(
+    "variables, terms, message",
+    [
+        (("t1", "t2"), {(0, 0): 1, (1,): 2, (2, 1): 1},
+         "exponent vector (1,) does not match variables ('t1', 't2')"),
+        (("t1", "t2"), [((1, 0), 1), ((0, 1, 0), 0)],
+         "exponent vector (0, 1, 0) does not match variables ('t1', 't2')"),
+        ((), {(): 1, (0,): 1}, "exponent vector (0,) does not match variables ()"),
+        (("t1", "t2"), {(0, 0): 1, (3, -1): 2, (-2, 0): 1}, "negative exponent in (3, -1)"),
+        (("t1",), [([0], 1), ([-1], 0)], "negative exponent in (-1,)"),
+        # the first bad vector is named, whichever check it fails
+        (("t1", "t2"), {(0, -1): 1, (1,): 1}, "negative exponent in (0, -1)"),
+        (("t1", "t2"), {(1,): 1, (0, -1): 1}, "exponent vector (1,) does not match"),
+    ],
+)
+def test_multipoly_names_the_bad_vector(variables, terms, message):
+    with pytest.raises(InvalidInputError) as info:
+        MultiPoly(variables, terms)
+    assert str(info.value).startswith(message)
+
+
 def test_multipoly_reflect():
     p = MultiPoly(("t1", "t2"), {(0, 0): 1, (2, 1): 3})
     r = p.reflect((2, 1))
