@@ -3,14 +3,17 @@ Command-line driver: compute statistics, build distributions by any route,
 print the signed-difference tables, and run the verification suites.
 
 Exit codes: 0 on success (all identities verified), 1 when routes or
-identities disagree, 2 on usage, parse, or enumeration-cap errors.  Output
-is deterministic, so repeated runs are byte-identical.
+identities disagree or when stdout closes before the output is written (as
+under `| head`, with nothing on stderr), 2 on usage, parse, or
+enumeration-cap errors.  Output is deterministic, so repeated runs are
+byte-identical.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import Counter
 
@@ -87,24 +90,23 @@ def cmd_stat(args: argparse.Namespace) -> int:
     lines: list[str] = []
     label = _widths_label(widths)
 
-    if name == "des":
-        rec = stats.descent_record(word, widths)
-        data.update(rec.to_json())
-        lines.append(f"des_{label}({data['perm']}) = {rec.count}")
-        for k in widths:
-            lines.append(
-                f"Des_{k} = {{{','.join(str(i) for i in rec.per_width[k])}}}"
-            )
-        lines.append(f"Des_{label} = {{{','.join(str(i) for i in rec.multiset)}}}")
-    elif name == "inv":
-        rec = stats.inversion_record(word, widths)
-        data.update(rec.to_json())
-        lines.append(f"inv_{label}({data['perm']}) = {rec.count}")
-        def pairs(ps):
-            return "{" + ",".join(f"({i},{j})" for i, j in ps) + "}"
-        for k in widths:
-            lines.append(f"Inv_{k} = {pairs(sorted(rec.per_width[k]))}")
-        lines.append(f"Inv_{label} = {pairs(rec.pairs)}")
+    if name in ("des", "inv"):
+        # des joins indices as a multiset, inv joins pairs as a set
+        if name == "des":
+            fn, keys, show = stats.des_set, ("des", "multiset"), str
+        else:
+            fn, keys, show = stats.inv_set, ("inv_by_width", "inv"), "({0[0]},{0[1]})".format
+        per = {k: fn(word, k) for k in widths}
+        union = fn(word, widths)
+        data.update(
+            {keys[0]: {str(k): v for k, v in per.items()}, keys[1]: union, "count": len(union)}
+        )
+        def braces(items) -> str:
+            return "{" + ",".join(map(show, items)) + "}"
+        title = name.capitalize()
+        lines.append(f"{name}_{label}({data['perm']}) = {len(union)}")
+        lines.extend(f"{title}_{k} = {braces(per[k])}" for k in widths)
+        lines.append(f"{title}_{label} = {braces(union)}")
     else:
         fn = stats.exc if name == "exc" else stats.maj
         per = {k: fn(word, k) for k in widths}
@@ -435,10 +437,17 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except (InvalidInputError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to devnull so the
+        # interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

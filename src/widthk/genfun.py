@@ -568,8 +568,8 @@ class SweepCaches:
             exc = {1: LaurentPoly(exc_counts)}
             maj = {1: joint.grade(_indicator(n, (1,)))}
             for k in range(2, n):
-                exc[k] = _by_blocks(n, k, lambda m: self.sn_exc_maj(m)[0][1] if m > 1 else ONE)
-                maj[k] = _by_blocks(n, k, lambda m: self.sn_exc_maj(m)[1][1] if m > 1 else ONE)
+                exc[k] = _by_blocks(n, k, lambda m: self.sn_exc_maj(m)[0][1])
+                maj[k] = _by_blocks(n, k, lambda m: self.sn_exc_maj(m)[1][1])
             self._sn_exc_maj[n] = (exc, maj, joint)
         return self._sn_exc_maj[n]
 
@@ -584,23 +584,23 @@ _EXAMPLE_WORD = (4, 1, 3, 6, 5, 7, 2)
 _EXAMPLE_WIDTHS = (2, 3)
 
 
-def suite_example(n_max: int | None, caches: SweepCaches):
+def suite_example(top: int, caches: SweepCaches):
     """The worked statistics of 4136572 at width set {2, 3}."""
     word = _EXAMPLE_WORD
     widths = _EXAMPLE_WIDTHS
     swept = f"sigma={format_perm(word)}, K={{2,3}}"
     params = {"sigma": format_perm(word)}
-    drec = stats.descent_record(word, widths)
-    irec = stats.inversion_record(word, widths)
+    descents = stats.des_set(word, widths)
+    pairs = stats.inv_set(word, widths)
     checks = (
         (
             "example[des]",
-            {"count": drec.count, "multiset": list(drec.multiset)},
+            {"count": len(descents), "multiset": list(descents)},
             {"count": 3, "multiset": [1, 4, 5]},
         ),
         (
             "example[inv]",
-            {"count": irec.count, "pairs": [list(p) for p in irec.pairs]},
+            {"count": len(pairs), "pairs": [list(p) for p in pairs]},
             {"count": 5, "pairs": [[1, 3], [1, 7], [3, 7], [4, 7], [5, 7]]},
         ),
         ("example[exc]", stats.exc(word, widths), 4),
@@ -609,9 +609,8 @@ def suite_example(n_max: int | None, caches: SweepCaches):
     return [_check(identity, swept, [(params, got, want)]) for identity, got, want in checks]
 
 
-def suite_theorem(n_max: int | None, caches: SweepCaches):
+def suite_theorem(top: int, caches: SweepCaches):
     """Brute-force des_k and inv_k over S_n against their closed forms."""
-    top = SUITE_NMAX["theorem"] if n_max is None else n_max
     swept = f"2<=n<={top}, 1<=k<=n-1"
 
     def cases(side: int, closed: Callable[[int, int], LaurentPoly]) -> Iterator[Case]:
@@ -633,13 +632,12 @@ def _width_subsets(n: int, max_size: int | None = None) -> Iterator[tuple[int, .
         yield from itertools.combinations(range(1, n), size)
 
 
-def suite_equidistribution(n_max: int | None, caches: SweepCaches):
+def suite_equidistribution(top: int, caches: SweepCaches):
     """
     des_k ~ exc_k and inv_k ~ maj_k for every n, k; des_k ~ inv_k once
     k >= n/2.  Also reports, without asserting, how inv and maj compare on
     width sets of size >= 2, where no equidistribution is claimed.
     """
-    top = SUITE_NMAX["equidistribution"] if n_max is None else n_max
     swept = f"2<=n<={top}, 1<=k<=n-1"
 
     def cases(left: str, right: str, least_k=lambda n: 1) -> Iterator[Case]:
@@ -695,13 +693,12 @@ def suite_equidistribution(n_max: int | None, caches: SweepCaches):
     return reports
 
 
-def suite_inclusion_exclusion(n_max: int | None, caches: SweepCaches):
+def suite_inclusion_exclusion(top: int, caches: SweepCaches):
     """
     inv over a width set equals the alternating sum of single-width inv
     counts at subset lcms (terms with lcm >= n vanish), for every
     permutation; includes the worked 4 + 2 - 1 = 5 instance.
     """
-    top = SUITE_NMAX["inclusion-exclusion"] if n_max is None else n_max
 
     word = _EXAMPLE_WORD
     parts = {k: stats.inv(word, k) for k in (2, 3, 6)}
@@ -854,10 +851,10 @@ def format_factored(c: int, s: int, m: int, e: int) -> str:
     return "*".join(parts)
 
 
-def suite_gtable(n_max: int | None, caches: SweepCaches):
+def suite_gtable(top: int, caches: SweepCaches):
     """
     Every reference entry for the signed descent difference at n=6,8,9; a
-    row above n_max has no cases and reports not-applicable.
+    row above top has no cases and reports not-applicable.
     """
 
     def cases(n: int) -> Iterator[Case]:
@@ -869,17 +866,16 @@ def suite_gtable(n_max: int | None, caches: SweepCaches):
     reports = []
     for n in sorted(GTABLE_REFERENCE):
         swept = f"n={n}, 1<=k<=n-1"
-        if n_max is not None and n > n_max:
-            reports.append(_check(f"gtable[n={n}]", f"{swept}, n<={n_max}", ()))
+        if n > top:
+            reports.append(_check(f"gtable[n={n}]", f"{swept}, n<={top}", ()))
         else:
             notes = (_GTABLE_A9_NOTE,) if n == 9 else ()
             reports.append(_check(f"gtable[n={n}]", swept, cases(n), notes))
     return reports
 
 
-def suite_conjecture(n_max: int | None, caches: SweepCaches):
+def suite_conjecture(top: int, caches: SweepCaches):
     """closed_g at every coprime (n, k), where it is n*q^(1-k)*A_(n-1)(q)."""
-    top = SUITE_NMAX["conjecture"] if n_max is None else n_max
 
     def cases() -> Iterator[Case]:
         for n in range(2, top + 1):
@@ -947,14 +943,13 @@ def _duality_sides(
     return caches.t_poly(n, check_patterns(image)), expected
 
 
-def suite_duality(n_max: int | None, caches: SweepCaches):
+def suite_duality(top: int, caches: SweepCaches):
     """
     The reflect dualities of the joint descent distribution over every
     pattern class from S_3 of size <= 2, plus their single-width corollaries
     relating 123 to 321 and 132, 213, 231, 312 to one another.
     """
-    multi_top = 7 if n_max is None else min(n_max, 7)
-    uni_top = SUITE_NMAX["duality"] if n_max is None else n_max
+    multi_top = min(top, 7)
     classes = _small_pattern_classes()
 
     def joint(mode: str) -> Iterator[Case]:
@@ -967,14 +962,14 @@ def suite_duality(n_max: int | None, caches: SweepCaches):
         return caches.av_dists(n, (pattern,))[0]
 
     def twins_123_321() -> Iterator[Case]:
-        for n in range(2, uni_top + 1):
+        for n in range(2, top + 1):
             f123 = des_dists(n, (1, 2, 3))
             f321 = des_dists(n, (3, 2, 1))
             for k in range(1, n):
                 yield {"n": n, "k": k}, f123[k], f321[k].inverse_q().shift(n - k)
 
     def twins_132_213_231_312() -> Iterator[Case]:
-        for n in range(2, uni_top + 1):
+        for n in range(2, top + 1):
             f132 = des_dists(n, (1, 3, 2))
             f213 = des_dists(n, (2, 1, 3))
             f231 = des_dists(n, (2, 3, 1))
@@ -989,7 +984,7 @@ def suite_duality(n_max: int | None, caches: SweepCaches):
                     yield {"n": n, "k": k, "link": label}, lhs, rhs
 
     joint_range = f"1<=n<={multi_top}, all pattern sets from S_3 of size <= 2"
-    swept = f"2<=n<={uni_top}, 1<=k<=n-1"
+    swept = f"2<=n<={top}, 1<=k<=n-1"
     return [
         *(_check(f"duality[{mode}]", joint_range, joint(mode)) for mode in DUALITY_MODES),
         _check("duality[univariate:123~321]", swept, twins_123_321()),
@@ -997,13 +992,12 @@ def suite_duality(n_max: int | None, caches: SweepCaches):
     ]
 
 
-def suite_avoidance(n_max: int | None, caches: SweepCaches):
+def suite_avoidance(top: int, caches: SweepCaches):
     """
     Every avoidance-class formula against brute force: the four recursions,
     the two width-set products, the closed inversion form, the 312 degree
     formulas, and the q=1 specializations to C_n and 2^(n-1).
     """
-    top = SUITE_NMAX["avoidance"] if n_max is None else n_max
     multi_top = min(top, 8)
 
     def recursion(pats, fn) -> Iterator[Case]:
@@ -1094,13 +1088,12 @@ def suite_avoidance(n_max: int | None, caches: SweepCaches):
     ]
 
 
-def suite_counting(n_max: int | None, caches: SweepCaches):
+def suite_counting(top: int, caches: SweepCaches):
     """
     Class-size sanity: Catalan counts for single patterns from S_3, the
     empty class for {123, 321} past n = 4, and distributions evaluating at
     q = 1 to their domain sizes.
     """
-    top = SUITE_NMAX["counting"] if n_max is None else n_max
     small_top = min(top, 7)
 
     def size(n: int, patterns) -> int:
@@ -1160,9 +1153,9 @@ SUITES: dict[str, Callable] = {
 }
 
 
-#: The largest n each suite enumerates at its default bounds.  With no
-#: --nmax, verify compares the largest for the chosen suites with the cap
-#: before it prints anything.
+#: Each suite's default bound, which is also the largest n it enumerates.
+#: With no --nmax, verify compares the largest for the chosen suites with
+#: the cap before it prints anything.
 SUITE_NMAX: dict[str, int] = {
     "example": 0,
     "theorem": 8,
@@ -1181,17 +1174,16 @@ def run_suite(
 ) -> list[VerificationReport]:
     """
     Run one verification suite (or "all"), returning its reports in a fixed
-    deterministic order.
+    deterministic order.  Each suite sweeps up to n_max, or by default up to
+    its own SUITE_NMAX bound.
     """
-    if caches is None:
-        caches = SweepCaches()
-    if name == "all":
-        reports: list[VerificationReport] = []
-        for fn in SUITES.values():
-            reports.extend(fn(n_max, caches))
-        return reports
-    fn = SUITES.get(name)
-    if fn is None:
+    if name != "all" and name not in SUITES:
         choices = ", ".join(list(SUITES) + ["all"])
         raise InvalidInputError(f"unknown suite {name!r}; choose from: {choices}")
-    return fn(n_max, caches)
+    if caches is None:
+        caches = SweepCaches()
+    reports: list[VerificationReport] = []
+    for each in SUITES if name == "all" else (name,):
+        top = SUITE_NMAX[each] if n_max is None else n_max
+        reports.extend(SUITES[each](top, caches))
+    return reports

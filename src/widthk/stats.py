@@ -12,7 +12,6 @@ one-line conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
@@ -147,65 +146,3 @@ def maj(word: Sequence[int], widths: Widths = 1) -> int:
     """
     ks = normalize_widths(widths, len(word))
     return sum(math.ceil(i / k) for k in ks for i in _des_one(word, k))
-
-
-def classical_stats(word: Sequence[int]) -> tuple[int, int, int, int]:
-    """
-    The classical quadruple (des, inv, maj, exc), computed directly from the
-    textbook definitions.  The width-1 statistics must reproduce it.
-    """
-    n = len(word)
-    descents = [i + 1 for i in range(n - 1) if word[i] > word[i + 1]]
-    inversions = sum(
-        1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j]
-    )
-    return (len(descents), inversions, sum(descents), _exc_classical(word))
-
-
-@dataclass(frozen=True)
-class DescentRecord:
-    """Per-width descent index sets with their combined multiset and count."""
-
-    per_width: dict[int, tuple[int, ...]]
-    multiset: tuple[int, ...]
-    count: int
-
-    def to_json(self) -> dict:
-        return {
-            "des": {str(k): list(v) for k, v in sorted(self.per_width.items())},
-            "multiset": list(self.multiset),
-            "count": self.count,
-        }
-
-
-@dataclass(frozen=True)
-class InversionRecord:
-    """Per-width inversion pair sets with their deduplicated union and count."""
-
-    per_width: dict[int, tuple[tuple[int, int], ...]]
-    pairs: tuple[tuple[int, int], ...]
-    count: int
-
-    def to_json(self) -> dict:
-        return {
-            "inv_by_width": {
-                str(k): [list(p) for p in v]
-                for k, v in sorted(self.per_width.items())
-            },
-            "inv": [list(p) for p in self.pairs],
-            "count": self.count,
-        }
-
-
-def descent_record(word: Sequence[int], widths: Widths) -> DescentRecord:
-    ks = normalize_widths(widths, len(word))
-    per = {k: tuple(_des_one(word, k)) for k in ks}
-    multiset = tuple(sorted(i for v in per.values() for i in v))
-    return DescentRecord(per_width=per, multiset=multiset, count=len(multiset))
-
-
-def inversion_record(word: Sequence[int], widths: Widths) -> InversionRecord:
-    ks = normalize_widths(widths, len(word))
-    per = {k: tuple(_inv_one(word, k)) for k in ks}
-    union = tuple(sorted({p for v in per.values() for p in v}))
-    return InversionRecord(per_width=per, pairs=union, count=len(union))

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -50,6 +52,34 @@ def test_stat_inv_json(capsys):
     assert data["count"] == 5
     assert data["inv"] == [[1, 3], [1, 7], [3, 7], [4, 7], [5, 7]]
     assert data["inv_by_width"]["3"] == [[1, 7], [4, 7]]
+
+
+_WORKED = {"perm": "4136572", "widths": [2, 3]}
+
+
+@pytest.mark.parametrize(
+    "name, fields",
+    [
+        ("des", {"des": {"2": [1, 5], "3": [4]}, "multiset": [1, 4, 5], "count": 3}),
+        (
+            "inv",
+            {
+                "inv_by_width": {"2": [[1, 3], [1, 7], [3, 7], [5, 7]], "3": [[1, 7], [4, 7]]},
+                "inv": [[1, 3], [1, 7], [3, 7], [4, 7], [5, 7]],
+                "count": 5,
+            },
+        ),
+    ],
+)
+def test_stat_json_layout_is_exact(capsys, name, fields):
+    # keys, their order and their values, byte for byte
+    code, out, _ = run(
+        capsys,
+        "stat", "--perm", "4136572", "--widths", "2,3", "--stat", name,
+        "--format", "json",
+    )
+    assert code == 0
+    assert out == json.dumps({**_WORKED, "statistic": name, **fields}) + "\n"
 
 
 def test_stat_exc_and_maj(capsys):
@@ -506,6 +536,26 @@ def test_above_the_cap_exits_2_before_enumerating(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("avoid", "--n", "8", "--patterns", "4321", "--members"),
+        ("verify", "--format", "csv"),
+    ],
+)
+def test_a_reader_that_stops_early_gets_exit_1_and_no_traceback(argv):
+    # as under `| head -1`: the pipe closes after the first line
+    with subprocess.Popen(
+        [sys.executable, "-m", "widthk", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_parser_is_reused_across_calls(capsys):

@@ -17,6 +17,7 @@ from widthk.genfun import (
     GTABLE_REFERENCE,
     PRODUCTS,
     RECURSIONS,
+    SUITE_NMAX,
     SUITES,
     SweepCaches,
     VerificationReport,
@@ -41,7 +42,15 @@ from widthk.genfun import (
     t_polynomial,
 )
 from widthk.perm import avoidance_class, enumerate_sn
-from widthk.poly import LaurentPoly, MultiPoly, block_multinomial, catalan, eulerian_poly, q_factorial
+from widthk.poly import (
+    ONE,
+    LaurentPoly,
+    MultiPoly,
+    block_multinomial,
+    catalan,
+    eulerian_poly,
+    q_factorial,
+)
 
 
 def P(*coeffs_from_zero):
@@ -510,6 +519,9 @@ class TestGradedDistributions:
                     assert joint.grade(weights) == brute_distribution(
                         n, "maj", ks
                     ), (n, ks)
+        # a one-letter block contributes nothing to either statistic
+        exc, maj, _ = caches.sn_exc_maj(1)
+        assert exc[1] == maj[1] == ONE
         # exc_k and maj_k by blocks against stats.exc and stats.maj per word;
         # n = 7 is the first size whose block product reads a block of 4
         # letters (k = 2)
@@ -557,9 +569,9 @@ class TestGradedDistributions:
 
     def test_equidistribution_walks_each_sn_once(self, monkeypatch):
         # the inv_K/maj_K info block grades the exc/maj walk, exc_k and maj_k
-        # multiply smaller exc_1 and maj_1 distributions, and
-        # inclusion-exclusion reads the joint descent distribution, so none
-        # of them walks S_n again
+        # multiply smaller exc_1 and maj_1 distributions (down to the
+        # one-letter blocks of S_1), and inclusion-exclusion reads the joint
+        # descent distribution, so none of them walks S_n again
         walks = collections.Counter()
         walk = genfun._sn_exc_maj_walk
 
@@ -571,7 +583,7 @@ class TestGradedDistributions:
         for suite in ("equidistribution", "all"):
             walks.clear()
             run_suite(suite, n_max=6, caches=SweepCaches())
-            assert walks == collections.Counter(range(2, 7)), suite
+            assert walks == collections.Counter(range(1, 7)), suite
 
 
 class TestReports:
@@ -645,6 +657,12 @@ class TestSuites:
     def test_unknown_suite_raises(self):
         with pytest.raises(InvalidInputError):
             run_suite("no-such-suite")
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_default_bound_is_suite_nmax(self, caches, name):
+        assert run_suite(name, caches=caches) == run_suite(
+            name, n_max=SUITE_NMAX[name], caches=caches
+        )
 
     def test_example_suite(self, caches):
         reports = run_suite("example", caches=caches)

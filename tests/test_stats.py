@@ -9,20 +9,32 @@ from hypothesis import strategies as st
 from widthk.errors import InvalidInputError
 from widthk.perm import standardize
 from widthk.stats import (
-    classical_stats,
     des,
     des_set,
-    descent_record,
     exc,
     inv,
     inv_by_lcm,
     inv_set,
-    inversion_record,
     maj,
     normalize_widths,
 )
 
 W = (4, 1, 3, 6, 5, 7, 2)
+
+
+def classical_stats(word):
+    """
+    The classical quadruple (des, inv, maj, exc), computed directly from the
+    textbook definitions: the width-1 oracle.
+    """
+    n = len(word)
+    descents = [i + 1 for i in range(n - 1) if word[i] > word[i + 1]]
+    inversions = sum(
+        1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j]
+    )
+    excedances = sum(1 for i, a in enumerate(word) if a > i + 1)
+    return (len(descents), inversions, sum(descents), excedances)
+
 
 perms = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -76,19 +88,14 @@ class TestWorkedExample:
         assert maj(W, 3) == 2
         assert maj(W, (2, 3)) == 6
 
-    def test_records(self):
-        rec = descent_record(W, (2, 3))
-        assert rec.per_width == {2: (1, 5), 3: (4,)}
-        assert rec.multiset == (1, 4, 5)
-        assert rec.count == 3
-        assert rec.to_json() == {
-            "des": {"2": [1, 5], "3": [4]},
-            "multiset": [1, 4, 5],
-            "count": 3,
-        }
-        inv_rec = inversion_record(W, (2, 3))
-        assert inv_rec.count == 5
-        assert inv_rec.to_json()["inv"] == [[1, 3], [1, 7], [3, 7], [4, 7], [5, 7]]
+    def test_width_set_unions(self):
+        # descents join as a multiset: index 1 is a descent at widths 1 and 2
+        assert des_set(W, 1) == (1, 4, 6)
+        assert des_set(W, (1, 2)) == (1, 1, 4, 5, 6)
+        assert des(W, (1, 2)) == 5
+        # inversions join as a set: (1, 7) has gap 6, a multiple of 2 and 3
+        assert len(inv_set(W, 2)) + len(inv_set(W, 3)) == 6
+        assert len(inv_set(W, (2, 3))) == inv(W, (2, 3)) == 5
 
 
 def test_classical_quadruples():
