@@ -19,8 +19,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import stats
 from .errors import InvalidInputError
 from .perm import (
-    _sn_exc_maj_walk,
-    _sn_joint_descents,
+    _joint_descents,
+    _sn_excedances,
+    _sn_joint_majors,
     avoidance_class,
     check_cap,
     check_patterns,
@@ -132,21 +133,13 @@ def t_polynomial(n: int, patterns: Patterns = ()) -> MultiPoly:
     """
     Joint distribution of all width descents at once: each permutation in
     the class contributes the monomial t_1^(des_1) ... t_(n-1)^(des_(n-1)).
-    Over S_n the walk builds no words; avoidance classes are scanned word by
-    word.  Subject to the enumeration cap.
+    Counted by packed keys without building a word: S_n by its unpruned
+    walk, an avoidance class by the pruned walk that lists it.  Subject to
+    the enumeration cap.
     """
     check_cap(n)
     pats = check_patterns(patterns)
-    gaps = range(1, n)
-    if not pats and n >= 3:
-        acc = _sn_joint_descents(n)
-    else:
-        acc = {}  # one scan per word: avoidance classes, and S_0..S_2
-        for word in avoidance_class(n, pats):
-            # entry g-1 counts the pairs (i, i+g) with word[i] > word[i+g]
-            exps = tuple([sum(map(operator.gt, word, word[g:])) for g in gaps])
-            acc[exps] = acc.get(exps, 0) + 1
-    return MultiPoly(tuple(f"t{g}" for g in gaps), acc)
+    return MultiPoly(tuple(f"t{g}" for g in range(1, n)), _joint_descents(n, pats))
 
 
 def _indicator(n: int, gaps: Iterable[int]) -> list[int]:
@@ -508,12 +501,12 @@ def _format_class(patterns: tuple[tuple[int, ...], ...]) -> str:
 
 class SweepCaches:
     """
-    Memo for the enumeration passes, shared across suites within one
-    verification run.  Each (n, class) is walked once, into its joint
-    descent distribution; every swept des/inv/G distribution is a grade of
-    it.  S_n is walked once more, for the positional exc_1 and joint maj;
-    exc_k and maj_k for k >= 2 are block products of smaller exc_1 and maj_1
-    distributions.
+    Memo for the enumeration passes, shared across suites within one run.
+    Each (n, class) is walked once, by packed keys, into its joint descent
+    distribution; every swept des/inv/G distribution is a grade of it.  S_n
+    is walked once more, with major-index tables, for the joint maj, and a
+    DP over value sets gives exc_1; exc_k and maj_k for k >= 2 are block
+    products of smaller exc_1 and maj_1 distributions.
     """
 
     def __init__(self) -> None:
@@ -563,9 +556,8 @@ class SweepCaches:
             # so they only read smaller entries of this memo.  Position
             # i = r + (t-1)k of residue block r has ceil(i/k) = t, so maj_k
             # is the sum of the blocks' classical maj.
-            exc_counts, maj_counts = _sn_exc_maj_walk(n)
-            joint = MultiPoly(tuple(f"t{g}" for g in range(1, n)), maj_counts)
-            exc = {1: LaurentPoly(exc_counts)}
+            joint = MultiPoly(tuple(f"t{g}" for g in range(1, n)), _sn_joint_majors(n))
+            exc = {1: LaurentPoly(_sn_excedances(n))}
             maj = {1: joint.grade(_indicator(n, (1,)))}
             for k in range(2, n):
                 exc[k] = _by_blocks(n, k, lambda m: self.sn_exc_maj(m)[0][1])

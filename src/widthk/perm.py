@@ -1,8 +1,10 @@
 """
 Permutations in one-line notation, their symmetries, pattern containment,
-and enumeration of symmetric groups and pattern-avoidance classes.  Two
-walks over S_n build no words: they count its joint descent and joint
-major-index profiles (with exc_1) directly.  Every enumeration checks the cap.
+and enumeration of symmetric groups and pattern-avoidance classes.  One
+table-driven walk over S_n counts its joint descent and joint major-index
+profiles, and the pruned walk of a class counts its joint descent profile,
+each by packed keys without building a word; exc_1 over S_n is a DP over
+value sets.  Every enumeration checks the cap.
 
 A permutation of [n] = {1, ..., n} is represented as a tuple of its values
 a_1, ..., a_n.  The empty tuple is the empty permutation, which is a valid
@@ -12,8 +14,10 @@ n <= 9 ("4136572") and comma-separated values beyond ("10,3,1,...").
 from __future__ import annotations
 
 import itertools
+import math
 import os
-from typing import Iterable, Iterator, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapError, InvalidInputError
 
@@ -151,111 +155,6 @@ def enumerate_sn(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
-def _sn_joint_descents(n: int) -> dict[tuple[int, ...], int]:
-    # Joint descent counts over S_n (n >= 3) by a depth-first walk that
-    # carries one packed int per word instead of the word.  Base-2^s digit g
-    # of a key holds des_g; des_g <= n - 1 < 2^s, so no digit overflows.
-    # hs lists, in increasing order of the values still to place, what
-    # placing that value next adds to the key: one unit in digit g for each
-    # larger value g positions back.  Placing hs[j] moves every other entry
-    # one digit up and adds one unit to the entries below it.  The last three
-    # placements are written out: with 0 < 1 < 2 the remaining values, a
-    # leaf is h_x + (h_y + [y < x]) << s + (h_z + [z < x]) << 2s + [z < y] << s
-    # for the placing order x, y, z.
-    check_cap(n)
-    s = (n - 1).bit_length()
-    s1 = 1 << s
-    s2 = s1 << s
-    keys: dict[int, int] = {}
-    get = keys.get
-
-    def walk(key: int, hs: list[int]) -> None:
-        if len(hs) == 3:
-            h0, h1, h2 = hs
-            a0, a1, a2 = h0 << s, h1 << s, h2 << s
-            b0, b1, b2 = a0 << s, a1 << s, a2 << s
-            for leaf in (
-                key + h0 + a1 + b2,
-                key + h0 + a2 + b1 + s1,
-                key + h1 + a0 + b2 + s1,
-                key + h1 + a2 + b0 + s1 + s2,
-                key + h2 + a0 + b1 + s1 + s2,
-                key + h2 + a1 + b0 + 2 * s1 + s2,
-            ):
-                keys[leaf] = get(leaf, 0) + 1
-            return
-        below = [(h + 1) << s for h in hs]
-        above = [h << s for h in hs]
-        for j, h in enumerate(hs):
-            walk(key + h, below[:j] + above[j + 1 :])
-
-    walk(0, [0] * n)
-    del walk  # walk refers to itself; without this keys waits for gc
-    mask = s1 - 1
-    shifts = [s * g for g in range(1, n)]
-    return {tuple([key >> t & mask for t in shifts]): c for key, c in keys.items()}
-
-
-def _sn_exc_maj_walk(n: int) -> tuple[dict[int, int], dict[tuple[int, ...], int]]:
-    # The exc_1 counts over S_n, and the joint counts of (maj_1, ..., maj_(n-1)),
-    # by a depth-first walk that builds no words.  Base-2^w digit g-1 of a
-    # key holds maj_g <= maj_1 <= n(n-1)/2 < 2^w.  Positions fill from 1 up;
-    # each value still to place carries the bitmask of the earlier positions
-    # (bit i-1 for position i) that hold larger letters, and placing it at
-    # position j adds tables[j][mask]: ceil(i/(j-i)) in digit j-i-1 for each
-    # i in the mask, a width-(j-i) descent at i.  It also adds [v > j] to
-    # exc_1, which is tallied apart so the key dict holds maj profiles only.
-    # The last two placements are written out.
-    check_cap(n)
-    w = (n * (n - 1) // 2).bit_length()
-    tables = [[], [0]]
-    for j in range(2, n + 1):
-        table = [0] * (1 << (j - 1))
-        for mask in range(1, len(table)):
-            low = mask & -mask
-            i = low.bit_length()
-            g = j - i
-            table[mask] = table[mask ^ low] + ((i + g - 1) // g << w * (g - 1))
-        tables.append(table)
-    keys: dict[int, int] = {}
-    get = keys.get
-    excs = [0] * (n + 1)
-
-    def walk(j: int, key: int, e: int, values: list[int], masks: list[int]) -> None:
-        table = tables[j]
-        bit = 1 << (j - 1)
-        if len(values) == 2:  # a < b go to positions j, j+1 in either order
-            a, b = values
-            ma, mb = masks
-            last = tables[j + 1]
-            leaf = key + table[ma] + last[mb]
-            keys[leaf] = get(leaf, 0) + 1
-            leaf = key + table[mb] + last[ma | bit]
-            keys[leaf] = get(leaf, 0) + 1
-            excs[e + (a > j)] += 1
-            excs[e + (b > j)] += 1
-            return
-        below = [m | bit for m in masks]
-        for t, v in enumerate(values):
-            walk(
-                j + 1,
-                key + table[masks[t]],
-                e + (v > j),
-                values[:t] + values[t + 1 :],
-                below[:t] + masks[t + 1 :],
-            )
-
-    if n >= 2:
-        walk(1, 0, 0, list(range(1, n + 1)), [0] * n)
-    else:  # S_0 and S_1 hold one word each, with no excedance
-        keys[0] = excs[0] = 1
-    del walk  # walk refers to itself; without this keys waits for gc
-    digit = (1 << w) - 1
-    shifts = [w * g for g in range(n - 1)]
-    maj = {tuple([key >> t & digit for t in shifts]): c for key, c in keys.items()}
-    return {e: c for e, c in enumerate(excs) if c}, maj
-
-
 def _gap(pattern: Sequence[int], s: int, n: int) -> int:
     # s: bitmask of the values of an occurrence of pattern[:t], t = |s|.
     # Returns the bitmask of values x for which s plus a later letter x is an
@@ -308,7 +207,16 @@ def avoidance_class(
         return
     if (1,) in pats:
         return  # every letter is an occurrence of the pattern 1
-    everything = (1 << (n + 1)) - 2
+    yield from _class_walk(n, pats)
+
+
+def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
+    # The walk of avoidance_class over Av_n(pats), n >= 1, no pattern of
+    # length 1.  It yields the members, or, given the key tables of
+    # _profile and n >= 2, their keys.  Then the masks ride in one int with
+    # an n-bit field per value (field v at bit n*v): placing v at position j
+    # reads field v, and one AND and one OR set bit j-1 in fields 1..v-1.
+    # A key completes in its parent's loop: no prefix of length n - 1 grows.
     width = n + 2  # bits per field of rows
 
     # pair[a], field v: bit x set iff a before v, then x, would form a
@@ -326,7 +234,9 @@ def avoidance_class(
             rows |= _gap(p, 1 << v, n) << width * v
     # (pattern, p[0] < p[1], gap memo, fold memo) per pattern of length >= 4
     long = [(p, p[0] < p[1], {}, {}) for p in pats if len(p) >= 4]
-
+    field = (1 << n) - 1
+    cols = [0] + [sum(1 << (n * v + j) for v in range(1, n + 1)) for j in range(n)]
+    below = [(1 << n * v) - 1 for v in range(n + 1)]
     prefix: list[int] = []
 
     def grow(v: int, left: int, rows: int, stored: list) -> tuple[int, list]:
@@ -362,8 +272,10 @@ def avoidance_class(
             child.append(child_levels)
         return rows, child
 
-    def extend(left: int, rows: int, stored: list) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n - 1:
+    def extend(extend: Callable, j: int, left: int, rows: int, stored: list, key: int, masks: int):
+        # extend is passed to itself: no closure cell refers to it, so a walk
+        # leaves no cycle for the collector
+        if j == n:  # only when listing members
             yield (*prefix, left.bit_length() - 1)
             return
         free = left
@@ -374,18 +286,125 @@ def avoidance_class(
             rest = left ^ bit
             if rows >> width * v & rest:
                 continue  # placing v would forbid a value still to place
+            child_key, child_masks = key, masks
+            if tables:
+                child_key += tables[j][masks >> n * v & field]
+                child_masks |= cols[j] & below[v]
+                if j == n - 1:  # the value left completes a member
+                    w = rest.bit_length() - 1
+                    yield child_key + tables[n][child_masks >> n * w & field]
+                    continue
             child_rows = rows | pair[v]
             child_stored = stored
             if long:
                 child_rows, child_stored = grow(v, rest, child_rows, stored)
             prefix.append(v)
-            yield from extend(rest, child_rows, child_stored)
+            yield from extend(extend, j + 1, rest, child_rows, child_stored, child_key, child_masks)
             prefix.pop()
 
-    try:
-        yield from extend(everything, rows, [[[] for _ in range(len(p) - 4)] for p, *_ in long])
-    finally:
-        del extend  # extend refers to itself; without this the memos wait for gc
+    stored = [[[] for _ in range(len(p) - 4)] for p, *_ in long]
+    return extend(extend, 1, (1 << (n + 1)) - 2, rows, stored, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# joint profiles by packed keys, building no words
+#
+# Positions fill from 1 up, and each value still to place carries the mask
+# of the earlier positions (bit i-1 for position i) holding larger letters.
+# Placing a value at position j adds tables[j][mask] to one int key; each i
+# in the mask is a width-g descent, g = j - i, adding weight(i, g) to the
+# key's base-2^w digit g-1.
+
+
+def _sn_walk(j: int, key: int, masks: list[int], tables: list, count: Callable) -> None:
+    # Pass to count the keys of the words of S_n extending a prefix of
+    # positions 1..j-1 with key `key`; masks lists the masks of the values
+    # left, smallest first.  Placing the t-th at j adds tables[j][masks[t]]
+    # and sets bit j-1 in the masks of smaller values.  The last three of
+    # four placements are written out: with m0, m1, m2 the last three masks,
+    # six orders take 11 lookups, and 24 keys are counted in one call.
+    if not masks:  # only for n < 4
+        count((key,))
+        return
+    table = tables[j]
+    bit = 1 << (j - 1)
+    below = [m | bit for m in masks]
+    if len(masks) != 4:
+        for t, m in enumerate(masks):
+            _sn_walk(j + 1, key + table[m], below[:t] + masks[t + 1 :], tables, count)
+        return
+    t1, t2, t3 = tables[j + 1 : j + 4]
+    b1 = bit << 1
+    b2 = bit << 2
+    b12 = b1 | b2
+    leaves: list[int] = []
+    for t, m in enumerate(masks):
+        m0, m1, m2 = below[:t] + masks[t + 1 :]
+        k = key + table[m]
+        a, b, c = k + t1[m0], k + t1[m1], k + t1[m2]
+        u, v = t2[m2], t2[m0 | b1]
+        leaves += (  # the orders 012, 021, 102, 120, 201, 210
+            a + t2[m1] + t3[m2],
+            a + u + t3[m1 | b2],
+            b + v + t3[m2],
+            b + u + t3[m0 | b12],
+            c + v + t3[m1 | b1],
+            c + t2[m1 | b1] + t3[m0 | b12],
+        )
+    count(leaves)
+
+
+def _profile(n: int, pats: tuple, w: int, weight: Callable) -> dict[tuple[int, ...], int]:
+    # Counts of the keys' digit vectors (digits 0..n-2) over Av_n(pats), or
+    # over S_n for no pattern; no digit may reach 2^w.
+    check_cap(n)
+    tables = [[], [0]]
+    for j in range(2, n + 1):
+        table = [0] * (1 << (j - 1))
+        for mask in range(1, len(table)):
+            low = mask & -mask
+            i = low.bit_length()
+            table[mask] = table[mask ^ low] + (weight(i, j - i) << w * (j - i - 1))
+        tables.append(table)
+    keys: Counter[int] = Counter()
+    if not pats:
+        _sn_walk(1, 0, [0] * n, tables, keys.update)
+    elif n < 2 or (1,) in pats:  # at most one word, with no descent
+        keys.update(0 for _ in avoidance_class(n, pats))
+    else:
+        keys.update(_class_walk(n, pats, tables))
+    digit = (1 << w) - 1
+    shifts = [w * g for g in range(n - 1)]
+    return {tuple([key >> t & digit for t in shifts]): c for key, c in keys.items()}
+
+
+def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
+    # Counts of (des_1, ..., des_(n-1)); des_g <= n - 1 < 2^w
+    return _profile(n, pats, (n - 1).bit_length(), lambda i, g: 1)
+
+
+def _sn_joint_majors(n: int) -> dict[tuple[int, ...], int]:
+    # Counts of (maj_1, ..., maj_(n-1)) over S_n: a width-g descent at i
+    # adds ceil(i/g) to maj_g, and maj_g <= maj_1 <= n(n-1)/2 < 2^w
+    w = (n * (n - 1) // 2).bit_length()
+    return _profile(n, (), w, lambda i, g: (i + g - 1) // g)
+
+
+def _sn_excedances(n: int) -> dict[int, int]:
+    # Counts of exc_1 over S_n by a DP over the set S of values placed (bit
+    # v for value v + 1): the next position is |S| + 1, and placing v + 1
+    # there adds [v >= |S| + 1].  rows[S] packs the counts of S's
+    # arrangements by excedances as base-2^w digits (none exceeds n!); it
+    # is final once reached, since S's subsets come first.
+    check_cap(n)
+    w = math.factorial(n).bit_length()
+    rows = [1] + [0] * ((1 << n) - 1)
+    for s, row in enumerate(rows):
+        j = s.bit_count() + 1
+        for v in range(n):
+            if not s >> v & 1:
+                rows[s | 1 << v] += row << w if v >= j else row
+    return {e: c for e in range(n + 1) if (c := rows[-1] >> w * e & (1 << w) - 1)}
 
 
 def parse_perm(text: str) -> tuple[int, ...]:

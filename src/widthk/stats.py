@@ -26,7 +26,10 @@ def normalize_widths(widths: Widths, n: int) -> tuple[int, ...]:
         if widths < 1:
             raise InvalidInputError(f"width must be >= 1, got {widths}")
         return (widths,)
-    ks = sorted(set(widths))
+    try:  # a width that is not an int can make set() or sorted() raise
+        ks = sorted(set(widths))
+    except TypeError:
+        raise InvalidInputError(f"widths must be integers: {widths!r}") from None
     if not ks:
         raise InvalidInputError("width set must be nonempty")
     if any(not isinstance(k, int) for k in ks):

@@ -7,6 +7,7 @@ Expected polynomials below were frozen from a standalone brute-force script
 import collections
 import itertools
 import math
+import operator
 
 import pytest
 
@@ -41,7 +42,7 @@ from widthk.genfun import (
     run_suite,
     t_polynomial,
 )
-from widthk.perm import avoidance_class, enumerate_sn
+from widthk.perm import _joint_descents, avoidance_class, enumerate_sn, format_perm
 from widthk.poly import (
     ONE,
     LaurentPoly,
@@ -223,15 +224,40 @@ class TestJointAndSigned:
             g_shape(n, k)
 
 
-def joint_descent_counts(n):
-    """t_polynomial(n) by scanning each word of S_n for every des_g."""
+def joint_descent_counts(n, words=None):
+    """
+    The joint descent polynomial of the given words of length n (S_n by
+    default), scanning each word for every des_g: the oracle of both key
+    walks.
+    """
+    if words is None:
+        words = itertools.permutations(range(1, n + 1))
+    gaps = range(1, n)
     acc = collections.Counter()
-    for word in itertools.permutations(range(1, n + 1)):
-        exps = tuple(
-            sum(word[i] > word[i + g] for i in range(n - g)) for g in range(1, n)
-        )
-        acc[exps] += 1
+    for word in words:
+        # entry g-1 counts the pairs (i, i+g) with word[i] > word[i+g]
+        acc[tuple([sum(map(operator.gt, word, word[g:])) for g in gaps])] += 1
     return MultiPoly(tuple(f"t{g}" for g in range(1, n)), dict(acc))
+
+
+ORACLE_CLASSES = [
+    pats
+    for size in range(3)
+    for pats in itertools.combinations(itertools.permutations((1, 2, 3)), size)
+] + [
+    ((1, 2),), ((2, 1),), ((4, 3, 2, 1),), ((1, 3, 4, 2), (2, 1, 4, 3)),
+    ((1, 2, 3), (2, 1, 4, 3)), ((1, 2, 3, 4, 5),),
+]
+
+
+@pytest.mark.parametrize(
+    "pats", ORACLE_CLASSES, ids=lambda pats: ",".join(map(format_perm, pats)) or "S_n"
+)
+def test_class_key_walk_matches_per_word_scan(pats):
+    for n in range(9):
+        members = list(avoidance_class(n, pats))
+        assert sum(_joint_descents(n, pats).values()) == len(members), n
+        assert t_polynomial(n, pats) == joint_descent_counts(n, members), n
 
 
 @pytest.mark.parametrize(
@@ -555,35 +581,41 @@ class TestGradedDistributions:
                 assert table[k] == closed_g(n, k), (n, k)
 
     def test_each_class_is_walked_once(self, monkeypatch):
+        # a class is walked by the key walk behind t_polynomial, or listed
+        # word by word; a run does either at most once per (n, class)
         walks = collections.Counter()
-        walk = genfun.avoidance_class
 
-        def counted(n, patterns=()):
-            walks[(n, tuple(patterns))] += 1
-            return walk(n, patterns)
+        for name in ("_joint_descents", "avoidance_class"):
 
-        monkeypatch.setattr(genfun, "avoidance_class", counted)
+            def counted(n, patterns=(), walk=getattr(genfun, name)):
+                walks[(n, tuple(patterns))] += 1
+                return walk(n, patterns)
+
+            monkeypatch.setattr(genfun, name, counted)
         run_suite("all", n_max=6, caches=SweepCaches())
-        assert walks
+        assert any(pats for _, pats in walks)
         assert [key for key, count in walks.items() if count > 1] == []
 
     def test_equidistribution_walks_each_sn_once(self, monkeypatch):
-        # the inv_K/maj_K info block grades the exc/maj walk, exc_k and maj_k
-        # multiply smaller exc_1 and maj_1 distributions (down to the
+        # the inv_K/maj_K info block grades the joint maj walk, exc_k and
+        # maj_k multiply smaller exc_1 and maj_1 distributions (down to the
         # one-letter blocks of S_1), and inclusion-exclusion reads the joint
         # descent distribution, so none of them walks S_n again
+        names = ("_sn_joint_majors", "_sn_excedances")
         walks = collections.Counter()
-        walk = genfun._sn_exc_maj_walk
+        for name in names:
 
-        def counted(n):
-            walks[n] += 1
-            return walk(n)
+            def counted(n, name=name, walk=getattr(genfun, name)):
+                walks[(name, n)] += 1
+                return walk(n)
 
-        monkeypatch.setattr(genfun, "_sn_exc_maj_walk", counted)
+            monkeypatch.setattr(genfun, name, counted)
         for suite in ("equidistribution", "all"):
             walks.clear()
             run_suite(suite, n_max=6, caches=SweepCaches())
-            assert walks == collections.Counter(range(1, 7)), suite
+            assert walks == collections.Counter(
+                (name, n) for name in names for n in range(1, 7)
+            ), suite
 
 
 class TestReports:

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from widthk import perm
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.perm import (
-    _sn_exc_maj_walk,
-    _sn_joint_descents,
+    _joint_descents,
+    _sn_excedances,
+    _sn_joint_majors,
     as_perm,
     avoidance_class,
     avoids,
@@ -94,14 +95,20 @@ def test_contains_leaves_no_garbage():
 
 
 def test_sn_walks_leave_no_garbage():
-    # a self-referencing walk closure would keep its key dict alive until
-    # the cyclic collector runs
+    # a walk whose closure refers to itself would keep its key dict and
+    # memos alive until the cyclic collector runs; the class walk, which
+    # counts keys or lists members, must not either, even when dropped early
     gc.collect()
     gc.disable()
     try:
         for n in range(3, 7):
-            _sn_joint_descents(n)
-            _sn_exc_maj_walk(n)
+            _joint_descents(n, ())
+            _sn_joint_majors(n)
+            _sn_excedances(n)
+            for pats in (((3, 1, 2),), ((1, 3, 4, 2), (2, 1, 4, 3)), ((1, 2, 3, 4, 5),)):
+                _joint_descents(n, pats)
+                list(avoidance_class(n, pats))
+                next(avoidance_class(n, pats))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -110,7 +117,7 @@ def test_sn_walks_leave_no_garbage():
 def _maj_profile(word):
     """
     (maj_1, ..., maj_(n-1)) of one word: entry g-1 sums ceil(i/g) over its
-    width-g descents i.  The per-word oracle for the exc/maj walk.
+    width-g descents i.  The per-word oracle for the joint maj walk.
     """
     n = len(word)
     maj = [0] * n
@@ -125,13 +132,15 @@ def _maj_profile(word):
 
 @pytest.mark.parametrize("n", range(9))
 def test_exc_maj_walk_matches_per_word_scan(n):
+    # the joint maj walk and the exc_1 DP against one scan per word
     ranks = range(1, n + 1)
     excs = collections.Counter()
     majs = collections.Counter()
     for word in itertools.permutations(ranks):
         excs[sum(a > i for a, i in zip(word, ranks))] += 1
         majs[_maj_profile(word)] += 1
-    assert _sn_exc_maj_walk(n) == (dict(excs), dict(majs))
+    assert _sn_excedances(n) == dict(excs)
+    assert _sn_joint_majors(n) == dict(majs)
 
 
 def _contains_brute(word, pattern):

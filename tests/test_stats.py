@@ -60,6 +60,15 @@ def test_normalize_widths():
         normalize_widths([2], 1)
 
 
+@pytest.mark.parametrize("widths", [[1, "a"], [1, None], 2.5, None, [1, 2.0], [[1]]])
+def test_non_integer_widths_are_invalid_input(widths):
+    # sorting or hashing such widths raises TypeError, which must not escape
+    with pytest.raises(InvalidInputError):
+        normalize_widths(widths, 5)
+    with pytest.raises(InvalidInputError):
+        des((3, 1, 2), widths)
+
+
 class TestWorkedExample:
     # hand-checked on 4136572 with widths {2, 3}
 
