@@ -380,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stat", help="statistics of a single permutation")
     p.add_argument("--perm", required=True, help="one-line notation, e.g. 4136572")
     p.add_argument("--widths", default="1", help="comma-separated widths, e.g. 2,3")
-    p.add_argument("--stat", required=True, choices=genfun.STATISTICS)
+    p.add_argument("--stat", required=True, choices=stats.STATISTICS)
     add_format(p)
     p.set_defaults(func=cmd_stat)
 
     p = sub.add_parser("gf", help="distribution polynomial of a statistic")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--stat", required=True, choices=genfun.STATISTICS)
+    p.add_argument("--stat", required=True, choices=stats.STATISTICS)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--width", type=int, default=1, help="single width k")
     group.add_argument("--widths", default=None, help="width set, e.g. 1,3")

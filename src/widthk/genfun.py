@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -45,16 +46,6 @@ Patterns = Iterable[Sequence[int]]
 # ---------------------------------------------------------------------------
 # enumeration scans
 
-_STAT_FUNCS: dict[str, Callable] = {
-    "des": stats.des,
-    "inv": stats.inv,
-    "exc": stats.exc,
-    "maj": stats.maj,
-}
-
-STATISTICS = tuple(sorted(_STAT_FUNCS))
-
-
 def brute_distribution(
     n: int,
     statistic: str,
@@ -63,24 +54,18 @@ def brute_distribution(
 ) -> LaurentPoly:
     """
     The exact distribution polynomial of a width statistic over S_n, or over
-    the class avoiding the given patterns.  This enumerates the whole domain
-    and is the oracle every closed form and recursion is checked against.
+    the class avoiding the given patterns.  This enumerates the whole domain,
+    counting each word with one `stats.scanner`, and is the oracle every
+    closed form and recursion is checked against.
 
     >>> print(brute_distribution(3, "des"))
     1 + 4*q + q^2
     >>> print(brute_distribution(3, "des", 1, [(3, 1, 2)]))
     1 + 3*q + q^2
     """
-    fn = _STAT_FUNCS.get(statistic)
-    if fn is None:
-        raise InvalidInputError(
-            f"unknown statistic {statistic!r}; choose from {STATISTICS}"
-        )
-    acc: dict[int, int] = {}
-    for word in avoidance_class(n, patterns):
-        e = fn(word, widths)
-        acc[e] = acc.get(e, 0) + 1
-    return LaurentPoly(acc)
+    check_cap(n)  # the scanner's tables grow with n
+    count = stats.scanner(statistic, n, widths)
+    return LaurentPoly(Counter(map(count, avoidance_class(n, patterns))))
 
 
 # ---------------------------------------------------------------------------

@@ -202,21 +202,22 @@ def avoidance_class(
     if not pats:
         yield from enumerate_sn(n)
         return
-    if n == 0:
-        yield ()  # the empty word contains no nonempty pattern
-        return
-    if (1,) in pats:
+    if n and (1,) in pats:
         return  # every letter is an occurrence of the pattern 1
+    if n < 2:
+        yield tuple(range(1, n + 1))  # no pattern left fits in it
+        return
     yield from _class_walk(n, pats)
 
 
 def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
-    # The walk of avoidance_class over Av_n(pats), n >= 1, no pattern of
+    # The walk of avoidance_class over Av_n(pats), n >= 2, no pattern of
     # length 1.  It yields the members, or, given the key tables of
-    # _profile and n >= 2, their keys.  Then the masks ride in one int with
-    # an n-bit field per value (field v at bit n*v): placing v at position j
-    # reads field v, and one AND and one OR set bit j-1 in fields 1..v-1.
-    # A key completes in its parent's loop: no prefix of length n - 1 grows.
+    # _profile, their keys.  Then the masks ride in one int with an n-bit
+    # field per value (field v at bit n*v): placing v at position j reads
+    # field v, and one AND and one OR set bit j-1 in fields 1..v-1.  A
+    # member or key completes in its parent's loop: no prefix of length
+    # n - 1 grows.
     width = n + 2  # bits per field of rows
 
     # pair[a], field v: bit x set iff a before v, then x, would form a
@@ -275,9 +276,6 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
     def extend(extend: Callable, j: int, left: int, rows: int, stored: list, key: int, masks: int):
         # extend is passed to itself: no closure cell refers to it, so a walk
         # leaves no cycle for the collector
-        if j == n:  # only when listing members
-            yield (*prefix, left.bit_length() - 1)
-            return
         free = left
         while free:
             bit = free & -free
@@ -290,10 +288,13 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
             if tables:
                 child_key += tables[j][masks >> n * v & field]
                 child_masks |= cols[j] & below[v]
-                if j == n - 1:  # the value left completes a member
-                    w = rest.bit_length() - 1
+            if j == n - 1:  # the value left completes a member
+                w = rest.bit_length() - 1
+                if tables:
                     yield child_key + tables[n][child_masks >> n * w & field]
-                    continue
+                else:
+                    yield (*prefix, v, w)
+                continue
             child_rows = rows | pair[v]
             child_stored = stored
             if long:

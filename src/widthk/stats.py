@@ -8,16 +8,21 @@ ints).  For a width set the descent indices combine as a multiset while the
 inversion pairs combine as a set, so a pair whose gap is divisible by two
 widths counts once.  Indices are 1-based throughout, matching the usual
 one-line conventions.
+
+The counts des, inv, maj and exc come from `scanner`: the widths are
+normalized once, and each word costs a few C-level map/sum passes.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from operator import gt, mul
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError
-from .perm import standardize
 
 Widths = int | Iterable[int]
+
+STATISTICS = ("des", "exc", "inv", "maj")
 
 
 def normalize_widths(widths: Widths, n: int) -> tuple[int, ...]:
@@ -73,8 +78,7 @@ def des_set(word: Sequence[int], widths: Widths) -> tuple[int, ...]:
 
 def des(word: Sequence[int], widths: Widths = 1) -> int:
     """Number of width-k descents (multiset size for a width set)."""
-    ks = normalize_widths(widths, len(word))
-    return sum(len(_des_one(word, k)) for k in ks)
+    return scanner("des", len(word), widths)(word)
 
 
 def inv_set(word: Sequence[int], widths: Widths) -> tuple[tuple[int, int], ...]:
@@ -93,10 +97,7 @@ def inv_set(word: Sequence[int], widths: Widths) -> tuple[tuple[int, int], ...]:
 
 def inv(word: Sequence[int], widths: Widths = 1) -> int:
     """Number of width-k inversions (set-union size for a width set)."""
-    ks = normalize_widths(widths, len(word))
-    if len(ks) == 1:
-        return len(_inv_one(word, ks[0]))
-    return len(inv_set(word, ks))
+    return scanner("inv", len(word), widths)(word)
 
 
 def inv_by_lcm(word: Sequence[int], widths: Widths) -> int:
@@ -121,25 +122,13 @@ def inv_by_lcm(word: Sequence[int], widths: Widths) -> int:
     return total
 
 
-def _exc_classical(word: Sequence[int]) -> int:
-    return sum(1 for i, a in enumerate(word) if a > i + 1)
-
-
 def exc(word: Sequence[int], widths: Widths = 1) -> int:
     """
     Width-k excedance count: the classical excedances of the standardized
     blocks a_i a_(i+k) a_(i+2k) ... for i = 1..k, summed over blocks and
     over the widths.
     """
-    n = len(word)
-    ks = normalize_widths(widths, n)
-    total = 0
-    for k in ks:
-        if k >= n:
-            continue  # blocks have at most one letter
-        for i in range(k):
-            total += _exc_classical(standardize(word[i::k]))
-    return total
+    return scanner("exc", len(word), widths)(word)
 
 
 def maj(word: Sequence[int], widths: Widths = 1) -> int:
@@ -147,5 +136,29 @@ def maj(word: Sequence[int], widths: Widths = 1) -> int:
     Width-k major index: sum of ceil(i / k) over width-k descents i,
     summed over the widths.  Equals the blockwise classical major sum.
     """
-    ks = normalize_widths(widths, len(word))
-    return sum(math.ceil(i / k) for k in ks for i in _des_one(word, k))
+    return scanner("maj", len(word), widths)(word)
+
+
+def scanner(statistic: str, n: int, widths: Widths) -> Callable[[Sequence[int]], int]:
+    """
+    A per-word counter of a statistic at the given widths on words of length
+    n, the widths normalized once.  des sums a_i > a_(i+k) over the widths k,
+    inv over the distinct gaps that some width divides (a pair has one gap),
+    maj weights the width-k descent at i by ceil(i/k), and exc counts the
+    letters b_t of each block b = a_i a_(i+k) ... above the t-th smallest
+    letter of b, which is rank(b_t) > t without standardizing the block.
+
+    >>> scanner("inv", 7, (2, 3))((4, 1, 3, 6, 5, 7, 2))
+    5
+    """
+    if statistic not in STATISTICS:
+        raise InvalidInputError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+    ks = normalize_widths(widths, n)
+    if statistic == "exc":  # blocks of one letter have no excedance
+        blocks = [slice(i, None, k) for k in ks for i in range(min(k, n - k))]
+        return lambda w: sum([sum(map(gt, b, sorted(b))) for b in map(w.__getitem__, blocks)])
+    if statistic == "maj":
+        ceils = [(k, [(i + k - 1) // k for i in range(1, n - k + 1)]) for k in ks if k < n]
+        return lambda w: sum([sum(map(mul, c, map(gt, w, w[k:]))) for k, c in ceils])
+    gaps = ks if statistic == "des" else {d for k in ks for d in range(k, n, k)}
+    return lambda w: sum([sum(map(gt, w, w[d:])) for d in gaps])

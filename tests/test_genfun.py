@@ -8,6 +8,7 @@ import collections
 import itertools
 import math
 import operator
+import re
 
 import pytest
 
@@ -94,8 +95,16 @@ class TestBruteDistribution:
         assert brute_distribution(4, "des", 3, [(1, 2, 3), (3, 1, 2)]) == P(3, 4)
 
     def test_rejects_unknown_statistic(self):
-        with pytest.raises(InvalidInputError):
+        message = "unknown statistic 'foo'; choose from ('des', 'exc', 'inv', 'maj')"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
             brute_distribution(4, "foo")
+
+    def test_widths_are_normalized_once(self):
+        # an iterator of widths serves every word, not just the first
+        assert brute_distribution(4, "des", iter((1, 2))) == brute_distribution(4, "des", (1, 2))
+        # an empty class still rejects its widths
+        with pytest.raises(InvalidInputError, match="not contained"):
+            brute_distribution(3, "des", (0, 2), [(1,)])
 
 
 class TestClosedForms:

@@ -1,14 +1,20 @@
 """Width-k statistics against hand-checked values and classical oracles."""
 
+import functools
 import itertools
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthk.errors import InvalidInputError
-from widthk.perm import standardize
+from widthk.genfun import brute_distribution
+from widthk.perm import avoids, enumerate_sn, parse_patterns, standardize
+from widthk.poly import LaurentPoly
 from widthk.stats import (
+    STATISTICS,
     des,
     des_set,
     exc,
@@ -17,6 +23,7 @@ from widthk.stats import (
     inv_set,
     maj,
     normalize_widths,
+    scanner,
 )
 
 W = (4, 1, 3, 6, 5, 7, 2)
@@ -169,3 +176,55 @@ def test_single_width_internal_consistency(w, k):
         blocks = [standardize(w[i::k]) for i in range(k)]
         assert maj(w, k) == sum(classical_stats(b)[2] for b in blocks)
         assert exc(w, k) == sum(classical_stats(b)[3] for b in blocks)
+
+
+@functools.cache  # blocks recur across words and widths
+def _block_excedances(block):
+    return sum(1 for i, a in enumerate(standardize(block)) if a > i + 1)
+
+
+def per_word(statistic, word, widths):
+    """The per-word definitions that the scanners must match."""
+    n = len(word)
+    ks = normalize_widths(widths, n)
+    if statistic == "des":
+        return len(des_set(word, widths))
+    if statistic == "inv":
+        return len(inv_set(word, widths))
+    if statistic == "maj":
+        return sum(math.ceil(i / k) for k in ks for i in des_set(word, k))
+    return sum(_block_excedances(word[i::k]) for k in ks if k < n for i in range(k))
+
+
+def _width_sets(n):
+    top = max(n - 1, 1)
+    for size in range(1, top + 1):
+        yield from itertools.combinations(range(1, top + 1), size)
+
+
+def test_scanners_match_per_word_definitions():
+    # every word of S_n, n <= 6, at every width set; then S_7 at every
+    # single width, those >= n included
+    cases = [(n, ks) for n in range(7) for ks in _width_sets(n)]
+    cases += [(7, k) for k in range(1, 10)]
+    for n, widths in cases:
+        words = list(enumerate_sn(n))
+        for name in STATISTICS:
+            count = scanner(name, n, widths)
+            assert [count(w) for w in words] == [
+                per_word(name, w, widths) for w in words
+            ], (name, n, widths)
+
+
+@pytest.mark.parametrize("pats", ["312", "132,4321", "1342,2143", "2413,3142"])
+def test_brute_distribution_matches_per_word_definitions(pats):
+    # the class by containment search, independent of the avoidance walk
+    patterns = parse_patterns(pats)
+    for n in range(3, 8):
+        members = [w for w in enumerate_sn(n) if avoids(w, patterns)]
+        for name in STATISTICS:
+            for widths in (1, 2, (1, 2)):
+                expected = Counter(per_word(name, w, widths) for w in members)
+                assert brute_distribution(n, name, widths, patterns) == LaurentPoly(
+                    expected
+                ), (pats, n, name, widths)
