@@ -187,15 +187,17 @@ def avoidance_class(
     The occurrences of p[:m-2] are folded into `rows`, one int with a field
     of n + 2 bits per value: field x holds what placing x next would
     forbid, so the occurrence of p[:m-1] that x completes costs nothing to
-    find.  Length 2 starts field v at gap({v}); for length 3 the letters
-    themselves are the occurrences of p[:1], and one int pair[a] per letter,
-    with field v holding what (a, v) folds in for all length-3 patterns at
-    once, makes a child's rows one OR.  From length 4 on, placing v extends
-    the occurrences {a} of p[:1] (the earlier letters whose gap holds v) and
-    the stored occurrences of p[:2] .. p[:m-3] whose gap holds v; a stored
-    occurrence is dropped once no value left can fall in its gap.  The gaps
-    and folds are memoized per pattern for the call and freed when it
-    returns.
+    find.  Length 2 starts field v at gap({v}).  One int fold[a] per letter
+    holds, in field v, what the occurrence (a, v) of p[:2] forbids for all
+    length-3 patterns at once, and, in a pending field v above rows' own,
+    what (a, v) folds in for all length-4 patterns; placing a ORs it into
+    rows, and placing v moves pending field v into rows' fields.  So a
+    placement costs a fixed number of int operations, whatever the prefix
+    length or the number of patterns.  From length 5 on, placing v also
+    extends the occurrences {a} of p[:1] (the values placed on p's side of
+    v) and the stored occurrences of p[:2] .. p[:m-3] whose gap holds v; a
+    stored occurrence is dropped once no value left can fall in its gap.
+    Their gaps and folds are memoized per pattern for the call.
     """
     check_cap(n)
     pats = check_patterns(patterns)
@@ -217,38 +219,54 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
     # field per value (field v at bit n*v): placing v at position j reads
     # field v, and one AND and one OR set bit j-1 in fields 1..v-1.  A
     # member or key completes in its parent's loop: no prefix of length
-    # n - 1 grows.
+    # n - 1 grows.  Above rows' n fields ride the pending fields of span
+    # bits: the one at bit span*v holds what placing v will fold in.
     width = n + 2  # bits per field of rows
+    span = width * (n + 1)
+    fields = (1 << span) - 1
 
-    # pair[a], field v: bit x set iff a before v, then x, would form a
-    # length-3 pattern.  p[2] = 1, 2, 3 puts x in the gap below, between or
-    # above a, v.
-    pair = [0] * (n + 1)
-    for p0, p1, p2 in (p for p in pats if len(p) == 3):
-        for a, v in itertools.permutations(range(1, n + 1), 2):
-            if (a < v) == (p0 < p1):
-                gaps = (0, min(a, v), max(a, v), n + 1)
-                pair[a] |= (1 << gaps[p2]) - (1 << (gaps[p2 - 1] + 1)) << width * v
+    # fold[a], what placing a ORs into rows.  Field v: x iff a, v, x forms
+    # a length-3 p, x between the values of rank p[2] - 1 and p[2] of 0, a,
+    # v, n + 1.  Pending field v, field x: what a, v, x forbids for all p of length 4.
+    fold = [0] * (n + 1)
+    for p in pats:
+        if len(p) in (3, 4):
+            r = (p[0] < p[2]) + (p[1] < p[2])  # the rank of p[2] in p[:3]
+            for a, v in itertools.permutations(range(1, n + 1), 2):
+                if (a < v) == (p[0] < p[1]):
+                    values = [0, min(a, v), max(a, v), n + 1]
+                    if len(p) == 3:
+                        fold[a] |= (1 << values[r + 1]) - (1 << values[r] + 1) << width * v
+                        continue
+                    for x in range(values[r] + 1, values[r + 1]):
+                        four = sorted((*values, x))
+                        gap = (1 << four[p[3]]) - (1 << four[p[3] - 1] + 1)
+                        fold[a] |= gap << width * x + span * v
     rows = 0
-    for p in (p for p in pats if len(p) == 2):
-        for v in range(1, n + 1):
-            rows |= _gap(p, 1 << v, n) << width * v
-    # (pattern, p[0] < p[1], gap memo, fold memo) per pattern of length >= 4
-    long = [(p, p[0] < p[1], {}, {}) for p in pats if len(p) >= 4]
+    for p, v in itertools.product([p for p in pats if len(p) == 2], range(1, n + 1)):
+        rows |= _gap(p, 1 << v, n) << width * v
+    # (pattern, p[0] < p[1], gap memo, fold memo) per pattern of length >= 5
+    long = [(p, p[0] < p[1], {}, {}) for p in pats if len(p) >= 5]
+    deep = any(len(p) >= 4 for p in pats)  # a placement does more than OR fold[v]
+    full = (1 << (n + 1)) - 2
     field = (1 << n) - 1
     cols = [0] + [sum(1 << (n * v + j) for v in range(1, n + 1)) for j in range(n)]
     below = [(1 << n * v) - 1 for v in range(n + 1)]
-    prefix: list[int] = []
+    prefix = [0] * (n - 2)  # prefix[i]: the letter at position i + 1
 
     def grow(v: int, left: int, rows: int, stored: list) -> tuple[int, list]:
-        # Place v after prefix: return rows with each new occurrence of
-        # p[:m-2] folded in, and the stored occurrences of p[:2] .. p[:m-3]
-        # that are still live, given the values left to place.
+        # Place v, with left the values not yet placed: return rows with
+        # each new occurrence of p[:m-2] folded in, and the stored
+        # occurrences of p[:2] .. p[:m-3] that are still live.
         # stored[i][j]: (S, gap(S)) per occurrence of p[:j+2], p = long[i][0].
         bit = 1 << v
         child = []
         for (p, up, gaps, folds), levels in zip(long, stored):
-            grown = [1 << a | bit for a in prefix if (a < v) == up]
+            side = ~left & (bit - 2 if up else full & -bit << 1)  # placed a, (a < v) == up
+            grown = []
+            while side:
+                grown.append(side & -side | bit)
+                side &= side - 1
             child_levels = []
             for level in levels:
                 kept = [e for e in level if e[1] & left]
@@ -261,15 +279,13 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
                 child_levels.append(kept)
                 grown = [s | bit for s, g in level if g & bit]
             for s in grown:
-                fold = folds.get(s)
-                if fold is None:
+                f = folds.get(s)
+                if f is None:
                     g = _gap(p, s, n)
-                    fold = folds[s] = sum(
-                        _gap(p, s | 1 << x, n) << width * x
-                        for x in range(1, n + 1)
-                        if g >> x & 1
+                    f = folds[s] = sum(
+                        _gap(p, s | 1 << x, n) << width * x for x in range(1, n + 1) if g >> x & 1
                     )
-                rows |= fold
+                rows |= f
             child.append(child_levels)
         return rows, child
 
@@ -295,16 +311,17 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
                 else:
                     yield (*prefix, v, w)
                 continue
-            child_rows = rows | pair[v]
+            child_rows = rows | fold[v]
             child_stored = stored
-            if long:
-                child_rows, child_stored = grow(v, rest, child_rows, stored)
-            prefix.append(v)
+            if deep:  # fold in the occurrences (a, v) of p[:2]
+                child_rows |= rows >> span * v & fields
+                if long:
+                    child_rows, child_stored = grow(v, rest, child_rows, stored)
+            prefix[j - 1] = v
             yield from extend(extend, j + 1, rest, child_rows, child_stored, child_key, child_masks)
-            prefix.pop()
 
     stored = [[[] for _ in range(len(p) - 4)] for p, *_ in long]
-    return extend(extend, 1, (1 << (n + 1)) - 2, rows, stored, 0, 0)
+    return extend(extend, 1, full, rows, stored, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ widths counts once.  Indices are 1-based throughout, matching the usual
 one-line conventions.
 
 The counts des, inv, maj and exc come from `scanner`: the widths are
-normalized once, and each word costs a few C-level map/sum passes.
+normalized once, and each word costs one C-level pass over its pairs, or
+for exc one pass per block.
 """
 from __future__ import annotations
 
 import math
-from operator import gt, mul
+from itertools import chain
+from operator import gt, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError
@@ -142,11 +144,13 @@ def maj(word: Sequence[int], widths: Widths = 1) -> int:
 def scanner(statistic: str, n: int, widths: Widths) -> Callable[[Sequence[int]], int]:
     """
     A per-word counter of a statistic at the given widths on words of length
-    n, the widths normalized once.  des sums a_i > a_(i+k) over the widths k,
-    inv over the distinct gaps that some width divides (a pair has one gap),
-    maj weights the width-k descent at i by ceil(i/k), and exc counts the
-    letters b_t of each block b = a_i a_(i+k) ... above the t-th smallest
-    letter of b, which is rank(b_t) > t without standardizing the block.
+    n, the widths normalized once.  des, inv and maj read their pairs
+    (a_i, a_(i+d)) in one pass of two itemgetters, each led by the pair
+    (a_1, a_1), never a descent, so that it returns a tuple: des over the
+    gaps d = k, inv over the distinct gaps that some width divides (a pair
+    has one gap), and maj weights the width-k descent at i by ceil(i/k).
+    exc counts the letters b_t of each block b = a_i a_(i+k) ... above the
+    t-th smallest letter of b, which is rank(b_t) > t without standardizing.
 
     >>> scanner("inv", 7, (2, 3))((4, 1, 3, 6, 5, 7, 2))
     5
@@ -157,8 +161,12 @@ def scanner(statistic: str, n: int, widths: Widths) -> Callable[[Sequence[int]],
     if statistic == "exc":  # blocks of one letter have no excedance
         blocks = [slice(i, None, k) for k in ks for i in range(min(k, n - k))]
         return lambda w: sum([sum(map(gt, b, sorted(b))) for b in map(w.__getitem__, blocks)])
+    gaps = {d for k in ks for d in range(k, n, k)} if statistic == "inv" else ks
+    if min(gaps, default=n) >= n:
+        return lambda w: 0  # no pair to compare
+    lo = itemgetter(0, *chain(*[range(n - d) for d in gaps]))
+    hi = itemgetter(0, *chain(*[range(d, n) for d in gaps]))
     if statistic == "maj":
-        ceils = [(k, [(i + k - 1) // k for i in range(1, n - k + 1)]) for k in ks if k < n]
-        return lambda w: sum([sum(map(mul, c, map(gt, w, w[k:]))) for k, c in ceils])
-    gaps = ks if statistic == "des" else {d for k in ks for d in range(k, n, k)}
-    return lambda w: sum([sum(map(gt, w, w[d:])) for d in gaps])
+        weights = [0, *[i // d + 1 for d in gaps for i in range(n - d)]]
+        return lambda w: sum(map(mul, weights, map(gt, lo(w), hi(w))))
+    return lambda w: sum(map(gt, lo(w), hi(w)))

@@ -255,7 +255,8 @@ ORACLE_CLASSES = [
     for pats in itertools.combinations(itertools.permutations((1, 2, 3)), size)
 ] + [
     ((1, 2),), ((2, 1),), ((4, 3, 2, 1),), ((1, 3, 4, 2), (2, 1, 4, 3)),
-    ((1, 2, 3), (2, 1, 4, 3)), ((1, 2, 3, 4, 5),),
+    ((1, 2, 3), (2, 1, 4, 3)), ((1, 2, 3, 4, 5),), ((1, 2, 3, 4), (4, 3, 2, 1)),
+    ((1, 3, 2, 4), (2, 1, 4, 3), (3, 4, 1, 2)), ((1, 3, 2), (1, 2, 3, 4), (1, 2, 3, 4, 5)),
 ]
 
 

@@ -178,8 +178,8 @@ def test_avoidance_class_single_patterns_are_catalan():
 
 
 def test_avoidance_class_matches_filter():
-    # lengths 1 to 3 set up taken and rows before the walk; longer patterns
-    # extend their occurrences as it goes; mixed sets share one taken mask
+    # lengths 1 to 4 are tabled before the walk; longer patterns extend
+    # their occurrences as it goes; mixed sets share one rows int
     for pats in [
         ((3, 1, 2),), ((1, 2, 3), (3, 2, 1)), ((2, 1),), ((1,),),
         ((1, 2), (3, 1, 2)), ((1, 3, 2), (2, 4, 1, 3)), ((3, 1, 2), (1, 2, 3, 4)),
@@ -214,6 +214,7 @@ def _contents(length, nmax):
 
 
 S3 = sorted(itertools.permutations((1, 2, 3)))
+S4 = sorted(itertools.permutations((1, 2, 3, 4)))
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +243,33 @@ def test_every_long_pattern_matches_containment_oracle(length, nmax):
         for n, contents in table.items():
             expected = [w for w, bits in contents if not bits >> i & 1]
             assert list(avoidance_class(n, [pattern])) == expected, (pattern, n)
+
+
+def test_every_pair_of_length4_patterns_matches_containment_oracle():
+    # all length-4 patterns fold through one shared table per letter
+    table = _contents(4, 6)
+    for i, j in itertools.combinations(range(24), 2):
+        pats = [S4[i], S4[j]]
+        for n, contents in table.items():
+            expected = [w for w, bits in contents if not bits >> i & 1 and not bits >> j & 1]
+            assert list(avoidance_class(n, pats)) == expected, (pats, n)
+
+
+@pytest.mark.parametrize(
+    "pats",
+    ["312", "1234", "4321", "1342,2143", "1234,4321", "132,4321", "132,1324,2143,3412"],
+)
+def test_walk_finds_no_gap_after_its_first_member(monkeypatch, pats):
+    # up to length 4 every gap is tabled before the walk starts, so the
+    # placements after the first member compute none
+    gap = perm._gap
+    calls = []
+    monkeypatch.setattr(perm, "_gap", lambda *args: calls.append(args) or gap(*args))
+    walk = avoidance_class(8, parse_patterns(pats))
+    next(walk)
+    before = len(calls)
+    assert sum(1 for _ in walk) > 100
+    assert len(calls) == before, pats
 
 
 # |Av_n(p)| for n = 1..8, one length-4 pattern per Wilf class: OEIS A005802,
