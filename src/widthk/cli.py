@@ -110,7 +110,7 @@ def cmd_stat(args: argparse.Namespace) -> int:
     else:
         fn = stats.exc if name == "exc" else stats.maj
         per = {k: fn(word, k) for k in widths}
-        total = fn(word, widths)
+        total = sum(per.values())  # both statistics sum over the widths
         data.update({"by_width": {str(k): v for k, v in per.items()}, "value": total})
         lines.append(f"{name}_{label}({data['perm']}) = {total}")
         for k in widths:

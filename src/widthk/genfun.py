@@ -31,9 +31,9 @@ from .perm import (
     reverse,
 )
 from .poly import (
-    ONE,
     LaurentPoly,
     MultiPoly,
+    binomial_product,
     block_multinomial,
     catalan,
     eulerian_poly,
@@ -248,24 +248,39 @@ def rec_312(n: int, k: int) -> LaurentPoly:
 def rec_123_132(n: int, k: int) -> LaurentPoly:
     """
     Width-k descent distribution over the {123, 132}-avoiders, by recursion
-    on the position of the letter n; the closing term collects the positions
-    past max(k, n-k) in a single power of q.  Each level is stored from its
-    valuation up, which is far above q^0 once n is large against k.
+    on the position i of the letter n; the closing term collects the
+    positions past max(k, n-k) in a single power of q.  The middle range
+    k < i <= m - k adds q^(i-1) rows[m - i], which is q^(m-1) q^(-l) rows[l]
+    for l = m - i = k..m-k-1, so it is one running sum of q^(-l) rows[l]
+    shifted once, and a level costs O(k) row additions.  Each level is
+    stored from its valuation up, which is far above q^0 once n is large
+    against k.
+
+    >>> print(rec_123_132(5, 2))
+    8*q^2 + 8*q^3
     """
     _check_recursion_args(n, k)
     rows: list[tuple[int, list[int]]] = []  # (valuation, coefficients from it)
+    # q^(-l) rows[l] summed over l = k..summed-1; entry j is the coefficient
+    # of q^(-k-j), as des_k <= l - k puts every exponent at or below -k
+    middle: list[int] = []
+    summed = k
     for m in range(n + 1):
         if m <= k:
             rows.append((0, [2 ** max(m - 1, 0)]))
             continue
+        while summed < m - k:
+            low, src = rows[summed]
+            start = summed - k - low - len(src) + 1  # j of the top coefficient
+            middle.extend([0] * (start + len(src) - len(middle)))
+            _add_shifted(middle, src[::-1], start)
+            summed += 1
         # (shift, row) per summand; every stored row starts at a nonzero
         # coefficient, and all are positive, so the least shift is the valuation
         parts = [(m - k - 1, [2 ** (m - max(k + 1, m - k + 1))])]
         parts += [(min(i, m - k) + rows[m - i][0], rows[m - i][1]) for i in range(1, k + 1)]
-        parts += [
-            (min(i - 1, m - k - 1) + rows[m - i][0], rows[m - i][1])
-            for i in range(k + 1, m - k + 1)
-        ]
+        if middle:
+            parts.append((m - k - len(middle), middle[::-1]))
         low = min(s for s, _ in parts)
         row = [0] * (m - k + 1 - low)
         for s, src in parts:
@@ -327,19 +342,19 @@ def product_132_231(n: int, widths: stats.Widths) -> LaurentPoly:
     """
     Width-set descent distribution over the {132, 231}-avoiders, and equally
     over the {132, 312}-avoiders (`product_132_312` is this function): a
-    product of binomials (1 + q^(i-1)) spanned by the gaps of the width set.
+    product of binomials (1 + q^(i-1)) spanned by the gaps of the width set,
+    built in one packed integer by `binomial_product`.
 
     >>> print(product_132_231(3, (1,)))
     1 + 2*q + q^2
+    >>> print(product_132_231(5, (2, 4)))  # 2 (1+q)^2 (1+q^2)
+    2 + 4*q + 4*q^2 + 4*q^3 + 2*q^4
     """
     if isinstance(widths, int):
         widths = (widths,)
     # the empty word, like a word of length 1, has no descents
     anchors = (1, *stats.normalize_widths(widths, n), max(n, 1))
-    out = ONE
-    for i in range(1, len(anchors)):
-        out = out * LaurentPoly([(0, 1), (i - 1, 1)]) ** (anchors[i] - anchors[i - 1])
-    return out
+    return binomial_product((i - 1, anchors[i] - anchors[i - 1]) for i in range(1, len(anchors)))
 
 
 product_132_312 = product_132_231
@@ -349,17 +364,17 @@ def closed_inv_132_312(n: int, k: int) -> LaurentPoly:
     """
     Width-k inversion distribution over the {132, 312}-avoiders (equal to
     the {132, 231} one): with n = dk+r, the binomial product
-    2^(k-1) (1+q^d)^r prod_(i<d) (1+q^i)^k.
+    2^(k-1) (1+q^d)^r prod_(i<d) (1+q^i)^k, built in one packed integer by
+    `binomial_product`.  It is des over the multiples of k, word by word.
 
     >>> print(closed_inv_132_312(3, 1))
     1 + q + q^2 + q^3
+    >>> closed_inv_132_312(7, 2) == product_132_312(7, (2, 4, 6))
+    True
     """
     _check_width(n, k)
     d, r = divmod(n, k)
-    out = LaurentPoly({0: 2 ** (k - 1)}) * LaurentPoly([(0, 1), (d, 1)]) ** r
-    for i in range(1, d):
-        out = out * LaurentPoly([(0, 1), (i, 1)]) ** k
-    return out
+    return binomial_product([(d, r), *((i, k) for i in range(1, d))], 2 ** (k - 1))
 
 
 def des_degree_312(n: int, k: int) -> int:

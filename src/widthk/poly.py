@@ -5,9 +5,18 @@ LaurentPoly is univariate in q and allows negative exponents, which the
 signed descent-difference generating functions need.  It is stored densely,
 as a valuation and the tuple of coefficients from there up to the degree;
 large products of nonnegative polynomials take one big-integer product
-(Kronecker substitution).  MultiPoly tracks one exponent per named variable,
-is stored sparsely, and is used for joint descent distributions.
+(Kronecker substitution).  A product of binomials, scale * prod (1 + q^a)^e,
+stays inside one packed integer from first factor to last
+(`binomial_product`), with one slot-width and unpack path shared with the
+Kronecker product.  MultiPoly tracks one exponent per named variable, is
+stored sparsely, and is used for joint descent distributions.
 Coefficients are plain Python ints, so nothing here ever rounds.
+
+>>> print(binomial_product([(1, 3)]))
+1 + 3*q + 3*q^2 + q^3
+>>> one_plus_q = LaurentPoly({0: 1, 1: 1})
+>>> binomial_product([(1, 3)]) == one_plus_q**3 == one_plus_q * one_plus_q * one_plus_q
+True
 """
 from __future__ import annotations
 
@@ -58,6 +67,22 @@ def _pack(row: Sequence[int], width: int, code: str | None) -> int:
     return int.from_bytes(raw, "little")
 
 
+def _slot_width(bits: int) -> int:
+    # Bytes per slot for coefficients of up to `bits` bits: 1, 2, 4 or 8,
+    # so that the array typecodes apply, and whole bytes above that.
+    width = (bits + 7) // 8
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _unpack(packed: int, size: int, width: int) -> list[int]:
+    # The first `size` slots of `width` bytes of a packed integer, lowest first.
+    raw = packed.to_bytes(size * width, "little")
+    code = _SLOT_CODES.get(width)
+    if code:
+        return array(code, raw).tolist()
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, size * width, width)]
+
+
 def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """
     Coefficients of the product of two nonnegative coefficient rows by one
@@ -66,17 +91,11 @@ def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     carries into the next slot.
     """
     bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
-    width = (bits + 7) // 8
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8 bytes
+    width = _slot_width(bits)
     code = _SLOT_CODES.get(width)
     x = _pack(a, width, code)
     product = x * x if a is b else x * _pack(b, width, code)
-    size = len(a) + len(b) - 1
-    raw = product.to_bytes(size * width, "little")
-    if code:
-        return array(code, raw).tolist()
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, size * width, width)]
+    return _unpack(product, len(a) + len(b) - 1, width)
 
 
 class LaurentPoly:
@@ -299,6 +318,33 @@ def q_factorial(m: int) -> LaurentPoly:
         prefix = list(accumulate(row, initial=0))
         row = list(map(operator.sub, prefix[1:], chain(repeat(0, i - 1), prefix)))
     return LaurentPoly._dense(0, tuple(row))
+
+
+def binomial_product(factors: Iterable[tuple[int, int]], scale: int = 1) -> LaurentPoly:
+    """scale * prod (1 + q^a)^e over the pairs (a, e), as one packed integer.
+
+    With a, e >= 0 and scale >= 1 every coefficient is nonnegative, so none
+    exceeds the value at q = 1, scale * 2^(sum of e), which fixes the slot
+    width once.  Each of the e steps of a factor is then one shift-add
+    x += x << (a slots) on the whole packed row, and the row is unpacked
+    once at the end.
+
+    >>> print(binomial_product([(1, 2)], 3))
+    3 + 6*q + 3*q^2
+    >>> print(binomial_product([(2, 1), (0, 1)]))
+    2 + 2*q^2
+    """
+    factors = sorted(factors)  # the row grows slowest with the small shifts first
+    if scale < 1 or factors and min(map(min, factors)) < 0:
+        raise InvalidInputError(f"need scale >= 1 and a, e >= 0, got {scale}, {factors}")
+    width = _slot_width((scale << sum(e for _, e in factors)).bit_length())
+    x = scale
+    for a, e in factors:
+        shift = 8 * width * a
+        for _ in range(e):
+            x += x << shift
+    size = 1 + sum(a * e for a, e in factors)
+    return LaurentPoly._dense(0, tuple(_unpack(x, size, width)))
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthk import genfun, perm
+from widthk import genfun, perm, stats
 from widthk.cli import FORMATS, _emit_kv, _factored_g, main
 from widthk.errors import EnumerationCapError
 from widthk.genfun import VerificationReport
@@ -95,6 +95,29 @@ def test_stat_exc_and_maj(capsys):
     )
     assert code == 0
     assert "value,4" in out.splitlines()
+
+
+@given(
+    word=st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    widths=st.sets(st.integers(1, 11), min_size=1, max_size=4),
+    name=st.sampled_from(["exc", "maj"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_stat_value_is_the_sum_of_the_width_values(word, widths, name):
+    # `stat` prints the width set's value as the sum of the per-width values;
+    # the library computes it in one scan over the whole width set
+    widths = sorted(k for k in widths if k <= max(len(word) - 1, 1)) or [1]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([
+            "stat", "--perm", ",".join(map(str, word)), "--stat", name,
+            "--widths", ",".join(map(str, widths)), "--format", "json",
+        ])
+    assert code == 0
+    data = json.loads(out.getvalue())
+    fn = stats.exc if name == "exc" else stats.maj
+    assert data["value"] == fn(word, widths)
+    assert data["by_width"] == {str(k): fn(word, k) for k in widths}
 
 
 def test_stat_rejects_bad_input(capsys):

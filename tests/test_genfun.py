@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from widthk import genfun
+from widthk import genfun, poly
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import (
     CLOSED_INV,
@@ -440,6 +440,29 @@ def from_q0_123_132_table(n, k):
     return [LaurentPoly(dict(enumerate(row))) for row in rows]
 
 
+def per_factor_132_231(n, widths):
+    """
+    product_132_231 by one LaurentPoly power and product per binomial: the
+    independent oracle for the packed product in genfun.
+    """
+    if isinstance(widths, int):
+        widths = (widths,)
+    anchors = (1, *sorted(set(widths)), max(n, 1))
+    out = ONE
+    for i in range(1, len(anchors)):
+        out = out * LaurentPoly([(0, 1), (i - 1, 1)]) ** (anchors[i] - anchors[i - 1])
+    return out
+
+
+def per_factor_inv_132_312(n, k):
+    """closed_inv_132_312 by one LaurentPoly power and product per binomial."""
+    d, r = divmod(n, k)
+    out = LaurentPoly({0: 2 ** (k - 1)}) * LaurentPoly([(0, 1), (d, 1)]) ** r
+    for i in range(1, d):
+        out = out * LaurentPoly([(0, 1), (i, 1)]) ** k
+    return out
+
+
 class TestProductsAndDegrees:
     def test_products_known_values(self):
         assert product_132_231(4, (1, 2)) == P(1, 1, 2, 2, 1, 1)
@@ -497,13 +520,43 @@ class TestProductsAndDegrees:
         }
 
 
+class TestPackedProducts:
+    # The packed binomial products against the per-factor LaurentPoly loop.
+
+    def test_closed_inv_matches_per_factor_oracle_at_every_k(self, monkeypatch):
+        # at k = 1 the slot holds 2^(n-1), so n <= 70 crosses every slot size
+        widths = set()
+        slot_width = poly._slot_width
+        monkeypatch.setattr(
+            poly, "_slot_width", lambda bits: widths.add(slot_width(bits)) or slot_width(bits)
+        )
+        for n in range(2, 71):
+            for k in range(1, n):
+                assert closed_inv_132_312(n, k) == per_factor_inv_132_312(n, k), (n, k)
+        assert {1, 2, 4, 8} <= widths and max(widths) > 8
+
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_products_match_per_factor_oracle_at_every_width_set(self, n):
+        top = max(n - 1, 1)
+        for size in range(1, top + 1):
+            for ks in itertools.combinations(range(1, top + 1), size):
+                assert product_132_231(n, ks) == per_factor_132_231(n, ks), (n, ks)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 149])
+    def test_formulas_match_per_factor_oracle_at_150(self, k):
+        assert closed_inv_132_312(150, k) == per_factor_inv_132_312(150, k)
+        ks = (k, *range(k + 3, 150, 5))
+        assert product_132_312(150, ks) == per_factor_132_231(150, ks)
+
+
 class TestLargeFormulas:
     # Two formula routes cross-checked at n in the hundreds, with no
     # enumeration: each family below runs in well under a second.
 
     @pytest.mark.parametrize("n, k", [(150, 1), (97, 3), (150, 4), (60, 7)])
     def test_product_at_multiples_of_k_is_closed_inv(self, n, k):
-        # des over the width set {k, 2k, ...} is inv_k word by word
+        # des over the width set {k, 2k, ...} is inv_k word by word; both
+        # sides run `binomial_product`, so TestPackedProducts holds the oracle
         assert product_132_312(n, tuple(range(k, n, k))) == closed_inv_132_312(n, k)
 
     @pytest.mark.parametrize("n, k", [(60, 1), (100, 3), (90, 8)])

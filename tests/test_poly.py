@@ -16,6 +16,7 @@ from widthk.poly import (
     ZERO,
     LaurentPoly,
     MultiPoly,
+    binomial_product,
     block_multinomial,
     catalan,
     eulerian_poly,
@@ -327,6 +328,40 @@ def test_kronecker_slots_hold_the_largest_coefficients():
         for c in (1, 255, 256, 2**64 - 1, 2**64, 2**333):
             row = (c,) * length
             assert poly._kronecker(row, row) == poly._schoolbook(row, row)
+
+
+def per_factor_product(factors, scale=1) -> LaurentPoly:
+    """
+    scale * prod (1 + q^a)^e by one LaurentPoly power and product per
+    factor: the independent oracle for the packed `binomial_product`.
+    """
+    out = LaurentPoly({0: scale})
+    for a, e in factors:
+        out = out * LaurentPoly([(0, 1), (a, 1)]) ** e
+    return out
+
+
+_factor_lists = st.lists(
+    st.tuples(st.one_of(st.just(0), st.integers(0, 40)), st.integers(0, 12)), max_size=8
+)
+
+
+@given(_factor_lists, st.one_of(st.just(1), st.integers(1, 300), st.integers(1, 2**70)))
+@settings(max_examples=300, deadline=None)
+def test_binomial_product_matches_per_factor_product(factors, scale):
+    got = binomial_product(factors, scale)
+    assert got == per_factor_product(factors, scale)
+    assert got(1) == scale << sum(e for _, e in factors)
+
+
+def test_binomial_product_edge_cases():
+    assert binomial_product([]) == ONE
+    assert binomial_product([], 5) == 5
+    assert binomial_product([(0, 3)], 3) == 24  # (1 + q^0)^3 = 8
+    assert binomial_product([(4, 0), (1, 1)]) == ONE + Q
+    for scale, factors in ((0, []), (-1, [(1, 1)]), (1, [(-1, 1)]), (1, [(1, -1)])):
+        with pytest.raises(InvalidInputError):
+            binomial_product(factors, scale)
 
 
 def test_power_makes_one_squaring_per_bit_and_one_product_per_set_bit(monkeypatch):
