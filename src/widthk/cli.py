@@ -19,14 +19,7 @@ from collections import Counter
 
 from . import genfun, stats
 from .errors import EnumerationCapError, InvalidInputError
-from .perm import (
-    avoidance_class,
-    check_cap,
-    enumeration_cap,
-    format_perm,
-    parse_patterns,
-    parse_perm,
-)
+from .perm import avoidance_class, format_perm, parse_patterns, parse_perm
 from .poly import LaurentPoly
 
 FORMATS = ("plain", "json", "csv")
@@ -59,15 +52,17 @@ def _widths_label(widths: tuple[int, ...]) -> str:
 def _emit_kv(data: dict) -> None:
     # generic key,value CSV: nested values are serialized compactly
     print("key,value")
-    def walk(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            for kk, vv in value.items():
-                walk(f"{prefix}.{kk}" if prefix else str(kk), vv)
-        else:
-            cell = value if isinstance(value, (int, str)) else json.dumps(value)
-            print(f"{prefix},{cell}")
-    walk("", data)
-    del walk  # walk refers to itself; without this it waits for gc
+    _emit_kv_rows("", data)
+
+
+def _emit_kv_rows(prefix: str, value) -> None:
+    # a module-level recursion, so no call leaves a self-referencing closure
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _emit_kv_rows(f"{prefix}.{key}" if prefix else str(key), item)
+    else:
+        cell = value if isinstance(value, (int, str)) else json.dumps(value)
+        print(f"{prefix},{cell}")
 
 
 def _emit_poly_csv(poly: LaurentPoly, prefix: str = "") -> None:
@@ -183,9 +178,10 @@ def cmd_gf(args: argparse.Namespace) -> int:
         if args.method in ("closed", "recursion"):
             formulas = [r for r in formulas if r[0] == args.method]
             if not formulas:
+                label = _widths_label((widths,) if isinstance(widths, int) else widths)
                 raise InvalidInputError(
                     f"no {args.method} formula applies to statistic {statistic!r} "
-                    f"with patterns {args.avoid!r}"
+                    f"at widths {label} with patterns {args.avoid!r}"
                 )
         routes.extend(formulas)
 
@@ -280,29 +276,14 @@ def cmd_gtable(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     import csv  # here, not at the top: loading it adds 0.4 MB of peak RSS to every command
 
-    if args.nmax is not None:
-        if args.nmax < 0:
-            raise InvalidInputError(f"nmax must be >= 0, got {args.nmax}")
-        cap = enumeration_cap()
-        if args.nmax > cap:
-            raise EnumerationCapError(
-                f"nmax={args.nmax} exceeds enumeration cap {cap} "
-                "(raise WIDTHK_MAX_N to override)"
-            )
-    names = list(genfun.SUITES) if args.suite == "all" else [args.suite]
-    if args.nmax is None:
-        # the default bounds are known up front, so the cap refuses a run
-        # before it prints anything
-        check_cap(max(genfun.SUITE_NMAX.get(name, 0) for name in names))
-    # Print each suite's reports as soon as it returns.  The csv header waits
-    # for the first suite, so an unknown suite name prints nothing.
-    caches = genfun.SweepCaches()
+    # the engine checks the name, the bounds and the cap before any suite
+    # runs; each suite's reports are printed as soon as it returns
+    suites = genfun.suite_reports(args.suite, args.nmax)
     tally: Counter[str] = Counter()
     rows = csv.writer(sys.stdout, lineterminator="\n")
-    for index, name in enumerate(names):
-        reports = genfun.run_suite(name, args.nmax, caches)
-        if index == 0 and args.format == "csv":
-            rows.writerow(("identity", "status", "range"))
+    if args.format == "csv":
+        rows.writerow(("identity", "status", "range"))
+    for reports in suites:
         for report in reports:
             tally[report.status] += 1
             if args.format == "json":

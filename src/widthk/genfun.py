@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import stats
-from .errors import InvalidInputError
+from .errors import EnumerationCapError, InvalidInputError
 from .perm import (
     _joint_descents,
     _sn_excedances,
@@ -27,6 +27,7 @@ from .perm import (
     check_cap,
     check_patterns,
     complement,
+    enumeration_cap,
     format_perm,
     reverse,
 )
@@ -433,10 +434,6 @@ class VerificationReport:
             raise InvalidInputError(
                 "mismatch reports carry a counterexample; other statuses do not"
             )
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "mismatch"
 
     def to_json(self) -> dict:
         out: dict = {
@@ -1146,8 +1143,8 @@ SUITES: dict[str, Callable] = {
 
 
 #: Each suite's default bound, which is also the largest n it enumerates.
-#: With no --nmax, verify compares the largest for the chosen suites with
-#: the cap before it prints anything.
+#: A run at default bounds checks the largest of its suites' bounds against
+#: the cap before any suite runs.
 SUITE_NMAX: dict[str, int] = {
     "example": 0,
     "theorem": 8,
@@ -1161,21 +1158,35 @@ SUITE_NMAX: dict[str, int] = {
 }
 
 
+def suite_reports(
+    name: str, n_max: int | None = None, caches: SweepCaches | None = None
+) -> Iterator[list[VerificationReport]]:
+    """
+    Check a run of one suite (or "all") and return a lazy iterator over each
+    suite's report list, in SUITES order.  The name, n_max and the cap are
+    all checked before any suite runs; each suite sweeps up to n_max, or by
+    default up to its own SUITE_NMAX bound.
+    """
+    if n_max is not None:
+        if n_max < 0:
+            raise InvalidInputError(f"nmax must be >= 0, got {n_max}")
+        if n_max > (cap := enumeration_cap()):
+            raise EnumerationCapError(
+                f"nmax={n_max} exceeds enumeration cap {cap} (raise WIDTHK_MAX_N to override)"
+            )
+    if name not in SUITES and name != "all":
+        choices = ", ".join([*SUITES, "all"])
+        raise InvalidInputError(f"unknown suite {name!r}; choose from: {choices}")
+    names = list(SUITES) if name == "all" else [name]
+    tops = [SUITE_NMAX[each] if n_max is None else n_max for each in names]
+    check_cap(max(tops))
+    if caches is None:
+        caches = SweepCaches()
+    return (SUITES[each](top, caches) for each, top in zip(names, tops))
+
+
 def run_suite(
     name: str, n_max: int | None = None, caches: SweepCaches | None = None
 ) -> list[VerificationReport]:
-    """
-    Run one verification suite (or "all"), returning its reports in a fixed
-    deterministic order.  Each suite sweeps up to n_max, or by default up to
-    its own SUITE_NMAX bound.
-    """
-    if name != "all" and name not in SUITES:
-        choices = ", ".join(list(SUITES) + ["all"])
-        raise InvalidInputError(f"unknown suite {name!r}; choose from: {choices}")
-    if caches is None:
-        caches = SweepCaches()
-    reports: list[VerificationReport] = []
-    for each in SUITES if name == "all" else (name,):
-        top = SUITE_NMAX[each] if n_max is None else n_max
-        reports.extend(SUITES[each](top, caches))
-    return reports
+    """Every report of suite_reports(name, n_max, caches), in one list."""
+    return [report for reports in suite_reports(name, n_max, caches) for report in reports]

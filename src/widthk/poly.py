@@ -248,6 +248,8 @@ class LaurentPoly:
 
     def __call__(self, x: int | Fraction) -> int | Fraction:
         """Evaluate exactly; negative exponents go through Fraction."""
+        if x == 0 and self._coeffs and self._val < 0:
+            raise InvalidInputError(f"cannot evaluate at 0: q^{self._val} has a pole there")
         total: int | Fraction = 0
         for c in reversed(self._coeffs):
             total = total * x + c

@@ -27,7 +27,7 @@ K = (2, 3)
 
 
 def _all_verified(reports):
-    failed = [r for r in reports if not r.ok]
+    failed = [r for r in reports if r.status == "mismatch"]
     assert not failed, [r.to_json() for r in failed]
     assert any(r.status == "verified" for r in reports)
     return reports

@@ -195,12 +195,26 @@ def test_gf_inapplicable_method_exits_2(capsys):
         capsys, "gf", "--n", "5", "--stat", "des", "--method", "recursion"
     )
     assert code == 2
-    code, _, err = run(
+    code, out, err = run(
         capsys,
         "gf", "--n", "5", "--stat", "des", "--widths", "1,2", "--avoid", "312",
         "--method", "recursion",
     )
-    assert code == 2  # the recursion handles one width at a time
+    # the recursion handles one width at a time, so the message names the widths
+    assert code == 2 and out == ""
+    assert err == (
+        "error: no recursion formula applies to statistic 'des' at widths {1,2} "
+        "with patterns '312'\n"
+    )
+    code, out, err = run(
+        capsys, "gf", "--n", "5", "--stat", "inv", "--width", "2", "--avoid", "123",
+        "--method", "closed",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: no closed formula applies to statistic 'inv' at widths {2} "
+        "with patterns '123'\n"
+    )
 
 
 def test_gf_width_beyond_n_exits_2(capsys):
@@ -531,7 +545,10 @@ def test_each_suite_runs_at_its_declared_bound(capsys, monkeypatch, name):
     assert " 0 mismatched" in out
     if bound:
         monkeypatch.setenv("WIDTHK_MAX_N", str(bound - 1))
-        # the bound is tight: the suite itself reaches n = bound
+        # the bound is tight: the suite itself reaches n = bound (run_suite
+        # refuses before calling it, so the suite is called directly)
+        with pytest.raises(EnumerationCapError):
+            genfun.SUITES[name](bound, genfun.SweepCaches())
         with pytest.raises(EnumerationCapError):
             genfun.run_suite(name)
         code, out, err = run(capsys, "verify", "--suite", name)

@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+import widthk
 from widthk import genfun, poly
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import (
@@ -41,6 +42,7 @@ from widthk.genfun import (
     rec_132_213,
     rec_312,
     run_suite,
+    suite_reports,
     t_polynomial,
 )
 from widthk.perm import _joint_descents, avoidance_class, enumerate_sn, format_perm
@@ -684,14 +686,14 @@ class TestGradedDistributions:
 class TestReports:
     def test_status_and_counterexample_invariants(self):
         ok = VerificationReport("x", "n<=3", "verified")
-        assert ok.ok and ok.to_json() == {
+        assert ok.status == "verified" and ok.to_json() == {
             "identity": "x", "range": "n<=3", "status": "verified",
         }
         bad = VerificationReport("x", "n<=3", "mismatch", {"params": {}})
-        assert not bad.ok
+        assert bad.status == "mismatch"
         assert bad.to_json()["counterexample"] == {"params": {}}
         info = VerificationReport("x", "n<=3", "not-applicable", notes=("why",))
-        assert info.ok and info.to_json()["notes"] == ["why"]
+        assert info.status == "not-applicable" and info.to_json()["notes"] == ["why"]
         with pytest.raises(InvalidInputError):
             VerificationReport("x", "r", "unknown-status")
         with pytest.raises(InvalidInputError):
@@ -752,6 +754,50 @@ class TestSuites:
     def test_unknown_suite_raises(self):
         with pytest.raises(InvalidInputError):
             run_suite("no-such-suite")
+
+    @pytest.fixture
+    def suite_calls(self, monkeypatch):
+        # every suite records (name, bound) and reports nothing
+        calls = []
+        for name in SUITES:
+            def record(top, caches, name=name):
+                calls.append((name, top))
+                return []
+
+            monkeypatch.setitem(SUITES, name, record)
+        return calls
+
+    @pytest.mark.parametrize("name", ["all", "theorem", "avoidance"])
+    def test_bad_runs_raise_before_any_suite(self, monkeypatch, suite_calls, name):
+        bound = max(SUITE_NMAX.values()) if name == "all" else SUITE_NMAX[name]
+        with pytest.raises(InvalidInputError, match=r"^nmax must be >= 0, got -1$"):
+            run_suite(name, n_max=-1)
+        with pytest.raises(InvalidInputError, match="unknown suite"):
+            run_suite(name + "-typo", n_max=3)
+        monkeypatch.setenv("WIDTHK_MAX_N", str(bound - 1))
+        with pytest.raises(
+            EnumerationCapError,
+            match=rf"^nmax={bound} exceeds enumeration cap {bound - 1} "
+            r"\(raise WIDTHK_MAX_N to override\)$",
+        ):
+            run_suite(name, n_max=bound)
+        # the default bound is refused up front too
+        with pytest.raises(
+            EnumerationCapError, match=rf"^n={bound} exceeds enumeration cap {bound - 1}$"
+        ):
+            run_suite(name)
+        assert suite_calls == []
+        assert run_suite(name, n_max=bound - 1) == []
+        names = list(SUITES) if name == "all" else [name]
+        assert suite_calls == [(each, bound - 1) for each in names]
+
+    def test_suite_reports_runs_one_suite_per_step(self, suite_calls):
+        suites = suite_reports("all")
+        assert suite_calls == []
+        assert next(suites) == [] and suite_calls == [("example", 0)]
+        assert list(suites) == [[]] * (len(SUITES) - 1)
+        assert suite_calls == list(SUITE_NMAX.items())
+        assert "suite_reports" not in widthk.__all__
 
     @pytest.mark.parametrize("name", list(SUITES))
     def test_default_bound_is_suite_nmax(self, caches, name):
@@ -837,7 +883,7 @@ class TestSuites:
             assert (report.status == "mismatch") == (
                 report.counterexample is not None
             )
-            assert report.ok
+            assert report.status != "mismatch"
 
     def test_gtable_reference_has_twenty_entries(self):
         assert sorted(GTABLE_REFERENCE) == [6, 8, 9]

@@ -78,6 +78,18 @@ def test_evaluation_is_exact():
     assert eulerian_poly(5)(1) == 120
 
 
+def test_evaluation_at_zero_refuses_a_pole():
+    # a negative exponent has no value at 0; no exponent below 0, no pole
+    for p in (LaurentPoly({-1: 1}), LaurentPoly({-2: 3, 4: 1})):
+        with pytest.raises(InvalidInputError, match="cannot evaluate at 0"):
+            p(0)
+        with pytest.raises(InvalidInputError):
+            p(Fraction(0))
+    assert LaurentPoly({0: 2, 1: 1})(0) == 2
+    assert LaurentPoly({2: 1})(0) == 0
+    assert ZERO(0) == 0
+
+
 def test_str_forms():
     assert str(ZERO) == "0"
     assert str(ONE + Q) == "1 + q"
