@@ -22,6 +22,7 @@ from .errors import EnumerationCapError, InvalidInputError
 from .perm import (
     _joint_descents,
     _sn_excedances,
+    _sn_g,
     _sn_joint_majors,
     avoidance_class,
     check_cap,
@@ -119,9 +120,9 @@ def t_polynomial(n: int, patterns: Patterns = ()) -> MultiPoly:
     """
     Joint distribution of all width descents at once: each permutation in
     the class contributes the monomial t_1^(des_1) ... t_(n-1)^(des_(n-1)).
-    Counted by packed keys without building a word: S_n by its unpruned
-    walk, an avoidance class by the pruned walk that lists it.  Subject to
-    the enumeration cap.
+    Counted by packed keys without building a word: S_n by the DP over the
+    sets of filled positions, an avoidance class by the pruned walk that
+    lists it.  Subject to the enumeration cap.
     """
     check_cap(n)
     pats = check_patterns(patterns)
@@ -136,20 +137,17 @@ def _indicator(n: int, gaps: Iterable[int]) -> list[int]:
     return [int(g in marked) for g in range(1, n)]
 
 
-def _g_grades(joint: MultiPoly, n: int) -> dict[int, LaurentPoly]:
-    # G[n,k] is the joint distribution over S_n with t_k -> q, t_(n-k) -> 1/q
-    gaps = range(1, n)
-    rows = [[(g == k) - (g == n - k) for g in gaps] for k in gaps]
-    return dict(zip(gaps, joint.grades(rows)))
-
-
 def g_table(n: int) -> dict[int, LaurentPoly]:
     """
-    G[n,k], the sum of q^(des_k - des_(n-k)) over S_n, for k = 1..n-1, as
-    grades of the joint descent distribution over S_n (closed_g is the
-    closed form).  Subject to the enumeration cap.
+    G[n,k], the sum of q^(des_k - des_(n-k)) over S_n, for k = 1..n-1, each
+    by a DP over the sets of filled positions (closed_g is the closed form).
+    Subject to the enumeration cap.
+
+    >>> print(g_table(4)[3])
+    4*q^-2 + 16*q^-1 + 4
     """
-    return _g_grades(t_polynomial(n), n)
+    check_cap(n)
+    return {k: LaurentPoly(_sn_g(n, k)) for k in range(1, n)}
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +497,10 @@ def _format_class(patterns: tuple[tuple[int, ...], ...]) -> str:
 class SweepCaches:
     """
     Memo for the enumeration passes, shared across suites within one run.
-    Each (n, class) is walked once, by packed keys, into its joint descent
-    distribution; every swept des/inv/G distribution is a grade of it.  S_n
-    is walked once more, with major-index tables, for the joint maj, and a
-    DP over value sets gives exc_1; exc_k and maj_k for k >= 2 are block
-    products of smaller exc_1 and maj_1 distributions.
+    Each (n, class) is enumerated once, by packed keys, into its joint
+    descent distribution; every swept des/inv distribution is a grade of it.
+    Over S_n the DP over sets of filled positions also gives the joint maj,
+    whose grades are maj_k, one exc_k per k, and one G[n,k] per k.
     """
 
     def __init__(self) -> None:
@@ -521,7 +518,7 @@ class SweepCaches:
 
     def g_table(self, n: int) -> dict[int, LaurentPoly]:
         if n not in self._g_tables:
-            self._g_tables[n] = _g_grades(self.t_poly(n, ()), n)
+            self._g_tables[n] = g_table(n)
         return self._g_tables[n]
 
     def av_dists(
@@ -548,17 +545,10 @@ class SweepCaches:
         indicator of K.
         """
         if n not in self._sn_exc_maj:
-            # exc_k and maj_k for k >= 2 are block products (see _by_blocks)
-            # of the exc_1 and maj_1 distributions of blocks shorter than n,
-            # so they only read smaller entries of this memo.  Position
-            # i = r + (t-1)k of residue block r has ceil(i/k) = t, so maj_k
-            # is the sum of the blocks' classical maj.
+            ks = range(1, max(n, 2))  # a word of length 1 keeps the classical width 1
             joint = MultiPoly(tuple(f"t{g}" for g in range(1, n)), _sn_joint_majors(n))
-            exc = {1: LaurentPoly(_sn_excedances(n))}
-            maj = {1: joint.grade(_indicator(n, (1,)))}
-            for k in range(2, n):
-                exc[k] = _by_blocks(n, k, lambda m: self.sn_exc_maj(m)[0][1])
-                maj[k] = _by_blocks(n, k, lambda m: self.sn_exc_maj(m)[1][1])
+            exc = {k: LaurentPoly(_sn_excedances(n, k)) for k in ks}
+            maj = dict(zip(ks, joint.grades([_indicator(n, (k,)) for k in ks])))
             self._sn_exc_maj[n] = (exc, maj, joint)
         return self._sn_exc_maj[n]
 

@@ -1,10 +1,10 @@
 """
 Permutations in one-line notation, their symmetries, pattern containment,
-and enumeration of symmetric groups and pattern-avoidance classes.  One
-table-driven walk over S_n counts its joint descent and joint major-index
-profiles, and the pruned walk of a class counts its joint descent profile,
-each by packed keys without building a word; exc_1 over S_n is a DP over
-value sets.  Every enumeration checks the cap.
+and enumeration of symmetric groups and pattern-avoidance classes.  One DP
+over the sets of filled positions counts every distribution over S_n (the
+joint descent and joint major-index profiles, exc_k, and des_k - des_(n-k)),
+and the pruned walk of a class counts its joint descent profile, each by
+int keys without building a word.  Every enumeration checks the cap.
 
 A permutation of [n] = {1, ..., n} is represented as a tuple of its values
 a_1, ..., a_n.  The empty tuple is the empty permutation, which is a valid
@@ -14,7 +14,6 @@ n <= 9 ("4136572") and comma-separated values beyond ("10,3,1,...").
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -325,104 +324,109 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
 
 
 # ---------------------------------------------------------------------------
-# joint profiles by packed keys, building no words
+# joint descent profiles of a class by packed keys, building no words
 #
 # Positions fill from 1 up, and each value still to place carries the mask
 # of the earlier positions (bit i-1 for position i) holding larger letters.
 # Placing a value at position j adds tables[j][mask] to one int key; each i
-# in the mask is a width-g descent, g = j - i, adding weight(i, g) to the
-# key's base-2^w digit g-1.
+# in the mask is a width-g descent at i, g = j - i, adding one to the key's
+# base-2^w digit g-1.
 
 
-def _sn_walk(j: int, key: int, masks: list[int], tables: list, count: Callable) -> None:
-    # Pass to count the keys of the words of S_n extending a prefix of
-    # positions 1..j-1 with key `key`; masks lists the masks of the values
-    # left, smallest first.  Placing the t-th at j adds tables[j][masks[t]]
-    # and sets bit j-1 in the masks of smaller values.  The last three of
-    # four placements are written out: with m0, m1, m2 the last three masks,
-    # six orders take 11 lookups, and 24 keys are counted in one call.
-    if not masks:  # only for n < 4
-        count((key,))
-        return
-    table = tables[j]
-    bit = 1 << (j - 1)
-    below = [m | bit for m in masks]
-    if len(masks) != 4:
-        for t, m in enumerate(masks):
-            _sn_walk(j + 1, key + table[m], below[:t] + masks[t + 1 :], tables, count)
-        return
-    t1, t2, t3 = tables[j + 1 : j + 4]
-    b1 = bit << 1
-    b2 = bit << 2
-    b12 = b1 | b2
-    leaves: list[int] = []
-    for t, m in enumerate(masks):
-        m0, m1, m2 = below[:t] + masks[t + 1 :]
-        k = key + table[m]
-        a, b, c = k + t1[m0], k + t1[m1], k + t1[m2]
-        u, v = t2[m2], t2[m0 | b1]
-        leaves += (  # the orders 012, 021, 102, 120, 201, 210
-            a + t2[m1] + t3[m2],
-            a + u + t3[m1 | b2],
-            b + v + t3[m2],
-            b + u + t3[m0 | b12],
-            c + v + t3[m1 | b1],
-            c + t2[m1 | b1] + t3[m0 | b12],
-        )
-    count(leaves)
+def _digits(keys: dict[int, int], n: int, w: int) -> dict[tuple[int, ...], int]:
+    # The counts of packed keys as counts of their digit vectors (digits
+    # 0..n-2 of w bits each)
+    digit = (1 << w) - 1
+    shifts = [w * g for g in range(n - 1)]
+    return {tuple([key >> t & digit for t in shifts]): c for key, c in keys.items()}
 
 
-def _profile(n: int, pats: tuple, w: int, weight: Callable) -> dict[tuple[int, ...], int]:
-    # Counts of the keys' digit vectors (digits 0..n-2) over Av_n(pats), or
-    # over S_n for no pattern; no digit may reach 2^w.
+def _profile(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
+    # Counts of (des_1, ..., des_(n-1)) over Av_n(pats); no pattern walks
+    # all of S_n, unpruned.  des_g <= n - 1 < 2^w
     check_cap(n)
+    w = (n - 1).bit_length()
     tables = [[], [0]]
     for j in range(2, n + 1):
         table = [0] * (1 << (j - 1))
         for mask in range(1, len(table)):
             low = mask & -mask
             i = low.bit_length()
-            table[mask] = table[mask ^ low] + (weight(i, j - i) << w * (j - i - 1))
+            table[mask] = table[mask ^ low] + (1 << w * (j - i - 1))
         tables.append(table)
-    keys: Counter[int] = Counter()
-    if not pats:
-        _sn_walk(1, 0, [0] * n, tables, keys.update)
-    elif n < 2 or (1,) in pats:  # at most one word, with no descent
-        keys.update(0 for _ in avoidance_class(n, pats))
+    if n < 2 or (1,) in pats:  # at most one word, with no descent
+        keys = Counter(0 for _ in avoidance_class(n, pats))
     else:
-        keys.update(_class_walk(n, pats, tables))
-    digit = (1 << w) - 1
-    shifts = [w * g for g in range(n - 1)]
-    return {tuple([key >> t & digit for t in shifts]): c for key, c in keys.items()}
+        keys = Counter(_class_walk(n, pats, tables))
+    return _digits(keys, n, w)
 
 
 def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
-    # Counts of (des_1, ..., des_(n-1)); des_g <= n - 1 < 2^w
-    return _profile(n, pats, (n - 1).bit_length(), lambda i, g: 1)
+    # Counts of (des_1, ..., des_(n-1)) over Av_n(pats), or over S_n by the DP
+    if pats:
+        return _profile(n, pats)
+    w = (n - 1).bit_length()
+    return _digits(_sn_dp(n, _packed_step(n, w, lambda p, g: 1)), n, w)
+
+
+# ---------------------------------------------------------------------------
+# distributions over S_n by a DP over the set of filled positions
+#
+# Place the values 1..n in increasing order.  The value placed at position p
+# exceeds every value placed before it, so the set s of filled positions
+# (bit p-1 for position p) settles what it adds: a width-g descent at p
+# iff p + g is in s, and a width-k excedance iff its rank in its residue
+# block, 1 + |s & block(p)|, exceeds p's index ceil(p/k) in that block.
+# This is the inversion-table view of a permutation (Rodrigues 1839,
+# MacMahon 1915; Stanley, EC1, 1.3), on sets of positions.
+
+
+def _sn_dp(n: int, step: Callable[[int, int], int]) -> dict[int, int]:
+    # Counts of the int keys over S_n, where placing the next value at p
+    # with s filled adds step(p, s) to the key.  Each state s holds a dict
+    # of its keys so far.  States pop in increasing integer order: a set's
+    # subsets are smaller integers, so each state is final when popped, and
+    # only the frontier stays alive.
+    check_cap(n)
+    states = {0: {0: 1}}
+    for s in range(1 << n):
+        row = states.pop(s)
+        for p in range(1, n + 1):
+            bit = 1 << p - 1
+            if s & bit:
+                continue
+            d = step(p, s)
+            target = states.setdefault(s | bit, {})
+            get = target.get
+            for key, c in row.items():
+                target[key + d] = get(key + d, 0) + c
+    return row
+
+
+def _packed_step(n: int, w: int, weight: Callable[[int, int], int]) -> Callable[[int, int], int]:
+    # The step of a joint profile: each width-g descent p adds weight(p, g)
+    # to the key's base-2^w digit g-1, and no digit may reach 2^w
+    return lambda p, s: sum(
+        weight(p, g) << w * (g - 1) for g in range(1, n - p + 1) if s >> p + g - 1 & 1
+    )
 
 
 def _sn_joint_majors(n: int) -> dict[tuple[int, ...], int]:
-    # Counts of (maj_1, ..., maj_(n-1)) over S_n: a width-g descent at i
-    # adds ceil(i/g) to maj_g, and maj_g <= maj_1 <= n(n-1)/2 < 2^w
+    # Counts of (maj_1, ..., maj_(n-1)) over S_n: a width-g descent at p
+    # adds ceil(p/g) to maj_g, and maj_g <= maj_1 <= n(n-1)/2 < 2^w
     w = (n * (n - 1) // 2).bit_length()
-    return _profile(n, (), w, lambda i, g: (i + g - 1) // g)
+    return _digits(_sn_dp(n, _packed_step(n, w, lambda p, g: (p + g - 1) // g)), n, w)
 
 
-def _sn_excedances(n: int) -> dict[int, int]:
-    # Counts of exc_1 over S_n by a DP over the set S of values placed (bit
-    # v for value v + 1): the next position is |S| + 1, and placing v + 1
-    # there adds [v >= |S| + 1].  rows[S] packs the counts of S's
-    # arrangements by excedances as base-2^w digits (none exceeds n!); it
-    # is final once reached, since S's subsets come first.
-    check_cap(n)
-    w = math.factorial(n).bit_length()
-    rows = [1] + [0] * ((1 << n) - 1)
-    for s, row in enumerate(rows):
-        j = s.bit_count() + 1
-        for v in range(n):
-            if not s >> v & 1:
-                rows[s | 1 << v] += row << w if v >= j else row
-    return {e: c for e in range(n + 1) if (c := rows[-1] >> w * e & (1 << w) - 1)}
+def _sn_excedances(n: int, k: int) -> dict[int, int]:
+    # Counts of exc_k over S_n; block[r] holds the positions p = r + 1 mod k
+    block = [sum(1 << q for q in range(r, n, k)) for r in range(k)]
+    return _sn_dp(n, lambda p, s: int((s & block[(p - 1) % k]).bit_count() >= (p + k - 1) // k))
+
+
+def _sn_g(n: int, k: int) -> dict[int, int]:
+    # Counts of des_k - des_(n-k) over S_n
+    return _sn_dp(n, lambda p, s: (s >> p + k - 1 & 1) - (s >> p + n - k - 1 & 1))
 
 
 def parse_perm(text: str) -> tuple[int, ...]:

@@ -570,11 +570,10 @@ def test_above_the_cap_exits_2_before_enumerating(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated above the cap")
 
-    # every walk over S_n or a class, and the exc_1 DP
+    # every walk over a class, and every DP or walk over S_n
     monkeypatch.setattr(perm, "enumerate_sn", refuse)
-    monkeypatch.setattr(perm, "_sn_walk", refuse)
+    monkeypatch.setattr(perm, "_sn_dp", refuse)
     monkeypatch.setattr(perm, "_class_walk", refuse)
-    monkeypatch.setattr(genfun, "_sn_excedances", refuse)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "cap" in err

@@ -9,11 +9,15 @@ import itertools
 import math
 import operator
 import re
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import widthk
-from widthk import genfun, poly
+from widthk import genfun, perm, poly
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import (
     CLOSED_INV,
@@ -196,14 +200,15 @@ class TestJointAndSigned:
 
     def test_g_is_graded_difference_of_t(self):
         # G_{n,k} is T_n with t_k -> q, t_{n-k} -> 1/q, the rest -> 1; the
-        # per-word scan is the oracle for the closed form
+        # per-word scan is the oracle for the closed form and the G DP
         for n in range(2, 8):
             joint = joint_descent_counts(n)
+            table = g_table(n)
             for k in range(1, n):
                 weights = [0] * (n - 1)
                 weights[k - 1] += 1
                 weights[n - k - 1] -= 1
-                assert joint.grade(weights) == closed_g(n, k), (n, k)
+                assert joint.grade(weights) == closed_g(n, k) == table[k], (n, k)
 
     def test_g_at_one_is_group_order(self):
         for n in range(2, 8):
@@ -577,6 +582,64 @@ class TestLargeFormulas:
         assert rec_123_312(n, k)(1) == math.comb(n, 2) + 1
 
 
+def moments(dist):
+    """Mean and variance of the statistic whose distribution is dist."""
+    terms = dist.terms()
+    total = sum(c for _, c in terms)
+    mean = Fraction(sum(e * c for e, c in terms), total)
+    return mean, Fraction(sum(e * e * c for e, c in terms), total) - mean**2
+
+
+def palindromic(dist):
+    return dist.inverse_q().shift(dist.terms()[0][0] + dist.degree) == dist
+
+
+def widths_up_to(top):
+    return st.integers(2, top).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1)))
+
+
+class TestFormulasAboveTheCap:
+    # Oracles from the definitions for formulas at n far above the
+    # enumeration cap: moments, Narayana numbers and palindromy.
+
+    @given(widths_up_to(150))
+    @settings(max_examples=30, deadline=None)
+    def test_des_k_moments(self, nk):
+        # n - k indicators [a_i > a_(i+k)] of mean 1/2; the n - 2k pairs of
+        # them that share a letter have covariance 1/6 - 1/4
+        n, k = nk
+        dist = closed_des_k(n, k)
+        assert moments(dist) == (
+            Fraction(n - k, 2),
+            Fraction(n - k, 4) - Fraction(max(n - 2 * k, 0), 6),
+        )
+        assert palindromic(dist)
+
+    @given(widths_up_to(150))
+    @settings(max_examples=10, deadline=None)
+    def test_inv_k_moments(self, nk):
+        # inv_k is the sum over the residue blocks of their classical inv,
+        # and the blocks of a uniform word are independent uniform words
+        n, k = nk
+        d, r = divmod(n, k)
+        sizes = [d + 1] * r + [d] * (k - r)
+        dist = closed_inv_k(n, k)
+        assert moments(dist) == (
+            sum(Fraction(m * (m - 1), 4) for m in sizes),
+            sum(Fraction(m * (m - 1) * (2 * m + 5), 72) for m in sizes),
+        )
+        assert palindromic(dist)
+
+    @given(st.integers(1, 150))
+    @settings(max_examples=30, deadline=None)
+    def test_rec_312_at_width_1_is_narayana(self, n):
+        dist = rec_312(n, 1)
+        assert dist == LaurentPoly(
+            {j: math.comb(n, j) * math.comb(n, j + 1) // n for j in range(n)}
+        )
+        assert palindromic(dist)
+
+
 class TestGradedDistributions:
     # every swept distribution is a grade of one memoized joint distribution;
     # enumeration and closed_g are the independent oracles
@@ -610,12 +673,10 @@ class TestGradedDistributions:
                     assert joint.grade(weights) == brute_distribution(
                         n, "maj", ks
                     ), (n, ks)
-        # a one-letter block contributes nothing to either statistic
+        # a one-letter word has no excedance and no descent
         exc, maj, _ = caches.sn_exc_maj(1)
         assert exc[1] == maj[1] == ONE
-        # exc_k and maj_k by blocks against stats.exc and stats.maj per word;
-        # n = 7 is the first size whose block product reads a block of 4
-        # letters (k = 2)
+        # exc_k and maj_k against stats.exc and stats.maj per word at n = 7
         exc, maj, _ = caches.sn_exc_maj(7)
         for k in range(1, 7):
             assert exc[k] == brute_distribution(7, "exc", k), k
@@ -638,8 +699,7 @@ class TestGradedDistributions:
                         ), (n, ks, pats)
 
     def test_closed_g_matches_g_table(self):
-        # every k at every n <= 9; g_table(10) alone would add about 1.3 s
-        for n in range(2, 10):
+        for n in range(2, 11):
             table = g_table(n)
             assert set(table) == set(range(1, n))
             for k in range(1, n):
@@ -662,25 +722,49 @@ class TestGradedDistributions:
         assert [key for key, count in walks.items() if count > 1] == []
 
     def test_equidistribution_walks_each_sn_once(self, monkeypatch):
-        # the inv_K/maj_K info block grades the joint maj walk, exc_k and
-        # maj_k multiply smaller exc_1 and maj_1 distributions (down to the
-        # one-letter blocks of S_1), and inclusion-exclusion reads the joint
-        # descent distribution, so none of them walks S_n again
-        names = ("_sn_joint_majors", "_sn_excedances")
-        walks = collections.Counter()
-        for name in names:
+        # one DP per n for each joint profile and per (n, k) for exc_k; maj_k
+        # and the inv_K/maj_K info block grade the joint maj, and
+        # inclusion-exclusion reads the joint descent distribution, so none
+        # of them runs S_n again
+        runs = collections.Counter()
+        sn_dp = perm._sn_dp
 
-            def counted(n, name=name, walk=getattr(genfun, name)):
-                walks[(name, n)] += 1
-                return walk(n)
+        def counted(n, step):
+            runs[(n, sys._getframe(1).f_code.co_name)] += 1
+            return sn_dp(n, step)
 
-            monkeypatch.setattr(genfun, name, counted)
+        monkeypatch.setattr(perm, "_sn_dp", counted)
         for suite in ("equidistribution", "all"):
-            walks.clear()
+            runs.clear()
             run_suite(suite, n_max=6, caches=SweepCaches())
-            assert walks == collections.Counter(
-                (name, n) for name in names for n in range(1, 7)
-            ), suite
+            expected = collections.Counter()
+            for n in range(2, 7):
+                expected[(n, "_joint_descents")] = 1
+                expected[(n, "_sn_joint_majors")] = 1
+                expected[(n, "_sn_excedances")] = n - 1
+                if suite == "all":  # the G rows of gtable and conjecture
+                    expected[(n, "_sn_g")] = n - 1
+            if suite == "all":  # duality reads S_1 too
+                expected[(1, "_joint_descents")] = 1
+            assert runs == expected, suite
+
+    def test_planted_exc_defect_is_reported_alone(self, monkeypatch):
+        # one count of exc_2 over S_5 moved up by one: des=exc must name
+        # exactly (5, 2), and the families that read no exc stay verified
+        def shifted(n, k, dp=genfun._sn_excedances):
+            counts = dp(n, k)
+            if (n, k) == (5, 2):
+                counts[0] -= 1
+                counts[1] += 1
+            return counts
+
+        monkeypatch.setattr(genfun, "_sn_excedances", shifted)
+        reports = {r.identity: r for r in run_suite("equidistribution", n_max=6)}
+        des_exc = reports["equidistribution[des=exc]"]
+        assert des_exc.status == "mismatch"
+        assert des_exc.counterexample["params"] == {"n": 5, "k": 2}
+        assert reports["equidistribution[inv=maj]"].status == "verified"
+        assert reports["equidistribution[des=inv|2k>=n]"].status == "verified"
 
 
 class TestReports:

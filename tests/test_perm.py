@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthk import perm
+from widthk import perm, stats
 from widthk.errors import EnumerationCapError, InvalidInputError
+from widthk.genfun import SweepCaches
 from widthk.perm import (
     _joint_descents,
+    _profile,
     _sn_excedances,
+    _sn_g,
     _sn_joint_majors,
     as_perm,
     avoidance_class,
@@ -32,7 +35,7 @@ from widthk.perm import (
     reverse,
     standardize,
 )
-from widthk.poly import catalan
+from widthk.poly import LaurentPoly, catalan
 
 perms = st.integers(0, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -104,7 +107,8 @@ def test_sn_walks_leave_no_garbage():
         for n in range(3, 7):
             _joint_descents(n, ())
             _sn_joint_majors(n)
-            _sn_excedances(n)
+            _sn_excedances(n, 2)
+            _sn_g(n, 1)
             for pats in (((3, 1, 2),), ((1, 3, 4, 2), (2, 1, 4, 3)), ((1, 2, 3, 4, 5),)):
                 _joint_descents(n, pats)
                 list(avoidance_class(n, pats))
@@ -117,7 +121,7 @@ def test_sn_walks_leave_no_garbage():
 def _maj_profile(word):
     """
     (maj_1, ..., maj_(n-1)) of one word: entry g-1 sums ceil(i/g) over its
-    width-g descents i.  The per-word oracle for the joint maj walk.
+    width-g descents i.  The per-word oracle for the joint maj DP.
     """
     n = len(word)
     maj = [0] * n
@@ -132,15 +136,30 @@ def _maj_profile(word):
 
 @pytest.mark.parametrize("n", range(9))
 def test_exc_maj_walk_matches_per_word_scan(n):
-    # the joint maj walk and the exc_1 DP against one scan per word
-    ranks = range(1, n + 1)
-    excs = collections.Counter()
+    # the joint maj DP, its grades maj_k and the exc_k DPs, at every k,
+    # against one scan per word (each exc scanner is what stats.exc runs)
+    ks = range(1, n)
+    exc_of = {k: stats.scanner("exc", n, k) for k in ks}
+    excs = {k: collections.Counter() for k in ks}
     majs = collections.Counter()
-    for word in itertools.permutations(ranks):
-        excs[sum(a > i for a, i in zip(word, ranks))] += 1
+    for word in itertools.permutations(range(1, n + 1)):
         majs[_maj_profile(word)] += 1
-    assert _sn_excedances(n) == dict(excs)
+        for k in ks:
+            excs[k][exc_of[k](word)] += 1
     assert _sn_joint_majors(n) == dict(majs)
+    exc, maj, _ = SweepCaches().sn_exc_maj(n)
+    for k in ks:
+        assert exc[k] == LaurentPoly(excs[k]), k
+        maj_k = collections.Counter()
+        for profile, c in majs.items():
+            maj_k[profile[k - 1]] += c
+        assert maj[k] == LaurentPoly(maj_k), k
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_sn_joint_descents_match_unpruned_walk(n):
+    # the DP against the class walk with no pattern, which walks all of S_n
+    assert _joint_descents(n, ()) == _profile(n, ())
 
 
 def _contains_brute(word, pattern):
