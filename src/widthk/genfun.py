@@ -23,7 +23,7 @@ from .perm import (
     _joint_descents,
     _sn_excedances,
     _sn_g,
-    _sn_joint_majors,
+    _sn_majors,
     avoidance_class,
     check_cap,
     check_patterns,
@@ -499,15 +499,15 @@ class SweepCaches:
     Memo for the enumeration passes, shared across suites within one run.
     Each (n, class) is enumerated once, by packed keys, into its joint
     descent distribution; every swept des/inv distribution is a grade of it.
-    Over S_n the DP over sets of filled positions also gives the joint maj,
-    whose grades are maj_k, one exc_k per k, and one G[n,k] per k.
+    Over S_n the DP over sets of filled positions also counts each exc_k,
+    maj_k and G[n,k] as one packed row, with no joint distribution behind it.
     """
 
     def __init__(self) -> None:
         self._t_polys: dict[tuple, MultiPoly] = {}
         self._av_dists: dict[tuple, tuple[dict, dict]] = {}
         self._g_tables: dict[int, dict[int, LaurentPoly]] = {}
-        self._sn_exc_maj: dict[int, tuple[dict, dict, MultiPoly]] = {}
+        self._sn_exc_maj: dict[int, tuple[dict, dict]] = {}
 
     def t_poly(self, n: int, patterns: tuple[tuple[int, ...], ...]) -> MultiPoly:
         """Joint descent distribution over an avoidance class; () gives S_n."""
@@ -537,19 +537,13 @@ class SweepCaches:
             self._av_dists[key] = (dict(zip(ks, dists)), dict(zip(ks, dists[n - 1 :])))
         return self._av_dists[key]
 
-    def sn_exc_maj(self, n: int) -> tuple[dict, dict, MultiPoly]:
-        """
-        Width-k excedance and major-index distributions over S_n, every k,
-        and the joint major-index distribution: each word contributes
-        t_1^(maj_1) ... t_(n-1)^(maj_(n-1)), so maj_K is its grade by the
-        indicator of K.
-        """
+    def sn_exc_maj(self, n: int) -> tuple[dict, dict]:
+        """Width-k excedance and major-index distributions over S_n, every k."""
         if n not in self._sn_exc_maj:
             ks = range(1, max(n, 2))  # a word of length 1 keeps the classical width 1
-            joint = MultiPoly(tuple(f"t{g}" for g in range(1, n)), _sn_joint_majors(n))
             exc = {k: LaurentPoly(_sn_excedances(n, k)) for k in ks}
-            maj = dict(zip(ks, joint.grades([_indicator(n, (k,)) for k in ks])))
-            self._sn_exc_maj[n] = (exc, maj, joint)
+            maj = {k: LaurentPoly(_sn_majors(n, (k,))) for k in ks}
+            self._sn_exc_maj[n] = (exc, maj)
         return self._sn_exc_maj[n]
 
 
@@ -622,7 +616,7 @@ def suite_equidistribution(top: int, caches: SweepCaches):
     def cases(left: str, right: str, least_k=lambda n: 1) -> Iterator[Case]:
         for n in range(2, top + 1):
             des, inv = caches.av_dists(n, ())
-            exc, maj, _ = caches.sn_exc_maj(n)
+            exc, maj = caches.sn_exc_maj(n)
             dists = {"des": des, "inv": inv, "exc": exc, "maj": maj}
             for k in range(least_k(n), n):
                 yield {"n": n, "k": k}, dists[left][k], dists[right][k]
@@ -646,7 +640,7 @@ def suite_equidistribution(top: int, caches: SweepCaches):
             continue
         multiples = [[m for k in K for m in range(k, n, k)] for K in subsets]
         invs = caches.t_poly(n, ()).grades([_indicator(n, ms) for ms in multiples])
-        majs = caches.sn_exc_maj(n)[2].grades([_indicator(n, K) for K in subsets])
+        majs = [LaurentPoly(_sn_majors(n, K)) for K in subsets]
         for K, inv_K, maj_K in zip(subsets, invs, majs):
             total += 1
             if inv_K == maj_K:

@@ -1,10 +1,12 @@
 """
 Permutations in one-line notation, their symmetries, pattern containment,
 and enumeration of symmetric groups and pattern-avoidance classes.  One DP
-over the sets of filled positions counts every distribution over S_n (the
-joint descent and joint major-index profiles, exc_k, and des_k - des_(n-k)),
-and the pruned walk of a class counts its joint descent profile, each by
-int keys without building a word.  Every enumeration checks the cap.
+over the sets of filled positions counts every distribution over S_n: a
+single-key one (exc_k, maj_K, des_k - des_(n-k)) as one packed integer per
+set, and the joint descent profile, which the des/inv grades, inclusion-
+exclusion and duality read whole, as a dict of packed keys per set.  The
+pruned walk of a class counts its joint descent profile by int keys.  No
+route builds a word, and every enumeration checks the cap.
 
 A permutation of [n] = {1, ..., n} is represented as a tuple of its values
 a_1, ..., a_n.  The empty tuple is the empty permutation, which is a valid
@@ -14,11 +16,13 @@ n <= 9 ("4136572") and comma-separated values beyond ("10,3,1,...").
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapError, InvalidInputError
+from .poly import _slot_width, _unpack
 
 DEFAULT_MAX_N = 10
 _ENV_CAP = "WIDTHK_MAX_N"
@@ -366,7 +370,7 @@ def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
     if pats:
         return _profile(n, pats)
     w = (n - 1).bit_length()
-    return _digits(_sn_dp(n, _packed_step(n, w, lambda p, g: 1)), n, w)
+    return _digits(_sn_dp(n, _packed_step(n, w)), n, w)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +379,9 @@ def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
 # Place the values 1..n in increasing order.  The value placed at position p
 # exceeds every value placed before it, so the set s of filled positions
 # (bit p-1 for position p) settles what it adds: a width-g descent at p
-# iff p + g is in s, and a width-k excedance iff its rank in its residue
-# block, 1 + |s & block(p)|, exceeds p's index ceil(p/k) in that block.
+# iff p + g is in s, adding ceil(p/g) to maj_g, and a width-k excedance iff
+# its rank in its residue block, 1 + |s & block(p)|, exceeds p's index
+# ceil(p/k) in that block.
 # This is the inversion-table view of a permutation (Rodrigues 1839,
 # MacMahon 1915; Stanley, EC1, 1.3), on sets of positions.
 
@@ -403,30 +408,56 @@ def _sn_dp(n: int, step: Callable[[int, int], int]) -> dict[int, int]:
     return row
 
 
-def _packed_step(n: int, w: int, weight: Callable[[int, int], int]) -> Callable[[int, int], int]:
-    # The step of a joint profile: each width-g descent p adds weight(p, g)
+def _packed_step(n: int, w: int) -> Callable[[int, int], int]:
+    # The step of the joint descent profile: each width-g descent p adds one
     # to the key's base-2^w digit g-1, and no digit may reach 2^w
-    return lambda p, s: sum(
-        weight(p, g) << w * (g - 1) for g in range(1, n - p + 1) if s >> p + g - 1 & 1
-    )
+    return lambda p, s: sum(1 << w * (g - 1) for g in range(1, n - p + 1) if s >> p + g - 1 & 1)
 
 
-def _sn_joint_majors(n: int) -> dict[tuple[int, ...], int]:
-    # Counts of (maj_1, ..., maj_(n-1)) over S_n: a width-g descent at p
-    # adds ceil(p/g) to maj_g, and maj_g <= maj_1 <= n(n-1)/2 < 2^w
-    w = (n * (n - 1) // 2).bit_length()
-    return _digits(_sn_dp(n, _packed_step(n, w, lambda p, g: (p + g - 1) // g)), n, w)
+def _sn_row(n: int, step: Callable[[int, int], int], size: int) -> list[int]:
+    # Counts of the keys 0..size-1 over S_n, by the DP of _sn_dp with one
+    # packed integer per state, read in the same order: slot x counts key x.
+    # A count never exceeds n!, so no slot carries, and a step is a shift-add.
+    check_cap(n)
+    width = _slot_width(math.factorial(n).bit_length())
+    shift = 8 * width
+    states = [1] + [0] * ((1 << n) - 1)
+    for s, row in enumerate(states):
+        for p in range(1, n + 1):
+            bit = 1 << p - 1
+            if not s & bit:
+                states[s | bit] += row << shift * step(p, s)
+    return _unpack(row, size, width)
+
+
+def _sn_majors(n: int, widths: tuple[int, ...]) -> dict[int, int]:
+    # Counts of maj_K over S_n, K = widths: a width-g descent at p adds
+    # ceil(p/g), so tables[p][s >> p] is what the filled positions above p add
+    tables = [[0]]
+    for p in range(1, n + 1):
+        table = [0] * (1 << (n - p))
+        for mask in range(1, len(table)):
+            low = mask & -mask
+            g = low.bit_length()
+            table[mask] = table[mask ^ low] + ((p + g - 1) // g if g in widths else 0)
+        tables.append(table)
+    size = 1 + sum(table[-1] for table in tables)  # every descent of K filled
+    return dict(enumerate(_sn_row(n, lambda p, s: tables[p][s >> p], size)))
 
 
 def _sn_excedances(n: int, k: int) -> dict[int, int]:
     # Counts of exc_k over S_n; block[r] holds the positions p = r + 1 mod k
     block = [sum(1 << q for q in range(r, n, k)) for r in range(k)]
-    return _sn_dp(n, lambda p, s: int((s & block[(p - 1) % k]).bit_count() >= (p + k - 1) // k))
+    return dict(enumerate(_sn_row(
+        n, lambda p, s: (s & block[(p - 1) % k]).bit_count() >= (p + k - 1) // k, n + 1
+    )))
 
 
 def _sn_g(n: int, k: int) -> dict[int, int]:
-    # Counts of des_k - des_(n-k) over S_n
-    return _sn_dp(n, lambda p, s: (s >> p + k - 1 & 1) - (s >> p + n - k - 1 & 1))
+    # Counts of des_k - des_(n-k) over S_n, by the step offset by 1 per position
+    return dict(enumerate(_sn_row(
+        n, lambda p, s: 1 + (s >> p + k - 1 & 1) - (s >> p + n - k - 1 & 1), 2 * n + 1
+    ), -n))
 
 
 def parse_perm(text: str) -> tuple[int, ...]:

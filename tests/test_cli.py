@@ -573,6 +573,7 @@ def test_above_the_cap_exits_2_before_enumerating(capsys, monkeypatch, argv):
     # every walk over a class, and every DP or walk over S_n
     monkeypatch.setattr(perm, "enumerate_sn", refuse)
     monkeypatch.setattr(perm, "_sn_dp", refuse)
+    monkeypatch.setattr(perm, "_sn_row", refuse)
     monkeypatch.setattr(perm, "_class_walk", refuse)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -660,24 +660,23 @@ class TestGradedDistributions:
         assert caches.av_dists(5, ()) is caches.av_dists(5, ())
 
     def test_sn_exc_maj_match_enumeration(self):
-        # maj_K over a width set is a grade of the memoized joint maj polynomial
+        # maj_K over a width set is the DP that the inv_K/maj_K info block runs
         caches = SweepCaches()
         for n in range(2, 7):
-            exc, maj, joint = caches.sn_exc_maj(n)
+            exc, maj = caches.sn_exc_maj(n)
             for k in range(1, n):
                 assert exc[k] == brute_distribution(n, "exc", k), (n, k)
                 assert maj[k] == brute_distribution(n, "maj", k), (n, k)
             for size in range(1, n):
                 for ks in itertools.combinations(range(1, n), size):
-                    weights = [1 if g in ks else 0 for g in range(1, n)]
-                    assert joint.grade(weights) == brute_distribution(
+                    assert LaurentPoly(perm._sn_majors(n, ks)) == brute_distribution(
                         n, "maj", ks
                     ), (n, ks)
         # a one-letter word has no excedance and no descent
-        exc, maj, _ = caches.sn_exc_maj(1)
+        exc, maj = caches.sn_exc_maj(1)
         assert exc[1] == maj[1] == ONE
         # exc_k and maj_k against stats.exc and stats.maj per word at n = 7
-        exc, maj, _ = caches.sn_exc_maj(7)
+        exc, maj = caches.sn_exc_maj(7)
         for k in range(1, 7):
             assert exc[k] == brute_distribution(7, "exc", k), k
             assert maj[k] == brute_distribution(7, "maj", k), k
@@ -722,25 +721,26 @@ class TestGradedDistributions:
         assert [key for key, count in walks.items() if count > 1] == []
 
     def test_equidistribution_walks_each_sn_once(self, monkeypatch):
-        # one DP per n for each joint profile and per (n, k) for exc_k; maj_k
-        # and the inv_K/maj_K info block grade the joint maj, and
-        # inclusion-exclusion reads the joint descent distribution, so none
-        # of them runs S_n again
+        # one dict DP per n for the joint descents, which inclusion-exclusion
+        # reads too, and one packed-row DP per (n, k) for exc_k and per
+        # (n, K) for maj_K: maj_k for every k, and the info block's maj_K for
+        # |K| >= 2, so the 2^(n-1) - 1 nonempty K run once each
         runs = collections.Counter()
-        sn_dp = perm._sn_dp
 
-        def counted(n, step):
-            runs[(n, sys._getframe(1).f_code.co_name)] += 1
-            return sn_dp(n, step)
+        for name in ("_sn_dp", "_sn_row"):
 
-        monkeypatch.setattr(perm, "_sn_dp", counted)
+            def counted(n, *args, dp=getattr(perm, name)):
+                runs[(n, sys._getframe(1).f_code.co_name)] += 1
+                return dp(n, *args)
+
+            monkeypatch.setattr(perm, name, counted)
         for suite in ("equidistribution", "all"):
             runs.clear()
             run_suite(suite, n_max=6, caches=SweepCaches())
             expected = collections.Counter()
             for n in range(2, 7):
                 expected[(n, "_joint_descents")] = 1
-                expected[(n, "_sn_joint_majors")] = 1
+                expected[(n, "_sn_majors")] = 2 ** (n - 1) - 1
                 expected[(n, "_sn_excedances")] = n - 1
                 if suite == "all":  # the G rows of gtable and conjecture
                     expected[(n, "_sn_g")] = n - 1
@@ -765,6 +765,71 @@ class TestGradedDistributions:
         assert des_exc.counterexample["params"] == {"n": 5, "k": 2}
         assert reports["equidistribution[inv=maj]"].status == "verified"
         assert reports["equidistribution[des=inv|2k>=n]"].status == "verified"
+
+    def test_planted_maj_defect_is_reported_alone(self, monkeypatch):
+        # one count of maj_2 over S_5 moved up by one: inv=maj must name
+        # exactly (5, 2), and the families that read no maj stay verified
+        def shifted(n, widths, dp=genfun._sn_majors):
+            counts = dp(n, widths)
+            if (n, widths) == (5, (2,)):
+                counts[0] -= 1
+                counts[1] += 1
+            return counts
+
+        monkeypatch.setattr(genfun, "_sn_majors", shifted)
+        reports = {r.identity: r for r in run_suite("equidistribution", n_max=6)}
+        inv_maj = reports["equidistribution[inv=maj]"]
+        assert inv_maj.status == "mismatch"
+        assert inv_maj.counterexample["params"] == {"n": 5, "k": 2}
+        assert reports["equidistribution[des=exc]"].status == "verified"
+        assert reports["equidistribution[des=inv|2k>=n]"].status == "verified"
+
+    def test_planted_g_defect_is_named_by_gtable_and_conjecture(self, monkeypatch):
+        # one count of G[8,3] moved from q^0 to q^1, which keeps its sum: the
+        # reference row and closed_g must both name k = 3, while the other
+        # rows and the q = 1 sizes stay verified
+        def shifted(n, k, dp=genfun._sn_g):
+            counts = dp(n, k)
+            if (n, k) == (8, 3):
+                counts[0] -= 1
+                counts[1] += 1
+            return counts
+
+        monkeypatch.setattr(genfun, "_sn_g", shifted)
+        reports = {
+            r.identity: r
+            for suite in ("gtable", "conjecture", "counting")
+            for r in run_suite(suite)
+        }
+        for identity in ("gtable[n=8]", "conjecture[G=n*q^(1-k)*A_(n-1)]"):
+            assert reports[identity].status == "mismatch", identity
+            params = reports[identity].counterexample["params"]
+            assert (params["n"], params["k"]) == (8, 3), identity
+        for identity, report in reports.items():
+            if identity.startswith("counting") or identity in ("gtable[n=6]", "gtable[n=9]"):
+                assert report.status == "verified", identity
+
+    def test_info_note_at_default_bounds(self):
+        reports = {r.identity: r for r in run_suite("equidistribution")}
+        assert reports["equidistribution[inv_K=maj_K|info]"].notes == (
+            "informational: equality of inv and maj distributions is only claimed "
+            "for single widths; over width sets of size >= 2 with n<=7, 10 of 99 "
+            "(n, K) cases agree; first difference at n=3, K={1,2}",
+        )
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_packed_rows_do_not_overflow_at_the_cap(self, monkeypatch, n):
+        # each packed row's slots are sized from n!, so a slot that carried
+        # into the next would break the sum or the closed form
+        monkeypatch.setenv("WIDTHK_MAX_N", str(n))
+        exc, maj = SweepCaches().sn_exc_maj(n)
+        table = g_table(n)
+        for k in range(1, n):
+            assert exc[k](1) == maj[k](1) == table[k](1) == math.factorial(n), k
+            assert exc[k] == closed_des_k(n, k), k
+            assert maj[k] == closed_inv_k(n, k), k
+            if math.gcd(n, k) == 1:
+                assert table[k] == closed_g(n, k), k
 
 
 class TestReports:

@@ -20,7 +20,7 @@ from widthk.perm import (
     _profile,
     _sn_excedances,
     _sn_g,
-    _sn_joint_majors,
+    _sn_majors,
     as_perm,
     avoidance_class,
     avoids,
@@ -106,7 +106,7 @@ def test_sn_walks_leave_no_garbage():
     try:
         for n in range(3, 7):
             _joint_descents(n, ())
-            _sn_joint_majors(n)
+            _sn_majors(n, (1, 2))
             _sn_excedances(n, 2)
             _sn_g(n, 1)
             for pats in (((3, 1, 2),), ((1, 3, 4, 2), (2, 1, 4, 3)), ((1, 2, 3, 4, 5),)):
@@ -121,7 +121,7 @@ def test_sn_walks_leave_no_garbage():
 def _maj_profile(word):
     """
     (maj_1, ..., maj_(n-1)) of one word: entry g-1 sums ceil(i/g) over its
-    width-g descents i.  The per-word oracle for the joint maj DP.
+    width-g descents i.  The per-word oracle for the maj_K DPs.
     """
     n = len(word)
     maj = [0] * n
@@ -136,8 +136,9 @@ def _maj_profile(word):
 
 @pytest.mark.parametrize("n", range(9))
 def test_exc_maj_walk_matches_per_word_scan(n):
-    # the joint maj DP, its grades maj_k and the exc_k DPs, at every k,
-    # against one scan per word (each exc scanner is what stats.exc runs)
+    # the maj_K DP at every single width (and, for n <= 6, at every width
+    # set K) and the exc_k DPs, at every k, against one scan per word (each
+    # exc scanner is what stats.exc runs); maj_K sums the profile over K
     ks = range(1, n)
     exc_of = {k: stats.scanner("exc", n, k) for k in ks}
     excs = {k: collections.Counter() for k in ks}
@@ -146,14 +147,16 @@ def test_exc_maj_walk_matches_per_word_scan(n):
         majs[_maj_profile(word)] += 1
         for k in ks:
             excs[k][exc_of[k](word)] += 1
-    assert _sn_joint_majors(n) == dict(majs)
-    exc, maj, _ = SweepCaches().sn_exc_maj(n)
+    for size in range(1, n if n <= 6 else 2):
+        for K in itertools.combinations(ks, size):
+            maj_K = collections.Counter()
+            for profile, c in majs.items():
+                maj_K[sum(profile[g - 1] for g in K)] += c
+            assert LaurentPoly(_sn_majors(n, K)) == LaurentPoly(maj_K), K
+    exc, maj = SweepCaches().sn_exc_maj(n)
     for k in ks:
         assert exc[k] == LaurentPoly(excs[k]), k
-        maj_k = collections.Counter()
-        for profile, c in majs.items():
-            maj_k[profile[k - 1]] += c
-        assert maj[k] == LaurentPoly(maj_k), k
+        assert maj[k] == LaurentPoly(_sn_majors(n, (k,))), k
 
 
 @pytest.mark.parametrize("n", range(9))
