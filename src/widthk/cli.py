@@ -221,7 +221,7 @@ def cmd_tpoly(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         print(",".join(poly.vars + ("coefficient",)))
         for exps, c in poly.terms():
-            print(",".join(str(e) for e in exps) + f",{c}")
+            print(",".join(map(str, (*exps, c))))
     else:
         print(poly)
     return 0

@@ -160,23 +160,6 @@ def _check_recursion_args(n: int, k: int) -> None:
         raise InvalidInputError(f"width must be >= 1, got {k}")
 
 
-def _run_recursion(
-    n: int,
-    k: int,
-    base: Callable[[int], int],
-    step: Callable[[int, int, list[list[int]]], list[int]],
-) -> LaurentPoly:
-    # Bottom-up fill of rows[m], the coefficients of level m from q^0 up.
-    # Words of length m <= k have no width-k descents, so those levels are
-    # the constant class size; above that des_k <= m - k, so step returns
-    # m - k + 1 coefficients.
-    _check_recursion_args(n, k)
-    rows: list[list[int]] = []
-    for m in range(n + 1):
-        rows.append([base(m)] if m <= k else step(m, k, rows))
-    return LaurentPoly(dict(enumerate(rows[n])))
-
-
 def _add_shifted(row: list[int], src: Sequence[int], s: int) -> None:
     # row += q^s * src, in place; row must be long enough
     end = s + len(src)
@@ -291,22 +274,27 @@ def rec_123_132(n: int, k: int) -> LaurentPoly:
 
 def rec_123_312(n: int, k: int) -> LaurentPoly:
     """
-    Width-k descent distribution over the {123, 312}-avoiders.  A letter 1
-    placed before the end freezes the whole word, so those cases contribute
-    bare powers of q; only the final position recurses.
+    Width-k descent distribution over the {123, 312}-avoiders.  The letter 1
+    at i < m freezes a word of length m with des_k = max(0, m-k-i) for i <= k
+    and max(m-2k, i-k) for k < i < m; only i = m recurses, adding a descent.
+    So level n is q^(n-k) times level k, the class size C(k,2) + 1, plus the
+    bare powers of each level m > k times q^(n-m), in one row from q^0.  Each
+    range of i puts one power on every q^e with max(1, m-2k) <= e < m-k.
     """
-
-    def step(m: int, k: int, rows: list[list[int]]) -> list[int]:
-        row = [0] * (m - k + 1)
-        _add_shifted(row, rows[m - 1], 1)
-        for i in range(1, k + 1):
-            row[max(0, m - k - i)] += 1
-        for i in range(k + 1, m):
-            row[max(m - 2 * k, i - k)] += 1
-        return row
-
-    # the base is |Av_m(123,312)|
-    return _run_recursion(n, k, lambda m: math.comb(m, 2) + 1, step)
+    _check_recursion_args(n, k)
+    if n <= k:  # the class size |Av_n(123,312)|
+        return LaurentPoly({0: math.comb(n, 2) + 1})
+    row = [0] * (n - k + 1)
+    row[n - k] = math.comb(k, 2) + 1
+    for m in range(k + 1, n + 1):
+        s = n - m  # level m reaches level n times q^(n-m)
+        if m <= 2 * k:  # the letter 1 at m-k <= i <= k, on q^0
+            row[s] += 2 * k + 1 - m
+        else:  # the letter 1 at k < i < m-k, on q^(m-2k)
+            row[s + m - 2 * k] += m - 2 * k - 1
+        low = s + max(1, m - 2 * k)
+        row[low : n - k] = [c + 2 for c in row[low : n - k]]  # both ranges
+    return LaurentPoly(dict(enumerate(row)))
 
 
 def rec_132_213(n: int, k: int) -> LaurentPoly:
@@ -317,12 +305,13 @@ def rec_132_213(n: int, k: int) -> LaurentPoly:
     each shifted by q^k, so it is one running sum of rows shifted once, and a
     level costs O(k) row additions.
     """
+    _check_recursion_args(n, k)
+    # the coefficients of each level from q^0; the class size up to k
+    rows = [[2 ** max(m - 1, 0)] for m in range(min(n, k) + 1)]
     middle: list[int] = []  # rows[k] + ... + rows[summed - 1]
     summed = k
-
-    def step(m: int, k: int, rows: list[list[int]]) -> list[int]:
-        nonlocal summed
-        row = [0] * (m - k + 1)
+    for m in range(k + 1, n + 1):
+        row = [0] * (m - k + 1)  # des_k <= m - k
         for i in range(1, k + 1):
             _add_shifted(row, rows[m - i], min(i, m - k))
         while summed < m - k:
@@ -332,9 +321,8 @@ def rec_132_213(n: int, k: int) -> LaurentPoly:
         _add_shifted(row, middle, k)
         for i in range(max(k + 1, m - k + 1), m + 1):
             _add_shifted(row, rows[m - i], m - i)
-        return row
-
-    return _run_recursion(n, k, lambda m: 2 ** max(m - 1, 0), step)
+        rows.append(row)
+    return LaurentPoly(dict(enumerate(rows[n])))
 
 
 def product_132_231(n: int, widths: stats.Widths) -> LaurentPoly:
@@ -1142,14 +1130,12 @@ SUITE_NMAX: dict[str, int] = {
 }
 
 
-def suite_reports(
-    name: str, n_max: int | None = None, caches: SweepCaches | None = None
-) -> Iterator[list[VerificationReport]]:
+def suite_reports(name: str, n_max: int | None = None) -> Iterator[list[VerificationReport]]:
     """
     Check a run of one suite (or "all") and return a lazy iterator over each
     suite's report list, in SUITES order.  The name, n_max and the cap are
     all checked before any suite runs; each suite sweeps up to n_max, or by
-    default up to its own SUITE_NMAX bound.
+    default up to its own SUITE_NMAX bound.  A run's suites share its memo.
     """
     if n_max is not None:
         if n_max < 0:
@@ -1164,13 +1150,10 @@ def suite_reports(
     names = list(SUITES) if name == "all" else [name]
     tops = [SUITE_NMAX[each] if n_max is None else n_max for each in names]
     check_cap(max(tops))
-    if caches is None:
-        caches = SweepCaches()
+    caches = SweepCaches()
     return (SUITES[each](top, caches) for each, top in zip(names, tops))
 
 
-def run_suite(
-    name: str, n_max: int | None = None, caches: SweepCaches | None = None
-) -> list[VerificationReport]:
-    """Every report of suite_reports(name, n_max, caches), in one list."""
-    return [report for reports in suite_reports(name, n_max, caches) for report in reports]
+def run_suite(name: str, n_max: int | None = None) -> list[VerificationReport]:
+    """Every report of suite_reports(name, n_max), in one list."""
+    return [report for reports in suite_reports(name, n_max) for report in reports]

@@ -367,10 +367,7 @@ def _profile(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
 
 def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
     # Counts of (des_1, ..., des_(n-1)) over Av_n(pats), or over S_n by the DP
-    if pats:
-        return _profile(n, pats)
-    w = (n - 1).bit_length()
-    return _digits(_sn_dp(n, _packed_step(n, w)), n, w)
+    return _profile(n, pats) if pats else _sn_dp(n)
 
 
 # ---------------------------------------------------------------------------
@@ -381,18 +378,18 @@ def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
 # (bit p-1 for position p) settles what it adds: a width-g descent at p
 # iff p + g is in s, adding ceil(p/g) to maj_g, and a width-k excedance iff
 # its rank in its residue block, 1 + |s & block(p)|, exceeds p's index
-# ceil(p/k) in that block.
+# ceil(p/k) in that block.  States run in increasing integer order: a set's
+# subsets are smaller integers, so each state is final when it is reached.
 # This is the inversion-table view of a permutation (Rodrigues 1839,
 # MacMahon 1915; Stanley, EC1, 1.3), on sets of positions.
 
 
-def _sn_dp(n: int, step: Callable[[int, int], int]) -> dict[int, int]:
-    # Counts of the int keys over S_n, where placing the next value at p
-    # with s filled adds step(p, s) to the key.  Each state s holds a dict
-    # of its keys so far.  States pop in increasing integer order: a set's
-    # subsets are smaller integers, so each state is final when popped, and
-    # only the frontier stays alive.
+def _sn_dp(n: int) -> dict[tuple[int, ...], int]:
+    # Counts of (des_1, ..., des_(n-1)) over S_n.  Each state holds a dict of
+    # int keys, and a width-g descent at p adds one to base-2^w digit g-1
+    # (des_g < 2^w).  States pop when reached: only the frontier stays alive.
     check_cap(n)
+    w = (n - 1).bit_length()
     states = {0: {0: 1}}
     for s in range(1 << n):
         row = states.pop(s)
@@ -400,24 +397,19 @@ def _sn_dp(n: int, step: Callable[[int, int], int]) -> dict[int, int]:
             bit = 1 << p - 1
             if s & bit:
                 continue
-            d = step(p, s)
+            d = sum(1 << w * (g - 1) for g in range(1, n - p + 1) if s >> p + g - 1 & 1)
             target = states.setdefault(s | bit, {})
             get = target.get
             for key, c in row.items():
                 target[key + d] = get(key + d, 0) + c
-    return row
-
-
-def _packed_step(n: int, w: int) -> Callable[[int, int], int]:
-    # The step of the joint descent profile: each width-g descent p adds one
-    # to the key's base-2^w digit g-1, and no digit may reach 2^w
-    return lambda p, s: sum(1 << w * (g - 1) for g in range(1, n - p + 1) if s >> p + g - 1 & 1)
+    return _digits(row, n, w)
 
 
 def _sn_row(n: int, step: Callable[[int, int], int], size: int) -> list[int]:
-    # Counts of the keys 0..size-1 over S_n, by the DP of _sn_dp with one
-    # packed integer per state, read in the same order: slot x counts key x.
-    # A count never exceeds n!, so no slot carries, and a step is a shift-add.
+    # Counts of the keys 0..size-1 over S_n, where placing the next value at
+    # p with s filled adds step(p, s) to the key.  Each state is one packed
+    # integer, and slot x counts key x.  A count never exceeds n!, so no slot
+    # carries, and a step is a shift-add.
     check_cap(n)
     width = _slot_width(math.factorial(n).bit_length())
     shift = 8 * width

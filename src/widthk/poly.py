@@ -481,20 +481,14 @@ class MultiPoly:
             acc[flipped] = c
         return MultiPoly(self.vars, acc)
 
-    def grade(self, weights: Sequence[int]) -> LaurentPoly:
-        """
-        Substitute q^(w_i) for the i-th variable: each term lands on the
-        exponent dot(weights, exps).  Weight vectors of 0/1 entries realize
-        the usual set-all-others-to-one specializations.
-        """
-        return self.grades([weights])[0]
-
     def grades(self, rows: Iterable[Sequence[int]]) -> list[LaurentPoly]:
         """
-        The grade by each weight vector in rows, in order.  A row is read
-        through its nonzero entries only: its exponents stream from the
-        columns of the term table that it weights, with no per-term loop
-        over the variables.
+        The grade by each weight vector in rows, in order: substitute
+        q^(w_i) for the i-th variable, so each term lands on the exponent
+        dot(weights, exps).  Weight vectors of 0/1 entries realize the usual
+        set-all-others-to-one specializations.  A row is read through its
+        nonzero entries only: its exponents stream from the columns of the
+        term table that it weights, with no per-term loop over the variables.
         """
         rows = [tuple(w) for w in rows]
         for weights in rows:

@@ -270,6 +270,17 @@ def test_tpoly(capsys):
     ]
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_tpoly_csv_rows_match_the_header(capsys, n):
+    # n <= 1 has no variable, so each row is the coefficient alone
+    code, out, _ = run(capsys, "tpoly", "--n", str(n), "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == [f"t{g}" for g in range(1, n)] + ["coefficient"]
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert sum(int(row[-1]) for row in rows) == math.factorial(n)
+
+
 def test_tpoly_answers_up_to_the_cap(capsys):
     code, out, _ = run(capsys, "tpoly", "--n", "9", "--format", "json")
     assert code == 0

@@ -177,7 +177,7 @@ class TestJointAndSigned:
         assert tp.at_ones() == math.factorial(9)
         for k in range(1, 9):
             weights = [int(g == k) for g in range(1, 9)]
-            assert tp.grade(weights) == closed_des_k(9, k), k
+            assert tp.grades([weights])[0] == closed_des_k(9, k), k
 
     def test_t_polynomial_rejects_negative_n(self):
         with pytest.raises(InvalidInputError):
@@ -188,7 +188,7 @@ class TestJointAndSigned:
             tp = t_polynomial(n)
             for k in range(1, n):
                 weights = [int(g == k) for g in range(1, n)]
-                assert tp.grade(weights) == brute_distribution(n, "des", k)
+                assert tp.grades([weights])[0] == brute_distribution(n, "des", k)
             assert tp.at_ones() == math.factorial(n)
 
     def test_g_table_rows(self):
@@ -208,7 +208,7 @@ class TestJointAndSigned:
                 weights = [0] * (n - 1)
                 weights[k - 1] += 1
                 weights[n - k - 1] -= 1
-                assert joint.grade(weights) == closed_g(n, k) == table[k], (n, k)
+                assert joint.grades([weights])[0] == closed_g(n, k) == table[k], (n, k)
 
     def test_g_at_one_is_group_order(self):
         for n in range(2, 8):
@@ -375,6 +375,13 @@ class TestRecursions:
             for n in range(max(k - 1, 0), 41):
                 assert rec_132_213(n, k) == table[n], (n, k)
 
+    def test_123_312_matches_per_level_oracle(self):
+        # every n <= 40 and every k <= n + 1
+        for k in range(1, 42):
+            table = per_level_123_312_table(40, k)
+            for n in range(max(k - 1, 0), 41):
+                assert rec_123_312(n, k) == table[n], (n, k)
+
     def test_recursions_reject_bad_arguments(self):
         for fn in RECURSIONS.values():
             with pytest.raises(InvalidInputError):
@@ -422,6 +429,28 @@ def per_row_132_213_table(n, k):
         for i, s in shifts:
             for e, c in enumerate(rows[m - i]):
                 row[s + e] += c
+        rows.append(row)
+    return [LaurentPoly(dict(enumerate(row))) for row in rows]
+
+
+def per_level_123_312_table(n, k):
+    """
+    rec_123_312(m, k) for m = 0..n level by level, each row stored from q^0:
+    level m is q times level m - 1 plus one bare power per position i < m of
+    the letter 1.  The independent oracle for the single row in genfun.
+    """
+    rows = []
+    for m in range(n + 1):
+        if m <= k:
+            rows.append([math.comb(m, 2) + 1])
+            continue
+        row = [0] * (m - k + 1)
+        for e, c in enumerate(rows[m - 1]):
+            row[e + 1] += c
+        for i in range(1, k + 1):
+            row[max(0, m - k - i)] += 1
+        for i in range(k + 1, m):
+            row[max(m - 2 * k, i - k)] += 1
         rows.append(row)
     return [LaurentPoly(dict(enumerate(row))) for row in rows]
 
@@ -693,7 +722,7 @@ class TestGradedDistributions:
                 for size in range(1, n):
                     for ks in itertools.combinations(range(1, n), size):
                         weights = [1 if g in ks else 0 for g in range(1, n)]
-                        assert joint.grade(weights) == brute_distribution(
+                        assert joint.grades([weights])[0] == brute_distribution(
                             n, "des", ks, pats
                         ), (n, ks, pats)
 
@@ -716,15 +745,13 @@ class TestGradedDistributions:
                 return walk(n, patterns)
 
             monkeypatch.setattr(genfun, name, counted)
-        run_suite("all", n_max=6, caches=SweepCaches())
+        run_suite("all", n_max=6)
         assert any(pats for _, pats in walks)
         assert [key for key, count in walks.items() if count > 1] == []
 
-    def test_equidistribution_walks_each_sn_once(self, monkeypatch):
-        # one dict DP per n for the joint descents, which inclusion-exclusion
-        # reads too, and one packed-row DP per (n, k) for exc_k and per
-        # (n, K) for maj_K: maj_k for every k, and the info block's maj_K for
-        # |K| >= 2, so the 2^(n-1) - 1 nonempty K run once each
+    @pytest.fixture
+    def sn_runs(self, monkeypatch):
+        # (n, caller) of every S_n DP run
         runs = collections.Counter()
 
         for name in ("_sn_dp", "_sn_row"):
@@ -734,9 +761,16 @@ class TestGradedDistributions:
                 return dp(n, *args)
 
             monkeypatch.setattr(perm, name, counted)
+        return runs
+
+    def test_equidistribution_walks_each_sn_once(self, sn_runs):
+        # one dict DP per n for the joint descents, which inclusion-exclusion
+        # reads too, and one packed-row DP per (n, k) for exc_k and per
+        # (n, K) for maj_K: maj_k for every k, and the info block's maj_K for
+        # |K| >= 2, so the 2^(n-1) - 1 nonempty K run once each
         for suite in ("equidistribution", "all"):
-            runs.clear()
-            run_suite(suite, n_max=6, caches=SweepCaches())
+            sn_runs.clear()
+            run_suite(suite, n_max=6)
             expected = collections.Counter()
             for n in range(2, 7):
                 expected[(n, "_joint_descents")] = 1
@@ -746,7 +780,14 @@ class TestGradedDistributions:
                     expected[(n, "_sn_g")] = n - 1
             if suite == "all":  # duality reads S_1 too
                 expected[(1, "_joint_descents")] = 1
-            assert runs == expected, suite
+            assert sn_runs == expected, suite
+
+    def test_each_run_owns_its_memo(self, sn_runs):
+        # a second run shares no memo with the first, so it runs every DP again
+        run_suite("equidistribution", n_max=6)
+        once = sn_runs.copy()
+        run_suite("equidistribution", n_max=6)
+        assert once and sn_runs == {key: 2 * count for key, count in once.items()}
 
     def test_planted_exc_defect_is_reported_alone(self, monkeypatch):
         # one count of exc_2 over S_5 moved up by one: des=exc must name
@@ -949,22 +990,20 @@ class TestSuites:
         assert "suite_reports" not in widthk.__all__
 
     @pytest.mark.parametrize("name", list(SUITES))
-    def test_default_bound_is_suite_nmax(self, caches, name):
-        assert run_suite(name, caches=caches) == run_suite(
-            name, n_max=SUITE_NMAX[name], caches=caches
-        )
+    def test_default_bound_is_suite_nmax(self, name):
+        assert run_suite(name) == run_suite(name, n_max=SUITE_NMAX[name])
 
-    def test_example_suite(self, caches):
-        reports = run_suite("example", caches=caches)
+    def test_example_suite(self):
+        reports = run_suite("example")
         assert [r.identity for r in reports] == [
             "example[des]", "example[inv]", "example[exc]", "example[maj]",
         ]
         assert all(r.status == "verified" for r in reports)
 
-    def test_full_run_report_list_is_frozen(self, caches):
+    def test_full_run_report_list_is_frozen(self):
         # (identity, range, status) of every report at default bounds, frozen:
         # a registry edit that drops, reorders or relabels a family fails here
-        reports = run_suite("all", caches=caches)
+        reports = run_suite("all")
         assert [(r.identity, r.range, r.status) for r in reports] == [
             ("example[des]", "sigma=4136572, K={2,3}", "verified"),
             ("example[inv]", "sigma=4136572, K={2,3}", "verified"),
@@ -1026,8 +1065,8 @@ class TestSuites:
             ),
         ]
 
-    def test_small_full_run_report_shape(self, caches):
-        for report in run_suite("all", n_max=5, caches=caches):
+    def test_small_full_run_report_shape(self):
+        for report in run_suite("all", n_max=5):
             assert report.status in ("verified", "mismatch", "not-applicable")
             assert (report.status == "mismatch") == (
                 report.counterexample is not None
