@@ -14,17 +14,16 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import stats
 from .errors import EnumerationCapError, InvalidInputError
 from .perm import (
+    _batches,
     _joint_descents,
     _sn_excedances,
     _sn_g,
     _sn_majors,
-    avoidance_class,
     check_cap,
     check_patterns,
     complement,
@@ -56,18 +55,23 @@ def brute_distribution(
 ) -> LaurentPoly:
     """
     The exact distribution polynomial of a width statistic over S_n, or over
-    the class avoiding the given patterns.  This enumerates the whole domain,
-    counting each word with one `stats.scanner`, and is the oracle every
-    closed form and recursion is checked against.
+    the class avoiding the given patterns.  This enumerates the whole domain
+    in lists of about a thousand words (islice chunks of S_n, or the class
+    walk's lists), and one `stats.scanner` counts each list, every word from
+    its own letters.  It is the oracle every closed form and recursion is
+    checked against.
 
     >>> print(brute_distribution(3, "des"))
     1 + 4*q + q^2
     >>> print(brute_distribution(3, "des", 1, [(3, 1, 2)]))
     1 + 3*q + q^2
     """
-    check_cap(n)  # the scanner's tables grow with n
+    check_cap(n)  # the scanner's pair lists grow with n
     count = stats.scanner(statistic, n, widths)
-    return LaurentPoly(Counter(map(count, avoidance_class(n, patterns))))
+    dist: Counter = Counter()
+    for batch in _batches(n, patterns):
+        dist.update(count(batch))
+    return LaurentPoly(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -403,23 +407,52 @@ CLOSED_INV: dict[tuple[tuple[int, ...], ...], Callable] = {
 _STATUSES = ("verified", "mismatch", "not-applicable")
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of checking one identity family over a swept parameter range."""
+    """
+    Outcome of checking one identity family over a swept parameter range.
+    Immutable, and equal to another report exactly when all five fields are.
+    """
 
-    identity: str
-    range: str
-    status: str
-    counterexample: dict | None = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ("identity", "range", "status", "counterexample", "notes")
 
-    def __post_init__(self) -> None:
-        if self.status not in _STATUSES:
-            raise InvalidInputError(f"unknown status {self.status!r}")
-        if (self.status == "mismatch") != (self.counterexample is not None):
+    def __init__(
+        self,
+        identity: str,
+        range: str,
+        status: str,
+        counterexample: dict | None = None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        if status not in _STATUSES:
+            raise InvalidInputError(f"unknown status {status!r}")
+        if (status == "mismatch") != (counterexample is not None):
             raise InvalidInputError(
                 "mismatch reports carry a counterexample; other statuses do not"
             )
+        values = (identity, range, status, counterexample, notes)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a VerificationReport is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a VerificationReport is immutable; cannot delete {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.identity, self.range, self.status, self.counterexample, self.notes)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._fields())
+        return "VerificationReport(" + ", ".join(f"{k}={v!r}" for k, v in pairs) + ")"
 
     def to_json(self) -> dict:
         out: dict = {

@@ -5,8 +5,9 @@ over the sets of filled positions counts every distribution over S_n: a
 single-key one (exc_k, maj_K, des_k - des_(n-k)) as one packed integer per
 set, and the joint descent profile, which the des/inv grades, inclusion-
 exclusion and duality read whole, as a dict of packed keys per set.  The
-pruned walk of a class counts its joint descent profile by int keys.  No
-route builds a word, and every enumeration checks the cap.
+pruned walk of a class counts its joint descent profile by int keys, and
+hands its members or keys on in lists.  No route builds a word, and every
+enumeration checks the cap.
 
 A permutation of [n] = {1, ..., n} is represented as a tuple of its values
 a_1, ..., a_n.  The empty tuple is the empty permutation, which is a valid
@@ -26,6 +27,7 @@ from .poly import _slot_width, _unpack
 
 DEFAULT_MAX_N = 10
 _ENV_CAP = "WIDTHK_MAX_N"
+_BATCH = 1024  # words per list handed from an enumeration to its counters
 
 
 def enumeration_cap() -> int:
@@ -201,29 +203,48 @@ def avoidance_class(
     v) and the stored occurrences of p[:2] .. p[:m-3] whose gap holds v; a
     stored occurrence is dropped once no value left can fall in its gap.
     Their gaps and folds are memoized per pattern for the call.
+
+    The walk is a plain recursion that appends members to a list, a whole
+    subtree at a time, and hands the lists on at about a thousand members;
+    this generator yields from them, and brute-force counting takes them
+    whole.  It checks the cap and the patterns when it first runs.
     """
+    for batch in _batches(n, patterns):
+        yield from batch
+
+
+def _batches(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[list[tuple[int, ...]]]:
+    # avoidance_class's members, in order, as lists of about _BATCH words:
+    # islice chunks of S_n, or the class walk's lists
     check_cap(n)
     pats = check_patterns(patterns)
     if not pats:
-        yield from enumerate_sn(n)
+        words = enumerate_sn(n)
+        while batch := list(itertools.islice(words, _BATCH)):
+            yield batch
         return
     if n and (1,) in pats:
         return  # every letter is an occurrence of the pattern 1
     if n < 2:
-        yield tuple(range(1, n + 1))  # no pattern left fits in it
+        yield [tuple(range(1, n + 1))]  # no pattern left fits in it
         return
     yield from _class_walk(n, pats)
 
 
-def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
+def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[list]:
     # The walk of avoidance_class over Av_n(pats), n >= 2, no pattern of
-    # length 1.  It yields the members, or, given the key tables of
-    # _profile, their keys.  Then the masks ride in one int with an n-bit
-    # field per value (field v at bit n*v): placing v at position j reads
-    # field v, and one AND and one OR set bit j-1 in fields 1..v-1.  A
-    # member or key completes in its parent's loop: no prefix of length
-    # n - 1 grows.  Above rows' n fields ride the pending fields of span
-    # bits: the one at bit span*v holds what placing v will fold in.
+    # length 1.  It yields the members in order, in lists of about _BATCH,
+    # or, given the key tables of _profile, their keys.  Then the masks ride
+    # in one int with an n-bit field per value (field v at bit n*v): placing
+    # v at position j reads field v, and one AND and one OR set bit j-1 in
+    # fields 1..v-1.  A member or key completes in its parent's loop: no
+    # prefix of length n - 1 grows.  Above rows' n fields ride the pending
+    # fields of span bits: the one at bit span*v holds what placing v will
+    # fold in.  One plain recursion, extend, fills a list with the members
+    # below a prefix.  Prefixes shorter than cut - 1 are expanded one level
+    # at a time into a stack of states, so a list gathers whole subtrees of
+    # at most 6! members until it holds _BATCH, and the walk never holds
+    # the whole class.
     width = n + 2  # bits per field of rows
     span = width * (n + 1)
     fields = (1 << span) - 1
@@ -292,9 +313,13 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
             child.append(child_levels)
         return rows, child
 
-    def extend(extend: Callable, j: int, left: int, rows: int, stored: list, key: int, masks: int):
-        # extend is passed to itself: no closure cell refers to it, so a walk
-        # leaves no cycle for the collector
+    def extend(extend: Callable, j: int, left: int, rows: int, stored: list, key: int,
+               masks: int, out: list, stop: int) -> None:
+        # Append to out the members or keys below the prefix of length j - 1,
+        # or, for a child prefix of length stop - 1, its state.  extend is
+        # passed to itself: no closure cell refers to it, so a walk leaves
+        # no cycle for the collector.
+        append = out.append
         free = left
         while free:
             bit = free & -free
@@ -310,9 +335,9 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
             if j == n - 1:  # the value left completes a member
                 w = rest.bit_length() - 1
                 if tables:
-                    yield child_key + tables[n][child_masks >> n * w & field]
+                    append(child_key + tables[n][child_masks >> n * w & field])
                 else:
-                    yield (*prefix, v, w)
+                    append((*prefix, v, w))
                 continue
             child_rows = rows | fold[v]
             child_stored = stored
@@ -321,10 +346,29 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator:
                 if long:
                     child_rows, child_stored = grow(v, rest, child_rows, stored)
             prefix[j - 1] = v
-            yield from extend(extend, j + 1, rest, child_rows, child_stored, child_key, child_masks)
+            if j + 1 == stop:
+                append((j + 1, rest, child_rows, child_stored, child_key, child_masks, prefix[:j]))
+                continue
+            extend(extend, j + 1, rest, child_rows, child_stored, child_key, child_masks, out, stop)
 
+    cut = max(1, n - 5)  # a prefix of length cut - 1 leaves at most 6! members
     stored = [[[] for _ in range(len(p) - 4)] for p, *_ in long]
-    return extend(extend, 1, full, rows, stored, 0, 0)
+    states = [(1, full, rows, stored, 0, 0, [])]  # a stack, the next state last
+    batch: list = []
+    while states:
+        j, *state, fixed = states.pop()
+        prefix[:j - 1] = fixed
+        if j < cut:
+            children: list = []
+            extend(extend, j, *state, children, j + 1)
+            states.extend(reversed(children))
+            continue
+        extend(extend, j, *state, batch, n)
+        if len(batch) >= _BATCH:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +405,7 @@ def _profile(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
     if n < 2 or (1,) in pats:  # at most one word, with no descent
         keys = Counter(0 for _ in avoidance_class(n, pats))
     else:
-        keys = Counter(_class_walk(n, pats, tables))
+        keys = Counter(itertools.chain.from_iterable(_class_walk(n, pats, tables)))
     return _digits(keys, n, w)
 
 

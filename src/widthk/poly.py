@@ -24,7 +24,6 @@ import math
 import operator
 import sys
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Mapping, Sequence
@@ -248,6 +247,8 @@ class LaurentPoly:
 
     def __call__(self, x: int | Fraction) -> int | Fraction:
         """Evaluate exactly; negative exponents go through Fraction."""
+        from fractions import Fraction  # here, not at the top: only evaluation needs it
+
         if x == 0 and self._coeffs and self._val < 0:
             raise InvalidInputError(f"cannot evaluate at 0: q^{self._val} has a pole there")
         total: int | Fraction = 0
@@ -472,9 +473,10 @@ class MultiPoly:
                 f"caps {caps!r} do not match variables {self.vars!r}"
             )
         acc = {}
+        sub = operator.sub
         for exps, c in self._terms.items():
-            flipped = tuple(m - e for m, e in zip(caps, exps))
-            if any(e < 0 for e in flipped):
+            flipped = tuple(map(sub, caps, exps))
+            if min(flipped, default=0) < 0:
                 raise InvalidInputError(
                     f"exponent vector {exps!r} exceeds caps {caps!r}"
                 )

@@ -9,15 +9,16 @@ inversion pairs combine as a set, so a pair whose gap is divisible by two
 widths counts once.  Indices are 1-based throughout, matching the usual
 one-line conventions.
 
-The counts des, inv, maj and exc come from `scanner`: the widths are
-normalized once, and each word costs one C-level pass over its pairs, or
-for exc one pass per block.
+The counts des, inv, maj and exc come from `scanner`, which counts a
+whole batch of words at once: the widths are normalized once, the batch is
+transposed once into columns, and each compared pair of positions costs one
+C-level pass over the batch.  A single word is a batch of one.
 """
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import gt, itemgetter, mul
+from itertools import compress, repeat
+from operator import gt, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError
@@ -80,7 +81,7 @@ def des_set(word: Sequence[int], widths: Widths) -> tuple[int, ...]:
 
 def des(word: Sequence[int], widths: Widths = 1) -> int:
     """Number of width-k descents (multiset size for a width set)."""
-    return scanner("des", len(word), widths)(word)
+    return scanner("des", len(word), widths)([word])[0]
 
 
 def inv_set(word: Sequence[int], widths: Widths) -> tuple[tuple[int, int], ...]:
@@ -99,7 +100,7 @@ def inv_set(word: Sequence[int], widths: Widths) -> tuple[tuple[int, int], ...]:
 
 def inv(word: Sequence[int], widths: Widths = 1) -> int:
     """Number of width-k inversions (set-union size for a width set)."""
-    return scanner("inv", len(word), widths)(word)
+    return scanner("inv", len(word), widths)([word])[0]
 
 
 def inv_by_lcm(word: Sequence[int], widths: Widths) -> int:
@@ -130,7 +131,7 @@ def exc(word: Sequence[int], widths: Widths = 1) -> int:
     blocks a_i a_(i+k) a_(i+2k) ... for i = 1..k, summed over blocks and
     over the widths.
     """
-    return scanner("exc", len(word), widths)(word)
+    return scanner("exc", len(word), widths)([word])[0]
 
 
 def maj(word: Sequence[int], widths: Widths = 1) -> int:
@@ -138,35 +139,59 @@ def maj(word: Sequence[int], widths: Widths = 1) -> int:
     Width-k major index: sum of ceil(i / k) over width-k descents i,
     summed over the widths.  Equals the blockwise classical major sum.
     """
-    return scanner("maj", len(word), widths)(word)
+    return scanner("maj", len(word), widths)([word])[0]
 
 
-def scanner(statistic: str, n: int, widths: Widths) -> Callable[[Sequence[int]], int]:
+def scanner(
+    statistic: str, n: int, widths: Widths
+) -> Callable[[Sequence[Sequence[int]]], list[int]]:
     """
-    A per-word counter of a statistic at the given widths on words of length
-    n, the widths normalized once.  des, inv and maj read their pairs
-    (a_i, a_(i+d)) in one pass of two itemgetters, each led by the pair
-    (a_1, a_1), never a descent, so that it returns a tuple: des over the
-    gaps d = k, inv over the distinct gaps that some width divides (a pair
-    has one gap), and maj weights the width-k descent at i by ceil(i/k).
-    exc counts the letters b_t of each block b = a_i a_(i+k) ... above the
-    t-th smallest letter of b, which is rank(b_t) > t without standardizing.
+    A counter of a statistic at the given widths over a batch of words of
+    length n, the widths normalized once: it maps a list of words to the
+    list of their counts, every count an int.  des, inv and maj transpose
+    the batch once into columns, compare the columns of every pair of
+    positions (i, i + d) in one map(gt) pass, and sum each word's row of
+    comparisons in C: des over the gaps d = k, inv over the distinct gaps
+    that some width divides (a pair has one gap), and maj over the weights
+    ceil(i/k) of the width-k descents that the row selects.  exc slices
+    each block b = a_i a_(i+k) ... out of every word in one pass per block
+    and counts the letters b_t above the t-th smallest letter of b, which is
+    rank(b_t) > t without standardizing.  No Python code runs per word.
 
-    >>> scanner("inv", 7, (2, 3))((4, 1, 3, 6, 5, 7, 2))
-    5
+    >>> scanner("inv", 7, (2, 3))([(4, 1, 3, 6, 5, 7, 2), (1, 2, 3, 4, 5, 6, 7)])
+    [5, 0]
     """
     if statistic not in STATISTICS:
         raise InvalidInputError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
     ks = normalize_widths(widths, n)
+
+    def zeros(words: Sequence[Sequence[int]]) -> list[int]:
+        return [0] * len(words)
+
     if statistic == "exc":  # blocks of one letter have no excedance
-        blocks = [slice(i, None, k) for k in ks for i in range(min(k, n - k))]
-        return lambda w: sum([sum(map(gt, b, sorted(b))) for b in map(w.__getitem__, blocks)])
+        blocks = [itemgetter(slice(i, None, k)) for k in ks for i in range(min(k, n - k))]
+        if not blocks:
+            return zeros
+
+        def count_exc(words: Sequence[Sequence[int]]) -> list[int]:
+            sums = []
+            for block in blocks:
+                bs = list(map(block, words))
+                sums.append(map(sum, map(map, repeat(gt), bs, map(sorted, bs))))
+            return list(map(sum, zip(*sums)))
+
+        return count_exc
     gaps = {d for k in ks for d in range(k, n, k)} if statistic == "inv" else ks
-    if min(gaps, default=n) >= n:
-        return lambda w: 0  # no pair to compare
-    lo = itemgetter(0, *chain(*[range(n - d) for d in gaps]))
-    hi = itemgetter(0, *chain(*[range(d, n) for d in gaps]))
-    if statistic == "maj":
-        weights = [0, *[i // d + 1 for d in gaps for i in range(n - d)]]
-        return lambda w: sum(map(mul, weights, map(gt, lo(w), hi(w))))
-    return lambda w: sum(map(gt, lo(w), hi(w)))
+    pairs = [(i, i + d) for d in gaps for i in range(n - d)]
+    if not pairs:
+        return zeros  # no pair to compare
+    weights = [i // d + 1 for d in gaps for i in range(n - d)] if statistic == "maj" else None
+
+    def count(words: Sequence[Sequence[int]]) -> list[int]:
+        cols = list(zip(*words)) or [()] * n  # no word, no letter in any column
+        rows = zip(*[map(gt, cols[i], cols[j]) for i, j in pairs])
+        if weights:
+            rows = map(compress, repeat(weights), rows)
+        return list(map(sum, rows))  # sum makes a single pair's bool an int
+
+    return count

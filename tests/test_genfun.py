@@ -735,10 +735,11 @@ class TestGradedDistributions:
 
     def test_each_class_is_walked_once(self, monkeypatch):
         # a class is walked by the key walk behind t_polynomial, or listed
-        # word by word; a run does either at most once per (n, class)
+        # in batches for brute_distribution; a run does either at most once
+        # per (n, class)
         walks = collections.Counter()
 
-        for name in ("_joint_descents", "avoidance_class"):
+        for name in ("_joint_descents", "_batches"):
 
             def counted(n, patterns=(), walk=getattr(genfun, name)):
                 walks[(n, tuple(patterns))] += 1
@@ -890,6 +891,23 @@ class TestReports:
             VerificationReport("x", "r", "mismatch")  # no counterexample
         with pytest.raises(InvalidInputError):
             VerificationReport("x", "r", "verified", {"params": {}})
+
+    def test_reports_are_immutable_values(self):
+        ok = VerificationReport(identity="x", range="n<=3", status="verified", notes=("a",))
+        assert ok == VerificationReport("x", "n<=3", "verified", None, ("a",))
+        assert ok != VerificationReport("x", "n<=3", "verified") and ok != ("x",)
+        assert hash(ok) == hash(VerificationReport("x", "n<=3", "verified", notes=("a",)))
+        assert repr(ok) == (
+            "VerificationReport(identity='x', range='n<=3', status='verified', "
+            "counterexample=None, notes=('a',))"
+        )
+        with pytest.raises(AttributeError):
+            ok.status = "mismatch"
+        with pytest.raises(AttributeError):
+            ok.extra = 1
+        with pytest.raises(AttributeError):
+            del ok.notes
+        assert ok.status == "verified"
 
     def test_runner_stops_at_first_mismatch(self, monkeypatch):
         # a closed form wrong only at (n, k) = (5, 2): the runner must report

@@ -3,7 +3,6 @@
 import collections
 import functools
 import gc
-import inspect
 import itertools
 import operator
 import sys
@@ -140,13 +139,9 @@ def test_exc_maj_walk_matches_per_word_scan(n):
     # set K) and the exc_k DPs, at every k, against one scan per word (each
     # exc scanner is what stats.exc runs); maj_K sums the profile over K
     ks = range(1, n)
-    exc_of = {k: stats.scanner("exc", n, k) for k in ks}
-    excs = {k: collections.Counter() for k in ks}
-    majs = collections.Counter()
-    for word in itertools.permutations(range(1, n + 1)):
-        majs[_maj_profile(word)] += 1
-        for k in ks:
-            excs[k][exc_of[k](word)] += 1
+    words = list(itertools.permutations(range(1, n + 1)))
+    excs = {k: collections.Counter(stats.scanner("exc", n, k)(words)) for k in ks}
+    majs = collections.Counter(map(_maj_profile, words))
     for size in range(1, n if n <= 6 else 2):
         for K in itertools.combinations(ks, size):
             maj_K = collections.Counter()
@@ -323,22 +318,16 @@ def test_avoidance_class_matches_filter_on_random_sets(pats, n):
 
 
 def _opened_prefixes(n, pats):
-    # (prefixes the walk opens, members): one opened prefix per frame of a
-    # generator function of perm other than avoidance_class itself, i.e. per
-    # level of the recursive walk.  The frames stay referenced until the
-    # count is taken, so no two share an id.
-    frames = {}
+    # (prefixes the walk opens, members): one opened prefix per call of the
+    # walk's plain recursion, extend, which fills a list with the members
+    # below one prefix or expands it one level.
+    calls = 0
 
     def profile(frame, event, arg):
+        nonlocal calls
         code = frame.f_code
-        if (
-            event == "call"
-            and code.co_filename == perm.__file__
-            and code.co_flags & inspect.CO_GENERATOR
-            and code.co_name != "avoidance_class"
-            and not code.co_name.startswith("<")
-        ):
-            frames[id(frame)] = frame
+        if event == "call" and code.co_filename == perm.__file__ and code.co_name == "extend":
+            calls += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -346,7 +335,7 @@ def _opened_prefixes(n, pats):
         members = list(avoidance_class(n, pats))
     finally:
         sys.setprofile(previous)
-    return len(frames), members
+    return calls, members
 
 
 @pytest.mark.parametrize("length", [3, 4])

@@ -214,10 +214,12 @@ def test_multipoly_reflect():
     r = p.reflect((2, 1))
     assert r == MultiPoly(("t1", "t2"), {(2, 1): 1, (0, 0): 3})
     assert r.reflect((2, 1)) == p
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"exponent vector \(2, 1\) exceeds caps \(1, 1\)"):
         p.reflect((1, 1))
     with pytest.raises(InvalidInputError):
         p.reflect((2,))
+    one = MultiPoly((), {(): 1})  # t_polynomial at n = 1 has no variable
+    assert one.reflect(()) == one
 
 
 def test_multipoly_specializations():

@@ -9,9 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthk.errors import InvalidInputError
+from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import brute_distribution
-from widthk.perm import avoids, enumerate_sn, parse_patterns, standardize
+from widthk.perm import (
+    _BATCH,
+    _batches,
+    avoidance_class,
+    avoids,
+    enumerate_sn,
+    parse_patterns,
+    standardize,
+)
 from widthk.poly import LaurentPoly
 from widthk.stats import (
     STATISTICS,
@@ -203,17 +211,54 @@ def _width_sets(n):
 
 
 def test_scanners_match_per_word_definitions():
-    # every word of S_n, n <= 6, at every width set; then S_7 at every
-    # single width, those >= n included
+    # S_n as one batch, n <= 6, at every width set; then S_7 at every single
+    # width, those >= n included, and at some width sets
     cases = [(n, ks) for n in range(7) for ks in _width_sets(n)]
-    cases += [(7, k) for k in range(1, 10)]
+    cases += [(7, k) for k in range(1, 10)] + [(7, ks) for ks in ((1, 2), (2, 3), (1, 3, 5))]
     for n, widths in cases:
         words = list(enumerate_sn(n))
         for name in STATISTICS:
-            count = scanner(name, n, widths)
-            assert [count(w) for w in words] == [
+            assert scanner(name, n, widths)(words) == [
                 per_word(name, w, widths) for w in words
             ], (name, n, widths)
+
+
+def test_scanner_counts_any_split_of_a_batch_alike():
+    # a batch's counts do not depend on where the batch is cut, nor on the
+    # other words in it; a word alone is a batch of one
+    words = list(enumerate_sn(6))
+    for name in STATISTICS:
+        for widths in (1, 4, (1, 2), (2, 3, 5)):
+            count = scanner(name, 6, widths)
+            whole = count(words)
+            for cut in (0, 1, 359, 719, 720):
+                assert count(words[:cut]) + count(words[cut:]) == whole, (name, widths, cut)
+            assert [count([w])[0] for w in words[::37]] == whole[::37]
+
+
+def test_scanner_on_empty_words_and_empty_batches():
+    # zip(*[()]) has no columns: words of length 0 and 1 have no pair
+    for name in STATISTICS:
+        assert scanner(name, 0, 1)([()]) == [0]
+        assert scanner(name, 1, 1)([(1,)]) == [0]
+        assert scanner(name, 1, [1])([(1,), (1,)]) == [0, 0]
+        for n in (0, 1, 5):
+            assert scanner(name, n, 1)([]) == []
+    assert (des(()), inv((1,)), maj(()), exc((1,))) == (0, 0, 0, 0)
+
+
+def test_counts_are_ints_never_bools():
+    # one compared pair (des at width n - 1) gives a bool per word before
+    # the sum; a bool key would print as True/False
+    words = list(enumerate_sn(5))
+    for name in STATISTICS:
+        for widths in (4, (4,), 1, (1, 3)):
+            counts = scanner(name, 5, widths)(words)
+            assert {type(c) for c in counts} == {int}, (name, widths)
+            dist = brute_distribution(5, name, widths)
+            assert {type(e) for e, _ in dist.terms()} == {int}, (name, widths)
+    assert type(des((2, 1), 1)) is int
+    assert str(brute_distribution(8, "des", 7)) == "20160 + 20160*q"
 
 
 @pytest.mark.parametrize("pats", ["312", "132,4321", "1342,2143", "2413,3142"])
@@ -228,3 +273,30 @@ def test_brute_distribution_matches_per_word_definitions(pats):
                 assert brute_distribution(n, name, widths, patterns) == LaurentPoly(
                     expected
                 ), (pats, n, name, widths)
+
+
+@pytest.mark.parametrize("n, pats", [(7, "4321"), (8, "1234"), (8, "132,4321")])
+def test_brute_distribution_over_classes_of_several_batches(n, pats):
+    # Av_7(4321) and Av_8(1234) fill more than one of the walk's lists, S_7
+    # more than one islice chunk; the counts over the batches must add up
+    # to the per-word counts over the members
+    patterns = parse_patterns(pats)
+    batches = list(_batches(n, patterns))
+    members = [w for batch in batches for w in batch]
+    assert members == [w for w in enumerate_sn(n) if avoids(w, patterns)]
+    assert len(batches) > 1 or len(members) <= _BATCH
+    assert all(0 < len(batch) < 2 * _BATCH for batch in batches)
+    sn = list(_batches(7, ()))
+    assert [len(b) for b in sn] == [_BATCH] * 4 + [5040 - 4 * _BATCH]
+    for name in STATISTICS:
+        for widths in (1, 3, (1, 2)):
+            expected = Counter(per_word(name, w, widths) for w in members)
+            assert brute_distribution(n, name, widths, patterns) == LaurentPoly(expected)
+
+
+def test_avoidance_class_raises_on_first_next():
+    # a generator: the cap and the patterns are checked when it first runs
+    for n, pats, error in ((11, [(2, 1)], EnumerationCapError), (4, [(1, 1)], InvalidInputError)):
+        members = avoidance_class(n, pats)
+        with pytest.raises(error):
+            next(members)

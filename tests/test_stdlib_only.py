@@ -2,7 +2,10 @@
 src/widthk is either the package's own or a stdlib module."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "widthk"
@@ -34,3 +37,21 @@ def test_every_import_is_the_package_or_stdlib():
 def test_the_check_sees_a_foreign_import():
     tree = ast.parse("import os\nfrom . import poly\nif True:\n    import numpy.linalg\n")
     assert list(_imports(tree)) == [(1, "os"), (2, None), (4, "numpy")]
+
+
+def test_importing_the_cli_loads_no_heavy_stdlib_module():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
+    # pulls in decimal: each costs every CLI process its import time
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import widthk.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(json.loads(done.stdout))
+    assert "widthk.genfun" in loaded
+    assert loaded & {"dataclasses", "inspect", "fractions"} == set()
