@@ -133,14 +133,6 @@ def t_polynomial(n: int, patterns: Patterns = ()) -> MultiPoly:
     return MultiPoly(tuple(f"t{g}" for g in range(1, n)), _joint_descents(n, pats))
 
 
-def _indicator(n: int, gaps: Iterable[int]) -> list[int]:
-    # Weights over t_1..t_(n-1) marking the given gaps.  Grading the joint
-    # distribution by the indicator of {k} gives des_k, of the multiples of
-    # k gives inv_k, and of a width set K (or its multiples) gives des_K (inv_K).
-    marked = set(gaps)
-    return [int(g in marked) for g in range(1, n)]
-
-
 def g_table(n: int) -> dict[int, LaurentPoly]:
     """
     G[n,k], the sum of q^(des_k - des_(n-k)) over S_n, for k = 1..n-1, each
@@ -517,55 +509,58 @@ def _format_class(patterns: tuple[tuple[int, ...], ...]) -> str:
 
 class SweepCaches:
     """
-    Memo for the enumeration passes, shared across suites within one run.
-    Each (n, class) is enumerated once, by packed keys, into its joint
-    descent distribution; every swept des/inv distribution is a grade of it.
-    Over S_n the DP over sets of filled positions also counts each exc_k,
-    maj_k and G[n,k] as one packed row, with no joint distribution behind it.
+    Memo for the distributions that one run's suites compare.  Each is
+    graded or counted once per run, on first request: each (n, class) is
+    enumerated once, by packed keys, into its joint descent distribution,
+    and each des/inv distribution is one grade of it.  Over S_n the DP over
+    sets of filled positions counts each exc_k, maj_K and G[n,k] as one
+    packed row, with no joint distribution behind it.
     """
 
     def __init__(self) -> None:
-        self._t_polys: dict[tuple, MultiPoly] = {}
-        self._av_dists: dict[tuple, tuple[dict, dict]] = {}
-        self._g_tables: dict[int, dict[int, LaurentPoly]] = {}
-        self._sn_exc_maj: dict[int, tuple[dict, dict]] = {}
+        self._memo: dict[tuple, MultiPoly | LaurentPoly] = {}
 
     def t_poly(self, n: int, patterns: tuple[tuple[int, ...], ...]) -> MultiPoly:
         """Joint descent distribution over an avoidance class; () gives S_n."""
         key = (n, patterns)
-        if key not in self._t_polys:
-            self._t_polys[key] = t_polynomial(n, patterns)
-        return self._t_polys[key]
+        if key not in self._memo:
+            self._memo[key] = t_polynomial(n, patterns)
+        return self._memo[key]
 
-    def g_table(self, n: int) -> dict[int, LaurentPoly]:
-        if n not in self._g_tables:
-            self._g_tables[n] = g_table(n)
-        return self._g_tables[n]
-
-    def av_dists(
-        self, n: int, patterns: tuple[tuple[int, ...], ...]
-    ) -> tuple[dict[int, LaurentPoly], dict[int, LaurentPoly]]:
+    def dist(
+        self,
+        n: int,
+        statistic: str,
+        widths: tuple[int, ...],
+        patterns: tuple[tuple[int, ...], ...] = (),
+    ) -> LaurentPoly:
         """
-        Width-k descent and inversion distributions over an avoidance class,
-        every k; the empty pattern set gives S_n.
+        The distribution brute_distribution(n, statistic, widths, patterns)
+        enumerates.  des and inv are counted over any class, maj over S_n,
+        and exc and G (des_k - des_(n-k)) over S_n at one width; any other
+        request raises InvalidInputError.
         """
-        key = (n, patterns)
-        if key not in self._av_dists:
-            ks = range(1, n)
-            rows = [_indicator(n, (k,)) for k in ks]
-            rows += [_indicator(n, range(k, n, k)) for k in ks]
-            dists = self.t_poly(n, patterns).grades(rows)
-            self._av_dists[key] = (dict(zip(ks, dists)), dict(zip(ks, dists[n - 1 :])))
-        return self._av_dists[key]
-
-    def sn_exc_maj(self, n: int) -> tuple[dict, dict]:
-        """Width-k excedance and major-index distributions over S_n, every k."""
-        if n not in self._sn_exc_maj:
-            ks = range(1, max(n, 2))  # a word of length 1 keeps the classical width 1
-            exc = {k: LaurentPoly(_sn_excedances(n, k)) for k in ks}
-            maj = {k: LaurentPoly(_sn_majors(n, (k,))) for k in ks}
-            self._sn_exc_maj[n] = (exc, maj)
-        return self._sn_exc_maj[n]
+        key = (n, statistic, widths, patterns)
+        if key in self._memo:
+            return self._memo[key]
+        stats.normalize_widths(widths, n)  # the width checks of brute_distribution
+        if statistic in ("des", "inv"):
+            # grade by the indicator of the gaps counted: K itself for des_K,
+            # and every multiple of a width in K for inv_K
+            gaps = {m for k in widths for m in (range(k, n, k) if statistic == "inv" else [k])}
+            [dist] = self.t_poly(n, patterns).grades([[int(g in gaps) for g in range(1, n)]])
+        elif statistic == "maj" and not patterns:
+            dist = LaurentPoly(_sn_majors(n, widths))
+        elif statistic in ("exc", "G") and not patterns and len(widths) == 1:
+            dist = LaurentPoly((_sn_excedances if statistic == "exc" else _sn_g)(n, *widths))
+        else:
+            raise InvalidInputError(
+                f"no {statistic!r} distribution at widths {widths} over "
+                f"{_format_class(patterns)}: des and inv count over any class, "
+                "maj over S_n, and exc and G over S_n at one width"
+            )
+        self._memo[key] = dist
+        return dist
 
 
 # ---------------------------------------------------------------------------
@@ -607,15 +602,14 @@ def suite_theorem(top: int, caches: SweepCaches):
     """Brute-force des_k and inv_k over S_n against their closed forms."""
     swept = f"2<=n<={top}, 1<=k<=n-1"
 
-    def cases(side: int, closed: Callable[[int, int], LaurentPoly]) -> Iterator[Case]:
+    def cases(statistic: str, closed: Callable[[int, int], LaurentPoly]) -> Iterator[Case]:
         for n in range(2, top + 1):
-            brute = caches.av_dists(n, ())[side]
             for k in range(1, n):
-                yield {"n": n, "k": k}, brute[k], closed(n, k)
+                yield {"n": n, "k": k}, caches.dist(n, statistic, (k,)), closed(n, k)
 
     return [
-        _check("theorem[des]", swept, cases(0, closed_des_k)),
-        _check("theorem[inv]", swept, cases(1, closed_inv_k)),
+        _check("theorem[des]", swept, cases("des", closed_des_k)),
+        _check("theorem[inv]", swept, cases("inv", closed_inv_k)),
     ]
 
 
@@ -636,11 +630,8 @@ def suite_equidistribution(top: int, caches: SweepCaches):
 
     def cases(left: str, right: str, least_k=lambda n: 1) -> Iterator[Case]:
         for n in range(2, top + 1):
-            des, inv = caches.av_dists(n, ())
-            exc, maj = caches.sn_exc_maj(n)
-            dists = {"des": des, "inv": inv, "exc": exc, "maj": maj}
             for k in range(least_k(n), n):
-                yield {"n": n, "k": k}, dists[left][k], dists[right][k]
+                yield {"n": n, "k": k}, caches.dist(n, left, (k,)), caches.dist(n, right, (k,))
 
     reports = [
         _check("equidistribution[des=exc]", swept, cases("des", "exc")),
@@ -653,21 +644,10 @@ def suite_equidistribution(top: int, caches: SweepCaches):
     ]
 
     info_top = min(top, 7)
-    equal = total = 0
-    first_diff: tuple[int, tuple[int, ...]] | None = None
-    for n in range(2, info_top + 1):
-        subsets = [K for K in _width_subsets(n) if len(K) >= 2]
-        if not subsets:
-            continue
-        multiples = [[m for k in K for m in range(k, n, k)] for K in subsets]
-        invs = caches.t_poly(n, ()).grades([_indicator(n, ms) for ms in multiples])
-        majs = [LaurentPoly(_sn_majors(n, K)) for K in subsets]
-        for K, inv_K, maj_K in zip(subsets, invs, majs):
-            total += 1
-            if inv_K == maj_K:
-                equal += 1
-            elif first_diff is None:
-                first_diff = (n, K)
+    width_sets = [(n, K) for n in range(2, info_top + 1) for K in _width_subsets(n) if len(K) >= 2]
+    agree = [caches.dist(n, "inv", K) == caches.dist(n, "maj", K) for n, K in width_sets]
+    equal, total = sum(agree), len(agree)
+    first_diff = next((pair for pair, same in zip(width_sets, agree) if not same), None)
     note = (
         "informational: equality of inv and maj distributions is only claimed "
         f"for single widths; over width sets of size >= 2 with n<={info_top}, "
@@ -852,10 +832,9 @@ def suite_gtable(top: int, caches: SweepCaches):
     """
 
     def cases(n: int) -> Iterator[Case]:
-        table = caches.g_table(n)
         for k, shape in GTABLE_REFERENCE[n].items():
             params = {"n": n, "k": k, "form": format_factored(*shape)}
-            yield params, table[k], factored_form(*shape)
+            yield params, caches.dist(n, "G", (k,)), factored_form(*shape)
 
     reports = []
     for n in sorted(GTABLE_REFERENCE):
@@ -873,10 +852,9 @@ def suite_conjecture(top: int, caches: SweepCaches):
 
     def cases() -> Iterator[Case]:
         for n in range(2, top + 1):
-            table = caches.g_table(n)
             for k in range(1, n):
                 if math.gcd(n, k) == 1:
-                    yield {"n": n, "k": k}, table[k], closed_g(n, k)
+                    yield {"n": n, "k": k}, caches.dist(n, "G", (k,)), closed_g(n, k)
 
     return [
         _check(
@@ -952,27 +930,24 @@ def suite_duality(top: int, caches: SweepCaches):
                 actual, expected = _duality_sides(caches, n, pats, mode)
                 yield {"n": n, "patterns": [format_perm(p) for p in pats]}, actual, expected
 
-    def des_dists(n: int, pattern: tuple[int, ...]) -> dict[int, LaurentPoly]:
-        return caches.av_dists(n, (pattern,))[0]
-
     def twins_123_321() -> Iterator[Case]:
         for n in range(2, top + 1):
-            f123 = des_dists(n, (1, 2, 3))
-            f321 = des_dists(n, (3, 2, 1))
             for k in range(1, n):
-                yield {"n": n, "k": k}, f123[k], f321[k].inverse_q().shift(n - k)
+                f123 = caches.dist(n, "des", (k,), ((1, 2, 3),))
+                f321 = caches.dist(n, "des", (k,), ((3, 2, 1),))
+                yield {"n": n, "k": k}, f123, f321.inverse_q().shift(n - k)
 
     def twins_132_213_231_312() -> Iterator[Case]:
         for n in range(2, top + 1):
-            f132 = des_dists(n, (1, 3, 2))
-            f213 = des_dists(n, (2, 1, 3))
-            f231 = des_dists(n, (2, 3, 1))
-            f312 = des_dists(n, (3, 1, 2))
             for k in range(1, n):
+                f132, f213, f231, f312 = (
+                    caches.dist(n, "des", (k,), (p,))
+                    for p in ((1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2))
+                )
                 links = (
-                    ("132=213", f132[k], f213[k]),
-                    ("132=q^(n-k)*231(1/q)", f132[k], f231[k].inverse_q().shift(n - k)),
-                    ("231=312", f231[k], f312[k]),
+                    ("132=213", f132, f213),
+                    ("132=q^(n-k)*231(1/q)", f132, f231.inverse_q().shift(n - k)),
+                    ("231=312", f231, f312),
                 )
                 for label, lhs, rhs in links:
                     yield {"n": n, "k": k, "link": label}, lhs, rhs
@@ -996,27 +971,22 @@ def suite_avoidance(top: int, caches: SweepCaches):
 
     def recursion(pats, fn) -> Iterator[Case]:
         for n in range(2, top + 1):
-            des = caches.av_dists(n, pats)[0]
             for k in range(1, n):
-                yield {"n": n, "k": k}, fn(n, k), des[k]
+                yield {"n": n, "k": k}, fn(n, k), caches.dist(n, "des", (k,), pats)
 
     def product(pats, fn) -> Iterator[Case]:
         for n in range(2, multi_top + 1):
-            subsets = list(_width_subsets(n))
-            grades = caches.t_poly(n, pats).grades([_indicator(n, K) for K in subsets])
-            for K, des_K in zip(subsets, grades):
-                yield {"n": n, "K": K}, fn(n, K), des_K
+            for K in _width_subsets(n):
+                yield {"n": n, "K": K}, fn(n, K), caches.dist(n, "des", K, pats)
 
     def closed_inv() -> Iterator[Case]:
         for n in range(2, top + 1):
-            inv312 = caches.av_dists(n, ((1, 3, 2), (3, 1, 2)))[1]
-            inv231 = caches.av_dists(n, ((1, 3, 2), (2, 3, 1)))[1]
             for k in range(1, n):
                 want = closed_inv_132_312(n, k)
                 multiples = tuple(range(k, n, k))
                 sides = (
-                    ("inv over Av(132,312)", inv312[k]),
-                    ("inv over Av(132,231)", inv231[k]),
+                    ("inv over Av(132,312)", caches.dist(n, "inv", (k,), ((1, 3, 2), (3, 1, 2)))),
+                    ("inv over Av(132,231)", caches.dist(n, "inv", (k,), ((1, 3, 2), (2, 3, 1)))),
                     ("product at K=multiples of k", product_132_312(n, multiples)),
                 )
                 for label, got in sides:
@@ -1024,9 +994,8 @@ def suite_avoidance(top: int, caches: SweepCaches):
 
     def degrees() -> Iterator[Case]:
         for n in range(2, top + 1):
-            des, inv = caches.av_dists(n, ((3, 1, 2),))
             for k in range(1, n):
-                actual = (des[k].degree, inv[k].degree)
+                actual = tuple(caches.dist(n, s, (k,), ((3, 1, 2),)).degree for s in ("des", "inv"))
                 yield {"n": n, "k": k}, actual, (des_degree_312(n, k), inv_degree_312(n, k))
 
     def catalan_at_one() -> Iterator[Case]:
@@ -1111,10 +1080,9 @@ def suite_counting(top: int, caches: SweepCaches):
                     params = {"n": n, "k": k, "distribution": label}
                     yield params, closed(n, k)(1), math.factorial(n)
         for n in range(2, small_top + 1):
-            table = caches.g_table(n)
             for k in range(1, n):
                 params = {"n": n, "k": k, "distribution": "signed descent difference"}
-                yield params, table[k](1), math.factorial(n)
+                yield params, caches.dist(n, "G", (k,))(1), math.factorial(n)
         for n in range(1, small_top + 1):
             for pats in _small_pattern_classes():
                 params = {"n": n, "patterns": [format_perm(p) for p in pats]}

@@ -6,7 +6,9 @@ single-key one (exc_k, maj_K, des_k - des_(n-k)) as one packed integer per
 set, and the joint descent profile, which the des/inv grades, inclusion-
 exclusion and duality read whole, as a dict of packed keys per set.  The
 pruned walk of a class counts its joint descent profile by int keys, and
-hands its members or keys on in lists.  No route builds a word, and every
+hands its members or keys on in lists.  Words are built only where they
+are listed: by `enumerate_sn`, by `avoidance_class`, and in the batches of
+brute-force counting.  The S_n DPs and the key walk build none.  Every
 enumeration checks the cap.
 
 A permutation of [n] = {1, ..., n} is represented as a tuple of its values

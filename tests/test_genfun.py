@@ -288,7 +288,7 @@ def test_class_key_walk_matches_per_word_scan(pats):
         t_polynomial,
         lambda n: t_polynomial(n, [(1, 3, 2)]),
         g_table,
-        lambda n: SweepCaches().sn_exc_maj(n),
+        lambda n: [SweepCaches().dist(n, statistic, (2,)) for statistic in ("exc", "maj")],
     ],
     ids=[
         "S_n", "class-none", "class-312", "class-4321", "brute", "tpoly", "tpoly-class",
@@ -670,49 +670,86 @@ class TestFormulasAboveTheCap:
 
 
 class TestGradedDistributions:
-    # every swept distribution is a grade of one memoized joint distribution;
-    # enumeration and closed_g are the independent oracles
+    # every swept distribution is read through SweepCaches.dist: des and inv
+    # as grades of one memoized joint distribution, exc, maj and G as packed
+    # rows; enumeration and closed_g are the independent oracles
     CLASSES = [(), *RECURSIONS, *PRODUCTS]
 
     def test_av_dists_match_enumeration(self):
         caches = SweepCaches()
         for n in range(1, 7):
             for pats in self.CLASSES:
-                des, inv = caches.av_dists(n, pats)
-                assert set(des) == set(inv) == set(range(1, n))
                 for k in range(1, n):
-                    assert des[k] == brute_distribution(n, "des", k, pats), (n, k, pats)
-                    assert inv[k] == brute_distribution(n, "inv", k, pats), (n, k, pats)
+                    des = caches.dist(n, "des", (k,), pats)
+                    inv = caches.dist(n, "inv", (k,), pats)
+                    assert des == brute_distribution(n, "des", k, pats), (n, k, pats)
+                    assert inv == brute_distribution(n, "inv", k, pats), (n, k, pats)
 
     def test_av_dists_are_graded_once(self):
         caches = SweepCaches()
-        assert caches.av_dists(5, ()) is caches.av_dists(5, ())
+        assert caches.dist(5, "des", (2,)) is caches.dist(5, "des", (2,))
+        assert caches.dist(5, "inv", (2,)) is caches.dist(5, "inv", (2,))
+        assert caches.t_poly(5, ()) is caches.t_poly(5, ())
 
     def test_sn_exc_maj_match_enumeration(self):
         # maj_K over a width set is the DP that the inv_K/maj_K info block runs
         caches = SweepCaches()
         for n in range(2, 7):
-            exc, maj = caches.sn_exc_maj(n)
             for k in range(1, n):
-                assert exc[k] == brute_distribution(n, "exc", k), (n, k)
-                assert maj[k] == brute_distribution(n, "maj", k), (n, k)
+                assert caches.dist(n, "exc", (k,)) == brute_distribution(n, "exc", k), (n, k)
+                assert caches.dist(n, "maj", (k,)) == brute_distribution(n, "maj", k), (n, k)
             for size in range(1, n):
                 for ks in itertools.combinations(range(1, n), size):
-                    assert LaurentPoly(perm._sn_majors(n, ks)) == brute_distribution(
-                        n, "maj", ks
-                    ), (n, ks)
+                    assert caches.dist(n, "maj", ks) == brute_distribution(n, "maj", ks), (n, ks)
         # a one-letter word has no excedance and no descent
-        exc, maj = caches.sn_exc_maj(1)
-        assert exc[1] == maj[1] == ONE
+        assert caches.dist(1, "exc", (1,)) == caches.dist(1, "maj", (1,)) == ONE
         # exc_k and maj_k against stats.exc and stats.maj per word at n = 7
-        exc, maj = caches.sn_exc_maj(7)
         for k in range(1, 7):
-            assert exc[k] == brute_distribution(7, "exc", k), k
-            assert maj[k] == brute_distribution(7, "maj", k), k
+            assert caches.dist(7, "exc", (k,)) == brute_distribution(7, "exc", k), k
+            assert caches.dist(7, "maj", (k,)) == brute_distribution(7, "maj", k), k
 
     def test_g_table_is_graded_once(self):
         caches = SweepCaches()
-        assert caches.g_table(9) is caches.g_table(9)
+        for k in range(1, 9):
+            assert caches.dist(9, "G", (k,)) is caches.dist(9, "G", (k,)), k
+
+    @pytest.mark.parametrize("statistic", ["des", "inv"])
+    @pytest.mark.parametrize(
+        "pats", CLASSES, ids=lambda pats: ",".join(map(format_perm, pats)) or "S_n"
+    )
+    def test_dist_matches_enumeration_at_every_width_set(self, statistic, pats):
+        caches = SweepCaches()
+        for n in range(1, 7):
+            for ks in genfun._width_subsets(max(n, 2)):
+                args = (n, statistic, ks, pats)
+                assert caches.dist(*args) == brute_distribution(*args), args
+
+    @pytest.mark.parametrize("statistic", ["exc", "maj"])
+    def test_sn_dist_matches_enumeration(self, statistic):
+        # exc at every single width, maj at every width set
+        caches = SweepCaches()
+        for n in range(1, 8):
+            for ks in genfun._width_subsets(max(n, 2), 1 if statistic == "exc" else None):
+                args = (n, statistic, ks)
+                assert caches.dist(*args) == brute_distribution(*args), args
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (4, "exc", (1,), ((3, 1, 2),)),
+            (4, "maj", (1,), ((3, 1, 2),)),
+            (4, "G", (1,), ((3, 1, 2),)),
+            (4, "exc", (1, 2)),
+            (4, "G", (1, 3)),
+            (4, "G", (1, 2, 3)),
+            (4, "foo", (1,)),
+            (4, "des", (4,)),
+            (4, "G", (0,)),
+        ],
+    )
+    def test_dist_rejects_what_it_cannot_count(self, args):
+        with pytest.raises(InvalidInputError):
+            SweepCaches().dist(*args)
 
     def test_width_set_grades_match_enumeration(self):
         caches = SweepCaches()
@@ -864,12 +901,13 @@ class TestGradedDistributions:
         # each packed row's slots are sized from n!, so a slot that carried
         # into the next would break the sum or the closed form
         monkeypatch.setenv("WIDTHK_MAX_N", str(n))
-        exc, maj = SweepCaches().sn_exc_maj(n)
+        caches = SweepCaches()
         table = g_table(n)
         for k in range(1, n):
-            assert exc[k](1) == maj[k](1) == table[k](1) == math.factorial(n), k
-            assert exc[k] == closed_des_k(n, k), k
-            assert maj[k] == closed_inv_k(n, k), k
+            exc, maj = caches.dist(n, "exc", (k,)), caches.dist(n, "maj", (k,))
+            assert exc(1) == maj(1) == table[k](1) == math.factorial(n), k
+            assert exc == closed_des_k(n, k), k
+            assert maj == closed_inv_k(n, k), k
             if math.gcd(n, k) == 1:
                 assert table[k] == closed_g(n, k), k
 

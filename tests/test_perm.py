@@ -148,10 +148,10 @@ def test_exc_maj_walk_matches_per_word_scan(n):
             for profile, c in majs.items():
                 maj_K[sum(profile[g - 1] for g in K)] += c
             assert LaurentPoly(_sn_majors(n, K)) == LaurentPoly(maj_K), K
-    exc, maj = SweepCaches().sn_exc_maj(n)
+    caches = SweepCaches()
     for k in ks:
-        assert exc[k] == LaurentPoly(excs[k]), k
-        assert maj[k] == LaurentPoly(_sn_majors(n, (k,))), k
+        assert caches.dist(n, "exc", (k,)) == LaurentPoly(excs[k]), k
+        assert caches.dist(n, "maj", (k,)) == LaurentPoly(_sn_majors(n, (k,))), k
 
 
 @pytest.mark.parametrize("n", range(9))
