@@ -1,19 +1,20 @@
 """
 Generating functions of width-k statistics, and the verification engine.
 
-Distributions arrive by three independent routes: exhaustive enumeration
-(the universal oracle), closed product formulas, and recursions
-for particular avoidance classes.  The verification suites sweep finite
-parameter ranges, compare the routes pairwise, and report the smallest
-offending parameters on any mismatch; a formula is never trusted without
-its oracle check passing somewhere in the suite.
+Distributions arrive by three independent routes: enumeration, closed
+product formulas, and recursions for particular avoidance classes.  The
+verification suites sweep finite parameter ranges, compare each formula with
+the distribution that `perm`'s S_n programs and class key walks enumerate
+(`SweepCaches.dist`), and report the smallest offending parameters on any
+mismatch.  `brute_distribution` scans every word instead: it is the route of
+`gf --method brute`, and the tests' oracle for those kernels.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
-from collections import Counter
+from collections import Counter, namedtuple
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import stats
@@ -58,8 +59,9 @@ def brute_distribution(
     the class avoiding the given patterns.  This enumerates the whole domain
     in lists of about a thousand words (islice chunks of S_n, or the class
     walk's lists), and one `stats.scanner` counts each list, every word from
-    its own letters.  It is the oracle every closed form and recursion is
-    checked against.
+    its own letters.  It is the per-word route of `gf --method brute`, and
+    the tests' oracle for the S_n programs and the class key walk that
+    `verify` reads through `SweepCaches.dist`.
 
     >>> print(brute_distribution(3, "des"))
     1 + 4*q + q^2
@@ -399,52 +401,32 @@ CLOSED_INV: dict[tuple[tuple[int, ...], ...], Callable] = {
 _STATUSES = ("verified", "mismatch", "not-applicable")
 
 
-class VerificationReport:
+class VerificationReport(
+    namedtuple("VerificationReport", "identity range status counterexample notes")
+):
     """
-    Outcome of checking one identity family over a swept parameter range.
-    Immutable, and equal to another report exactly when all five fields are.
+    Outcome of checking one identity family over a swept parameter range: an
+    immutable 5-tuple, equal to the plain tuple of its fields.  Construction
+    checks the status and counterexample; `_make` and `_replace` do not.
     """
 
-    __slots__ = ("identity", "range", "status", "counterexample", "notes")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         identity: str,
         range: str,
         status: str,
         counterexample: dict | None = None,
         notes: tuple[str, ...] = (),
-    ) -> None:
+    ) -> VerificationReport:
         if status not in _STATUSES:
             raise InvalidInputError(f"unknown status {status!r}")
         if (status == "mismatch") != (counterexample is not None):
             raise InvalidInputError(
                 "mismatch reports carry a counterexample; other statuses do not"
             )
-        values = (identity, range, status, counterexample, notes)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"a VerificationReport is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"a VerificationReport is immutable; cannot delete {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.identity, self.range, self.status, self.counterexample, self.notes)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not VerificationReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        pairs = zip(self.__slots__, self._fields())
-        return "VerificationReport(" + ", ".join(f"{k}={v!r}" for k, v in pairs) + ")"
+        return super().__new__(cls, identity, range, status, counterexample, notes)
 
     def to_json(self) -> dict:
         out: dict = {

@@ -225,18 +225,14 @@ def _batches(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[list[tuple[i
         while batch := list(itertools.islice(words, _BATCH)):
             yield batch
         return
-    if n and (1,) in pats:
-        return  # every letter is an occurrence of the pattern 1
-    if n < 2:
-        yield [tuple(range(1, n + 1))]  # no pattern left fits in it
-        return
     yield from _class_walk(n, pats)
 
 
 def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[list]:
-    # The walk of avoidance_class over Av_n(pats), n >= 2, no pattern of
-    # length 1.  It yields the members in order, in lists of about _BATCH,
-    # or, given the key tables of _profile, their keys.  Then the masks ride
+    # The walk of avoidance_class over Av_n(pats).  It yields the members in
+    # order, in lists of about _BATCH, or, given the key tables of
+    # _joint_descents, their keys.  Below two letters, or with the pattern 1,
+    # a class holds at most the identity, with key 0.  Then the masks ride
     # in one int with an n-bit field per value (field v at bit n*v): placing
     # v at position j reads field v, and one AND and one OR set bit j-1 in
     # fields 1..v-1.  A member or key completes in its parent's loop: no
@@ -247,6 +243,10 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[lis
     # at a time into a stack of states, so a list gathers whole subtrees of
     # at most 6! members until it holds _BATCH, and the walk never holds
     # the whole class.
+    if n < 2 or (1,) in pats:
+        if not n or (1,) not in pats:  # every letter is an occurrence of 1
+            yield [0] if tables else [tuple(range(1, n + 1))]
+        return
     width = n + 2  # bits per field of rows
     span = width * (n + 1)
     fields = (1 << span) - 1
@@ -374,13 +374,24 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[lis
 
 
 # ---------------------------------------------------------------------------
-# joint descent profiles of a class by packed keys, building no words
+# joint descent profiles by packed keys, building no words
 #
-# Positions fill from 1 up, and each value still to place carries the mask
-# of the earlier positions (bit i-1 for position i) holding larger letters.
+# Each width statistic is a sum over positions, so every kernel turns a set
+# of positions into a key by one subset-sum table.  A class walk fills
+# positions from 1 up; each value still to place carries the mask of the
+# earlier positions (bit i-1 for position i) holding larger letters.
 # Placing a value at position j adds tables[j][mask] to one int key; each i
 # in the mask is a width-g descent at i, g = j - i, adding one to the key's
 # base-2^w digit g-1.
+
+
+def _subset_sums(bits: int, weight: Callable[[int], int]) -> list[int]:
+    # table[mask]: the sum of weight(b) over the set bits b of mask (bit b-1)
+    table = [0]
+    for b in range(1, bits + 1):
+        step = weight(b)
+        table += [t + step for t in table]
+    return table
 
 
 def _digits(keys: dict[int, int], n: int, w: int) -> dict[tuple[int, ...], int]:
@@ -391,29 +402,15 @@ def _digits(keys: dict[int, int], n: int, w: int) -> dict[tuple[int, ...], int]:
     return {tuple([key >> t & digit for t in shifts]): c for key, c in keys.items()}
 
 
-def _profile(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
-    # Counts of (des_1, ..., des_(n-1)) over Av_n(pats); no pattern walks
-    # all of S_n, unpruned.  des_g <= n - 1 < 2^w
+def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
+    # Counts of (des_1, ..., des_(n-1)) over Av_n(pats): by the class walk's
+    # keys, or over S_n by the DP.  des_g <= n - 1 < 2^w
     check_cap(n)
     w = (n - 1).bit_length()
-    tables = [[], [0]]
-    for j in range(2, n + 1):
-        table = [0] * (1 << (j - 1))
-        for mask in range(1, len(table)):
-            low = mask & -mask
-            i = low.bit_length()
-            table[mask] = table[mask ^ low] + (1 << w * (j - i - 1))
-        tables.append(table)
-    if n < 2 or (1,) in pats:  # at most one word, with no descent
-        keys = Counter(0 for _ in avoidance_class(n, pats))
-    else:
-        keys = Counter(itertools.chain.from_iterable(_class_walk(n, pats, tables)))
-    return _digits(keys, n, w)
-
-
-def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
-    # Counts of (des_1, ..., des_(n-1)) over Av_n(pats), or over S_n by the DP
-    return _profile(n, pats) if pats else _sn_dp(n)
+    if not pats:
+        return _digits(_sn_dp(n, w), n, w)
+    tables = [_subset_sums(j - 1, lambda i, j=j: 1 << w * (j - i - 1)) for j in range(n + 1)]
+    return _digits(Counter(itertools.chain.from_iterable(_class_walk(n, pats, tables))), n, w)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +427,11 @@ def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
 # MacMahon 1915; Stanley, EC1, 1.3), on sets of positions.
 
 
-def _sn_dp(n: int) -> dict[tuple[int, ...], int]:
-    # Counts of (des_1, ..., des_(n-1)) over S_n.  Each state holds a dict of
-    # int keys, and a width-g descent at p adds one to base-2^w digit g-1
-    # (des_g < 2^w).  States pop when reached: only the frontier stays alive.
-    check_cap(n)
-    w = (n - 1).bit_length()
+def _sn_dp(n: int, w: int) -> dict[int, int]:
+    # The packed keys of (des_1, ..., des_(n-1)) over S_n: placing at p adds
+    # step[s >> p], one to digit g-1 per filled position p + g.  Each state is
+    # a dict of keys, popped when reached: only the frontier stays alive.
+    step = _subset_sums(n - 1, lambda g: 1 << w * (g - 1))
     states = {0: {0: 1}}
     for s in range(1 << n):
         row = states.pop(s)
@@ -443,12 +439,12 @@ def _sn_dp(n: int) -> dict[tuple[int, ...], int]:
             bit = 1 << p - 1
             if s & bit:
                 continue
-            d = sum(1 << w * (g - 1) for g in range(1, n - p + 1) if s >> p + g - 1 & 1)
+            d = step[s >> p]
             target = states.setdefault(s | bit, {})
             get = target.get
             for key, c in row.items():
                 target[key + d] = get(key + d, 0) + c
-    return _digits(row, n, w)
+    return row
 
 
 def _sn_row(n: int, step: Callable[[int, int], int], size: int) -> list[int]:
@@ -471,14 +467,8 @@ def _sn_row(n: int, step: Callable[[int, int], int], size: int) -> list[int]:
 def _sn_majors(n: int, widths: tuple[int, ...]) -> dict[int, int]:
     # Counts of maj_K over S_n, K = widths: a width-g descent at p adds
     # ceil(p/g), so tables[p][s >> p] is what the filled positions above p add
-    tables = [[0]]
-    for p in range(1, n + 1):
-        table = [0] * (1 << (n - p))
-        for mask in range(1, len(table)):
-            low = mask & -mask
-            g = low.bit_length()
-            table[mask] = table[mask ^ low] + ((p + g - 1) // g if g in widths else 0)
-        tables.append(table)
+    tables = [[0]] + [_subset_sums(n - p, lambda g, p=p: (p + g - 1) // g if g in widths else 0)
+                      for p in range(1, n + 1)]
     size = 1 + sum(table[-1] for table in tables)  # every descent of K filled
     return dict(enumerate(_sn_row(n, lambda p, s: tables[p][s >> p], size)))
 

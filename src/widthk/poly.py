@@ -97,6 +97,15 @@ def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _unpack(product, len(a) + len(b) - 1, width)
 
 
+def _signed_sum(terms: Sequence[tuple[int, str]]) -> str:
+    # "b0 + b1 - b2" from the terms (c, body of |c|), "0" from none: each
+    # sign but the first is spaced off its body, and a first "+" is dropped
+    text = " ".join(f"{'+' if c > 0 else '-'} {body}" for c, body in terms)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 class LaurentPoly:
     """
     A Laurent polynomial in q with integer coefficients, stored densely as
@@ -267,20 +276,15 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.terms())})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
+        terms = []
         for e, c in self.terms():
             if e == 0:
                 body = str(abs(c))
             else:
                 q = "q" if e == 1 else f"q^{e}"
                 body = q if abs(c) == 1 else f"{abs(c)}*{q}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(parts)
+            terms.append((c, body))
+        return _signed_sum(terms)
 
 
 def _trim(val: int, row: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -528,9 +532,7 @@ class MultiPoly:
         return f"MultiPoly({self.vars!r}, {dict(self.terms())})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
+        terms = []
         for exps, c in self.terms():
             factors = []
             for v, e in zip(self.vars, exps):
@@ -544,8 +546,5 @@ class MultiPoly:
                 body = "*".join(factors)
             else:
                 body = "*".join([str(abs(c))] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(parts)
+            terms.append((c, body))
+        return _signed_sum(terms)

@@ -264,6 +264,7 @@ ORACLE_CLASSES = [
     ((1, 2),), ((2, 1),), ((4, 3, 2, 1),), ((1, 3, 4, 2), (2, 1, 4, 3)),
     ((1, 2, 3), (2, 1, 4, 3)), ((1, 2, 3, 4, 5),), ((1, 2, 3, 4), (4, 3, 2, 1)),
     ((1, 3, 2, 4), (2, 1, 4, 3), (3, 4, 1, 2)), ((1, 3, 2), (1, 2, 3, 4), (1, 2, 3, 4, 5)),
+    ((1,),), ((1,), (2, 4, 1, 3)),
 ]
 
 

@@ -15,11 +15,13 @@ from widthk import perm, stats
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import SweepCaches
 from widthk.perm import (
+    _class_walk,
+    _digits,
     _joint_descents,
-    _profile,
     _sn_excedances,
     _sn_g,
     _sn_majors,
+    _subset_sums,
     as_perm,
     avoidance_class,
     avoids,
@@ -157,7 +159,11 @@ def test_exc_maj_walk_matches_per_word_scan(n):
 @pytest.mark.parametrize("n", range(9))
 def test_sn_joint_descents_match_unpruned_walk(n):
     # the DP against the class walk with no pattern, which walks all of S_n
-    assert _joint_descents(n, ()) == _profile(n, ())
+    # with the key tables the walk of a class gets
+    w = (n - 1).bit_length()
+    tables = [_subset_sums(j - 1, lambda i, j=j: 1 << w * (j - i - 1)) for j in range(n + 1)]
+    keys = collections.Counter(itertools.chain.from_iterable(_class_walk(n, (), tables)))
+    assert _joint_descents(n, ()) == _digits(keys, n, w)
 
 
 def _contains_brute(word, pattern):
