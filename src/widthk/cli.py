@@ -25,24 +25,16 @@ from .poly import LaurentPoly
 FORMATS = ("plain", "json", "csv")
 
 
-def _parse_widths(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str, least: int) -> tuple[int, ...]:
+    # a comma list of integers >= least; `what` names them in the messages
     try:
-        widths = tuple(int(part) for part in text.split(","))
+        values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise InvalidInputError(f"cannot parse widths from {text!r}") from None
-    if not widths or any(k < 1 for k in widths):
-        raise InvalidInputError(f"widths must be positive integers, got {text!r}")
-    return widths
-
-
-def _parse_n_list(text: str) -> tuple[int, ...]:
-    try:
-        ns = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise InvalidInputError(f"cannot parse sizes from {text!r}") from None
-    if not ns or any(n < 0 for n in ns):
-        raise InvalidInputError(f"sizes must be nonnegative integers, got {text!r}")
-    return ns
+        raise InvalidInputError(f"cannot parse {what} from {text!r}") from None
+    if min(values) < least:
+        kind = "positive" if least else "nonnegative"
+        raise InvalidInputError(f"{what} must be {kind} integers, got {text!r}")
+    return values
 
 
 def _widths_label(widths: tuple[int, ...]) -> str:
@@ -75,7 +67,7 @@ def _emit_poly_csv(poly: LaurentPoly, prefix: str = "") -> None:
 
 def cmd_stat(args: argparse.Namespace) -> int:
     word = parse_perm(args.perm)
-    widths = stats.normalize_widths(_parse_widths(args.widths), len(word))
+    widths = stats.normalize_widths(_parse_ints(args.widths, "widths", 1), len(word))
     name = args.stat
     data: dict = {
         "perm": format_perm(word),
@@ -160,7 +152,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
     patterns = parse_patterns(args.avoid)
     if args.widths is not None:
         widths: int | tuple[int, ...] = stats.normalize_widths(
-            _parse_widths(args.widths), n
+            _parse_ints(args.widths, "widths", 1), n
         )
     else:
         widths = args.width
@@ -239,7 +231,7 @@ def _factored_g(poly: LaurentPoly, n: int, k: int) -> str | None:
 
 
 def cmd_gtable(args: argparse.Namespace) -> int:
-    ns = _parse_n_list(args.n)
+    ns = _parse_ints(args.n, "sizes", 0)
     rows = []
     for n in ns:
         if n < 2:

@@ -38,6 +38,7 @@ from .poly import (
     binomial_product,
     block_multinomial,
     catalan,
+    compositions,
     eulerian_poly,
     q_factorial,
 )
@@ -158,12 +159,6 @@ def _check_recursion_args(n: int, k: int) -> None:
         raise InvalidInputError(f"width must be >= 1, got {k}")
 
 
-def _add_shifted(row: list[int], src: Sequence[int], s: int) -> None:
-    # row += q^s * src, in place; row must be long enough
-    end = s + len(src)
-    row[s:end] = map(operator.add, row[s:end], src)
-
-
 def rec_312(n: int, k: int) -> LaurentPoly:
     """
     Width-k descent distribution over the 312-avoiders.
@@ -227,47 +222,20 @@ def rec_312(n: int, k: int) -> LaurentPoly:
 
 def rec_123_132(n: int, k: int) -> LaurentPoly:
     """
-    Width-k descent distribution over the {123, 132}-avoiders, by recursion
-    on the position i of the letter n; the closing term collects the
-    positions past max(k, n-k) in a single power of q.  The middle range
-    k < i <= m - k adds q^(i-1) rows[m - i], which is q^(m-1) q^(-l) rows[l]
-    for l = m - i = k..m-k-1, so it is one running sum of q^(-l) rows[l]
-    shifted once, and a level costs O(k) row additions.  Each level is
-    stored from its valuation up, which is far above q^0 once n is large
-    against k.
+    Width-k descent distribution over the {123, 132}-avoiders.  A member is
+    a skew sum of blocks (v-1)(v-2)...(v-c+1)v, one per part c of a
+    composition of n (Simion and Schmidt 1985).  Letters k apart in
+    different blocks form a descent, and a block of c > k letters holds
+    c - k such pairs, all descents but the one ending at v.  So for n > k,
+    des_k = n - k - (the number of parts > k).
 
     >>> print(rec_123_132(5, 2))
     8*q^2 + 8*q^3
     """
     _check_recursion_args(n, k)
-    rows: list[tuple[int, list[int]]] = []  # (valuation, coefficients from it)
-    # q^(-l) rows[l] summed over l = k..summed-1; entry j is the coefficient
-    # of q^(-k-j), as des_k <= l - k puts every exponent at or below -k
-    middle: list[int] = []
-    summed = k
-    for m in range(n + 1):
-        if m <= k:
-            rows.append((0, [2 ** max(m - 1, 0)]))
-            continue
-        while summed < m - k:
-            low, src = rows[summed]
-            start = summed - k - low - len(src) + 1  # j of the top coefficient
-            middle.extend([0] * (start + len(src) - len(middle)))
-            _add_shifted(middle, src[::-1], start)
-            summed += 1
-        # (shift, row) per summand; every stored row starts at a nonzero
-        # coefficient, and all are positive, so the least shift is the valuation
-        parts = [(m - k - 1, [2 ** (m - max(k + 1, m - k + 1))])]
-        parts += [(min(i, m - k) + rows[m - i][0], rows[m - i][1]) for i in range(1, k + 1)]
-        if middle:
-            parts.append((m - k - len(middle), middle[::-1]))
-        low = min(s for s, _ in parts)
-        row = [0] * (m - k + 1 - low)
-        for s, src in parts:
-            _add_shifted(row, src, s - low)
-        rows.append((low, row))
-    low, row = rows[n]
-    return LaurentPoly(dict(enumerate(row, low)))
+    if n <= k:
+        return LaurentPoly({0: 2 ** max(n - 1, 0)})
+    return compositions(n, [0] * k, 1).inverse_q().shift(n - k)
 
 
 def rec_123_312(n: int, k: int) -> LaurentPoly:
@@ -297,30 +265,18 @@ def rec_123_312(n: int, k: int) -> LaurentPoly:
 
 def rec_132_213(n: int, k: int) -> LaurentPoly:
     """
-    Width-k descent distribution over the {132, 213}-avoiders, by recursion
-    on the position of the letter n; three position ranges give three sums.
-    The middle range k < i <= m - k adds rows[m - i] for m - i = k..m-k-1,
-    each shifted by q^k, so it is one running sum of rows shifted once, and a
-    level costs O(k) row additions.
+    Width-k descent distribution over the {132, 213}-avoiders.  A member is
+    a skew sum of increasing blocks, one per part c of a composition of n
+    (Simion and Schmidt 1985), so for n > k, des_k is the sum of min(c, k)
+    over the parts, less k.
+
+    >>> print(rec_132_213(5, 2))
+    1 + 2*q + 5*q^2 + 8*q^3
     """
     _check_recursion_args(n, k)
-    # the coefficients of each level from q^0; the class size up to k
-    rows = [[2 ** max(m - 1, 0)] for m in range(min(n, k) + 1)]
-    middle: list[int] = []  # rows[k] + ... + rows[summed - 1]
-    summed = k
-    for m in range(k + 1, n + 1):
-        row = [0] * (m - k + 1)  # des_k <= m - k
-        for i in range(1, k + 1):
-            _add_shifted(row, rows[m - i], min(i, m - k))
-        while summed < m - k:
-            middle.extend([0] * (len(rows[summed]) - len(middle)))
-            _add_shifted(middle, rows[summed], 0)
-            summed += 1
-        _add_shifted(row, middle, k)
-        for i in range(max(k + 1, m - k + 1), m + 1):
-            _add_shifted(row, rows[m - i], m - i)
-        rows.append(row)
-    return LaurentPoly(dict(enumerate(rows[n])))
+    if n <= k:
+        return LaurentPoly({0: 2 ** max(n - 1, 0)})
+    return compositions(n, range(1, k), k).shift(-k)
 
 
 def product_132_231(n: int, widths: stats.Widths) -> LaurentPoly:
@@ -408,6 +364,8 @@ class VerificationReport(
     Outcome of checking one identity family over a swept parameter range: an
     immutable 5-tuple, equal to the plain tuple of its fields.  Construction
     checks the status and counterexample; `_make` and `_replace` do not.
+    A mismatch report holds its counterexample as a dict, so it is
+    unhashable: only reports of the other statuses go into sets or dict keys.
     """
 
     __slots__ = ()

@@ -7,7 +7,8 @@ as a valuation and the tuple of coefficients from there up to the degree;
 large products of nonnegative polynomials take one big-integer product
 (Kronecker substitution).  A product of binomials, scale * prod (1 + q^a)^e,
 stays inside one packed integer from first factor to last
-(`binomial_product`), with one slot-width and unpack path shared with the
+(`binomial_product`), and so does each level of a sum over compositions of n
+(`compositions`), with one slot-width and unpack path shared with the
 Kronecker product.  MultiPoly tracks one exponent per named variable, is
 stored sparsely, and is used for joint descent distributions.
 Coefficients are plain Python ints, so nothing here ever rounds.
@@ -24,7 +25,6 @@ import math
 import operator
 import sys
 from array import array
-from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -354,20 +354,40 @@ def binomial_product(factors: Iterable[tuple[int, int]], scale: int = 1) -> Laur
     return LaurentPoly._dense(0, tuple(_unpack(x, size, width)))
 
 
-@lru_cache(maxsize=None)
-def _eulerian_row(n: int) -> tuple[int, ...]:
-    # row[j] counts permutations of n letters with j descents
-    if n == 0:
-        return (1,)
-    prev = _eulerian_row(n - 1)
-    row = [0] * max(n, 1)
-    for j in range(len(row)):
-        row[j] = (j + 1) * (prev[j] if j < len(prev) else 0)
-        if j >= 1:
-            row[j] += (n - j) * prev[j - 1]
-    while len(row) > 1 and row[-1] == 0:
-        row.pop()
-    return tuple(row)
+def compositions(n: int, small: Sequence[int], big: int) -> LaurentPoly:
+    """The sum over the compositions of n of q^(the total weight of the parts).
+
+    A part c <= len(small) weighs small[c-1], and every larger part weighs
+    big.  No coefficient exceeds the 2^(n-1) compositions, so n-bit slots
+    cannot carry, and each level m is one packed integer: the sum of level
+    m - c shifted by the weight of c.  The levels below a large last part
+    share the shift big, so they enter as one running sum.
+
+    >>> print(compositions(3, [0], 1))  # q^(the number of parts > 1)
+    1 + 3*q
+    >>> print(compositions(4, [], 1))  # q^(the number of parts)
+    q + 3*q^2 + 3*q^3 + q^4
+    """
+    if n < 0 or big < 0 or small and min(small) < 0:
+        raise InvalidInputError(f"need n >= 0 and weights >= 0, got {n}, {small}, {big}")
+    slot = 8 * _slot_width(n)
+    shifts = [slot * w for w in small]
+    levels = [1]
+    running = 0  # levels 0 .. m - len(small) - 1, each below a large last part
+    for m in range(1, n + 1):
+        if m > len(small):
+            running += levels[m - len(small) - 1]
+        x = running << slot * big
+        for c, shift in enumerate(shifts[:m], 1):
+            x += levels[m - c] << shift
+        levels.append(x)
+    x = levels[n]
+    size = (x.bit_length() + slot - 1) // slot
+    return LaurentPoly(dict(enumerate(_unpack(x, size, slot // 8))))
+
+
+# Row n counts permutations of n letters by descents; grown on demand.
+_EULERIAN_ROWS: list[tuple[int, ...]] = [(1,)]
 
 
 def eulerian_poly(n: int) -> LaurentPoly:
@@ -380,7 +400,17 @@ def eulerian_poly(n: int) -> LaurentPoly:
     """
     if n < 0:
         raise InvalidInputError(f"Eulerian polynomial needs n >= 0, got {n}")
-    return LaurentPoly(dict(enumerate(_eulerian_row(n))))
+    rows = _EULERIAN_ROWS
+    while len(rows) <= n:
+        m, prev = len(rows), rows[-1]
+        # A(m, j) = (j + 1) A(m-1, j) + (m - j) A(m-1, j-1)
+        row = [(j + 1) * c for j, c in enumerate(prev)] + [0]
+        for j in range(1, len(row)):
+            row[j] += (m - j) * prev[j - 1]
+        if not row[-1]:
+            row.pop()
+        rows.append(tuple(row))
+    return LaurentPoly(dict(enumerate(rows[n])))
 
 
 def catalan(n: int) -> int:

@@ -186,6 +186,29 @@ def test_gf_csv(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("stat", "--perm", "312", "--stat", "des", "--widths", "1,x"),
+         "cannot parse widths from '1,x'"),
+        (("gf", "--n", "5", "--stat", "des", "--widths", "2,0"),
+         "widths must be positive integers, got '2,0'"),
+        (("gtable", "--n", "4,"), "cannot parse sizes from '4,'"),
+        (("gtable", "--n=3,-1"), "sizes must be nonnegative integers, got '3,-1'"),
+    ],
+)
+def test_bad_comma_lists_exit_2_with_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_closed_des_runs_past_the_recursion_limit(capsys):
+    # the Eulerian rows are built by a loop, not one frame per level
+    code, out, err = run(
+        capsys, "gf", "--n", "600", "--stat", "des", "--width", "1", "--method", "closed"
+    )
+    assert code == 0 and err == "" and out.startswith("closed: 1 + ")
+
+
 def test_gf_inapplicable_method_exits_2(capsys):
     code, _, err = run(
         capsys, "gf", "--n", "5", "--stat", "exc", "--method", "closed"

@@ -368,12 +368,24 @@ class TestRecursions:
             table = from_q0_123_132_table(40, k)
             for n in range(41):
                 assert rec_123_132(n, k) == table[n], (n, k)
+        # n = 62..66 crosses from 8-byte to 9-byte slots in the packed
+        # levels, and each top is a shape that the benchmark runs
+        for k, top in ((1, 120), (2, 100), (3, 120)):
+            table = from_q0_123_132_table(top, k)
+            for n in (*range(62, 67), top):
+                assert rec_123_132(n, k) == table[n], (n, k)
 
     def test_132_213_matches_per_row_oracle(self):
         # every n <= 40 and every k <= n + 1
         for k in range(1, 42):
             table = per_row_132_213_table(40, k)
             for n in range(max(k - 1, 0), 41):
+                assert rec_132_213(n, k) == table[n], (n, k)
+        # n = 62..66 crosses from 8-byte to 9-byte slots in the packed
+        # levels, and each top past 66 is a shape that the benchmark runs
+        for k, top in ((1, 66), (2, 100), (3, 120), (4, 110)):
+            table = per_row_132_213_table(top, k)
+            for n in (*range(62, 67), top):
                 assert rec_132_213(n, k) == table[n], (n, k)
 
     def test_123_312_matches_per_level_oracle(self):
@@ -414,9 +426,9 @@ def convolution_312_table(n, k):
 
 def per_row_132_213_table(n, k):
     """
-    rec_132_213(m, k) for m = 0..n by the recursion on the position i of
-    the letter m, adding each row of its three position ranges on its own:
-    the independent oracle for the running sum in genfun.
+    rec_132_213(m, k) for m = 0..n by the paper's recursion on the position
+    i of the letter m, adding each row of its three position ranges on its
+    own: a derivation independent of the composition sum in genfun.
     """
     rows = []
     for m in range(n + 1):
@@ -458,8 +470,9 @@ def per_level_123_312_table(n, k):
 
 def from_q0_123_132_table(n, k):
     """
-    rec_123_132(m, k) for m = 0..n with every row stored from q^0: the
-    independent oracle for the rows that genfun stores from their valuation.
+    rec_123_132(m, k) for m = 0..n by the paper's recursion on the position
+    i of the letter m, every row stored from q^0: a derivation independent
+    of the composition sum in genfun.
     """
     rows = []
     for m in range(n + 1):
@@ -947,6 +960,10 @@ class TestReports:
         with pytest.raises(AttributeError):
             del ok.notes
         assert ok.status == "verified"
+        # the counterexample is a dict, so only a mismatch report is unhashable
+        hash(VerificationReport("x", "r", "not-applicable", notes=("why",)))
+        with pytest.raises(TypeError):
+            hash(VerificationReport("x", "r", "mismatch", {"params": {}}))
 
     def test_runner_stops_at_first_mismatch(self, monkeypatch):
         # a closed form wrong only at (n, k) = (5, 2): the runner must report

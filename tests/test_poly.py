@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from widthk.poly import (
     binomial_product,
     block_multinomial,
     catalan,
+    compositions,
     eulerian_poly,
     q_factorial,
 )
@@ -118,6 +120,13 @@ def test_eulerian_rows():
         p = eulerian_poly(n)
         assert p(1) == math.factorial(n)
         assert p == p.inverse_q().shift(n - 1)  # palindromic
+
+
+def test_eulerian_rows_past_the_recursion_limit():
+    # the rows are built by a loop, so n far past 1000 frames' worth is fine
+    p = eulerian_poly(600)
+    assert p(1) == math.factorial(600)
+    assert p == p.inverse_q().shift(599)
 
 
 def test_catalan_and_block_multinomial():
@@ -379,6 +388,41 @@ def test_binomial_product_edge_cases():
     for scale, factors in ((0, []), (-1, [(1, 1)]), (1, [(-1, 1)]), (1, [(1, -1)])):
         with pytest.raises(InvalidInputError):
             binomial_product(factors, scale)
+
+
+def enumerated_compositions(n, small, big) -> LaurentPoly:
+    """
+    The weight polynomial of the compositions of n, listed one by one: each
+    set of cuts among the n - 1 gaps gives one composition.  The independent
+    oracle for the packed `compositions`.
+    """
+    acc = {}
+    for r in range(n):
+        for cuts in combinations(range(1, n), r):
+            bounds = (0, *cuts, n)
+            parts = [b - a for a, b in zip(bounds, bounds[1:])]
+            e = sum(small[c - 1] if c <= len(small) else big for c in parts)
+            acc[e] = acc.get(e, 0) + 1
+    return LaurentPoly(acc) if n else ONE
+
+
+@pytest.mark.parametrize(
+    "small, big",
+    [([], 0), ([], 1), ([0], 1), ([0, 0, 0], 1), ([1], 2), ([1, 2], 3),
+     ([3, 0, 2, 1], 2), ([2, 2], 0), ([0, 1, 0, 1, 0], 3)],
+)
+def test_compositions_match_enumeration(small, big):
+    for n in range(13):
+        got = compositions(n, small, big)
+        assert got == enumerated_compositions(n, small, big), n
+        assert got(1) == 2 ** max(n - 1, 0)
+
+
+def test_compositions_reject_negative_arguments():
+    assert compositions(0, [5], 7) == ONE
+    for n, small, big in ((-1, [], 1), (3, [0, -1], 1), (3, [1], -1)):
+        with pytest.raises(InvalidInputError):
+            compositions(n, small, big)
 
 
 def test_power_makes_one_squaring_per_bit_and_one_product_per_set_bit(monkeypatch):
