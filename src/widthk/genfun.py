@@ -488,7 +488,7 @@ class SweepCaches:
             # grade by the indicator of the gaps counted: K itself for des_K,
             # and every multiple of a width in K for inv_K
             gaps = {m for k in widths for m in (range(k, n, k) if statistic == "inv" else [k])}
-            [dist] = self.t_poly(n, patterns).grades([[int(g in gaps) for g in range(1, n)]])
+            dist = self.t_poly(n, patterns).grade([int(g in gaps) for g in range(1, n)])
         elif statistic == "maj" and not patterns:
             dist = LaurentPoly(_sn_majors(n, widths))
         elif statistic in ("exc", "G") and not patterns and len(widths) == 1:
@@ -637,16 +637,8 @@ def suite_inclusion_exclusion(top: int, caches: SweepCaches):
             # per K, the indices g-1 of the gaps g counted by inv_K
             unions = [sorted({m - 1 for k in K for m in range(k, n, k)}) for K in subsets]
             # per K, the lcms < n of its odd- and of its even-sized subsets
-            signed: list[tuple[list[int], list[int]]] = []
-            for K in subsets:
-                odd: list[int] = []
-                even: list[int] = []
-                for size in range(1, len(K) + 1):
-                    for sub in itertools.combinations(K, size):
-                        l = math.lcm(*sub)
-                        if l < n:
-                            (even if size % 2 == 0 else odd).append(l)
-                signed.append((odd, even))
+            terms = [stats._lcm_terms(K, n) for K in subsets]
+            signed = [([l for s, l in t if s > 0], [l for s, l in t if s < 0]) for t in terms]
             every_k = {"n": n}
             for exps, _ in caches.t_poly(n, ()).terms():
                 at = [0, *(sum(exps[g - 1 :: g]) for g in range(1, n))].__getitem__

@@ -517,37 +517,32 @@ class MultiPoly:
             acc[flipped] = c
         return MultiPoly(self.vars, acc)
 
-    def grades(self, rows: Iterable[Sequence[int]]) -> list[LaurentPoly]:
+    def grade(self, weights: Sequence[int]) -> LaurentPoly:
         """
-        The grade by each weight vector in rows, in order: substitute
-        q^(w_i) for the i-th variable, so each term lands on the exponent
-        dot(weights, exps).  Weight vectors of 0/1 entries realize the usual
-        set-all-others-to-one specializations.  A row is read through its
-        nonzero entries only: its exponents stream from the columns of the
-        term table that it weights, with no per-term loop over the variables.
+        The grade by a weight vector: substitute q^(w_i) for the i-th
+        variable, so each term lands on the exponent dot(weights, exps).
+        Weight vectors of 0/1 entries realize the usual set-all-others-to-one
+        specializations.  The vector is read through its nonzero entries
+        only: its exponents stream from the columns of the term table that it
+        weights, with no per-term loop over the variables.
         """
-        rows = [tuple(w) for w in rows]
-        for weights in rows:
-            if len(weights) != len(self.vars):
-                raise InvalidInputError(
-                    f"weights {weights!r} do not match variables {self.vars!r}"
-                )
+        if len(weights) != len(self.vars):
+            raise InvalidInputError(
+                f"weights {weights!r} do not match variables {self.vars!r}"
+            )
         terms = self._terms
-        out = []
-        for weights in rows:
-            exps: Iterable[int] = repeat(0)
-            for i, x in enumerate(weights):
-                if x:
-                    col = map(operator.itemgetter(i), terms)
-                    if x != 1:
-                        col = map(operator.mul, col, repeat(x))
-                    exps = map(operator.add, exps, col)
-            acc: dict[int, int] = {}
-            get = acc.get
-            for e, c in zip(exps, terms.values()):
-                acc[e] = get(e, 0) + c
-            out.append(LaurentPoly(acc))
-        return out
+        exps: Iterable[int] = repeat(0)
+        for i, x in enumerate(weights):
+            if x:
+                col = map(operator.itemgetter(i), terms)
+                if x != 1:
+                    col = map(operator.mul, col, repeat(x))
+                exps = map(operator.add, exps, col)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for e, c in zip(exps, terms.values()):
+            acc[e] = get(e, 0) + c
+        return LaurentPoly(acc)
 
     def at_ones(self) -> int:
         return sum(self._terms.values())

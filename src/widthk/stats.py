@@ -13,11 +13,17 @@ The counts des, inv, maj and exc come from `scanner`, which counts a
 whole batch of words at once: the widths are normalized once, the batch is
 transposed once into columns, and each compared pair of positions costs one
 C-level pass over the batch.  A single word is a batch of one.
+
+The per-word sets des_set and inv_set come straight from the definitions,
+and `_lcm_terms` is the one inclusion-exclusion expansion of a width set,
+read by `inv_by_lcm` and by the verification sweep.  The scanner, the batch
+counter, keeps its own gap rule and shares no code with these, so the tests
+that compare it with the per-word sets compare two routes, not one.
 """
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from operator import gt, itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -48,21 +54,6 @@ def normalize_widths(widths: Widths, n: int) -> tuple[int, ...]:
     return tuple(ks)
 
 
-def _des_one(word: Sequence[int], k: int) -> list[int]:
-    return [i + 1 for i in range(len(word) - k) if word[i] > word[i + k]]
-
-
-def _inv_one(word: Sequence[int], k: int) -> list[tuple[int, int]]:
-    n = len(word)
-    pairs = []
-    for i in range(n):
-        a = word[i]
-        for j in range(i + k, n, k):
-            if a > word[j]:
-                pairs.append((i + 1, j + 1))
-    return pairs
-
-
 def des_set(word: Sequence[int], widths: Widths) -> tuple[int, ...]:
     """
     Width-k descent indices; for a width set, the multiset union in sorted order.
@@ -73,10 +64,7 @@ def des_set(word: Sequence[int], widths: Widths) -> tuple[int, ...]:
     (1, 4, 5)
     """
     ks = normalize_widths(widths, len(word))
-    out: list[int] = []
-    for k in ks:
-        out.extend(_des_one(word, k))
-    return tuple(sorted(out))
+    return tuple(sorted(i + 1 for k in ks for i in range(len(word) - k) if word[i] > word[i + k]))
 
 
 def des(word: Sequence[int], widths: Widths = 1) -> int:
@@ -91,10 +79,11 @@ def inv_set(word: Sequence[int], widths: Widths) -> tuple[tuple[int, int], ...]:
     >>> inv_set((4, 1, 3, 6, 5, 7, 2), (2, 3))
     ((1, 3), (1, 7), (3, 7), (4, 7), (5, 7))
     """
-    ks = normalize_widths(widths, len(word))
-    pairs: set[tuple[int, int]] = set()
-    for k in ks:
-        pairs.update(_inv_one(word, k))
+    n = len(word)
+    ks = normalize_widths(widths, n)
+    pairs = {
+        (i + 1, j + 1) for k in ks for i in range(n) for j in range(i + k, n, k) if word[i] > word[j]
+    }
     return tuple(sorted(pairs))
 
 
@@ -103,26 +92,34 @@ def inv(word: Sequence[int], widths: Widths = 1) -> int:
     return scanner("inv", len(word), widths)([word])[0]
 
 
+def _lcm_terms(widths: Widths, n: int) -> list[tuple[int, int]]:
+    """
+    The inclusion-exclusion expansion of a width set K over words of length
+    n: (sign, lcm) for each nonempty subset S of K whose lcm is below n, with
+    sign (-1)^(|S|+1), the subsets by size and then in combinations order.
+    The signs of the terms whose lcm divides a gap g sum to 1 if some width
+    divides g and to 0 otherwise, so inv_K is the signed sum of inv at the
+    lcms; a subset whose lcm is n or more has no pair to count.
+
+    >>> _lcm_terms((2, 3), 7)
+    [(1, 2), (1, 3), (-1, 6)]
+    """
+    ks = normalize_widths(widths, n)
+    return [
+        ((-1) ** (size + 1), lcm)
+        for size in range(1, len(ks) + 1)
+        for sub in combinations(ks, size)
+        if (lcm := math.lcm(*sub)) < n
+    ]
+
+
 def inv_by_lcm(word: Sequence[int], widths: Widths) -> int:
     """
     Width-set inversion count via inclusion-exclusion over subsets: each
     nonempty subset contributes (-1)^(size+1) times the inversion count at
     its lcm, with lcm >= n contributing nothing.  Must agree with inv().
     """
-    n = len(word)
-    ks = normalize_widths(widths, n)
-    total = 0
-    for mask in range(1, 1 << len(ks)):
-        lcm = 1
-        for b, k in enumerate(ks):
-            if mask >> b & 1:
-                lcm = math.lcm(lcm, k)
-                if lcm >= n:
-                    break
-        if lcm < n:
-            sign = -1 if bin(mask).count("1") % 2 == 0 else 1
-            total += sign * len(_inv_one(word, lcm))
-    return total
+    return sum(sign * len(inv_set(word, lcm)) for sign, lcm in _lcm_terms(widths, len(word)))
 
 
 def exc(word: Sequence[int], widths: Widths = 1) -> int:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthk
-from widthk import genfun, perm, poly
+from widthk import genfun, perm, poly, stats
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import (
     CLOSED_INV,
@@ -177,7 +177,7 @@ class TestJointAndSigned:
         assert tp.at_ones() == math.factorial(9)
         for k in range(1, 9):
             weights = [int(g == k) for g in range(1, 9)]
-            assert tp.grades([weights])[0] == closed_des_k(9, k), k
+            assert tp.grade(weights) == closed_des_k(9, k), k
 
     def test_t_polynomial_rejects_negative_n(self):
         with pytest.raises(InvalidInputError):
@@ -188,7 +188,7 @@ class TestJointAndSigned:
             tp = t_polynomial(n)
             for k in range(1, n):
                 weights = [int(g == k) for g in range(1, n)]
-                assert tp.grades([weights])[0] == brute_distribution(n, "des", k)
+                assert tp.grade(weights) == brute_distribution(n, "des", k)
             assert tp.at_ones() == math.factorial(n)
 
     def test_g_table_rows(self):
@@ -208,7 +208,7 @@ class TestJointAndSigned:
                 weights = [0] * (n - 1)
                 weights[k - 1] += 1
                 weights[n - k - 1] -= 1
-                assert joint.grades([weights])[0] == closed_g(n, k) == table[k], (n, k)
+                assert joint.grade(weights) == closed_g(n, k) == table[k], (n, k)
 
     def test_g_at_one_is_group_order(self):
         for n in range(2, 8):
@@ -773,7 +773,7 @@ class TestGradedDistributions:
                 for size in range(1, n):
                     for ks in itertools.combinations(range(1, n), size):
                         weights = [1 if g in ks else 0 for g in range(1, n)]
-                        assert joint.grades([weights])[0] == brute_distribution(
+                        assert joint.grade(weights) == brute_distribution(
                             n, "des", ks, pats
                         ), (n, ks, pats)
 
@@ -989,7 +989,7 @@ class TestReports:
         # reads 2 + 1 - 1.
         lcm = math.lcm
         monkeypatch.setattr(
-            genfun.math, "lcm", lambda *ks: 5 if sorted(ks) == [2, 3] else lcm(*ks)
+            stats.math, "lcm", lambda *ks: 5 if sorted(ks) == [2, 3] else lcm(*ks)
         )
         sweep = run_suite("inclusion-exclusion", n_max=7)[1]
         assert sweep.identity == "inclusion-exclusion[sweep]"
@@ -999,6 +999,60 @@ class TestReports:
             "lhs": 3,
             "rhs": 2,
         }
+
+    # Planted defects in the width-set rules of stats: each must flip exactly
+    # the identities whose routes read that rule, and no other.
+
+    @staticmethod
+    def _mismatches():
+        reports = [*run_suite("example"), *run_suite("inclusion-exclusion", 5)]
+        return {r.identity: r.counterexample for r in reports if r.status == "mismatch"}
+
+    def test_lcm_expansion_without_negative_terms(self, monkeypatch):
+        # without the even-sized subsets a gap that two widths divide counts
+        # twice: the by_lcm route and the sweep both read the expansion, and
+        # the sweep's first overcount is the gap vector (1, 1) of 231 and 312
+        # at K = {1, 2}, whose gap-2 inversion both widths count
+        terms = stats._lcm_terms
+        monkeypatch.setattr(
+            stats, "_lcm_terms", lambda *args: [t for t in terms(*args) if t[0] > 0]
+        )
+        bad = self._mismatches()
+        assert set(bad) == {"inclusion-exclusion[example]", "inclusion-exclusion[sweep]"}
+        assert bad["inclusion-exclusion[example]"]["params"]["route"] == "by_lcm"
+        assert bad["inclusion-exclusion[sweep]"] == {
+            "params": {"n": 3, "K": [1, 2], "des_g": [1, 1]},
+            "lhs": 2,
+            "rhs": 3,
+        }
+
+    def test_inv_set_without_gap_6(self, monkeypatch):
+        # the pair (1, 7) of 4136572 has gap 6: the worked example loses it,
+        # and so does every term of the by_lcm route, which reads inv_2,
+        # inv_3 and inv_6 as 3 + 1 - 0 = 4; the direct route and the sweep
+        # count without inv_set
+        pairs = stats.inv_set
+        monkeypatch.setattr(
+            stats,
+            "inv_set",
+            lambda word, widths: tuple(p for p in pairs(word, widths) if p[1] - p[0] != 6),
+        )
+        bad = self._mismatches()
+        assert set(bad) == {"example[inv]", "inclusion-exclusion[example]"}
+        assert bad["example[inv]"]["lhs"]["count"] == 4
+        assert bad["inclusion-exclusion[example]"]["params"]["route"] == "by_lcm"
+        assert bad["inclusion-exclusion[example]"]["lhs"] == 4
+
+    def test_des_set_without_index_1(self, monkeypatch):
+        descents = stats.des_set
+        monkeypatch.setattr(
+            stats,
+            "des_set",
+            lambda word, widths: tuple(i for i in descents(word, widths) if i != 1),
+        )
+        bad = self._mismatches()
+        assert set(bad) == {"example[des]"}
+        assert bad["example[des]"]["lhs"] == {"count": 2, "multiset": [4, 5]}
 
 
 class TestSuites:

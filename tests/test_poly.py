@@ -235,7 +235,7 @@ def test_multipoly_specializations():
     p = MultiPoly(("t1", "t2"), {(0, 0): 1, (1, 0): 2, (1, 1): 2, (2, 1): 1})
     # a 0/1 weight vector sets every unmarked variable to 1
     rows = [(1, 0), (0, 1), (0, 0), (1, 1), (1, -1)]
-    assert [grade.terms() for grade in p.grades(rows)] == [
+    assert [p.grade(w).terms() for w in rows] == [
         [(0, 1), (1, 4), (2, 1)],
         [(0, 3), (1, 3)],
         [(0, 6)],
@@ -244,9 +244,9 @@ def test_multipoly_specializations():
     ]
     assert p.at_ones() == 6
     with pytest.raises(InvalidInputError):
-        p.grades([(1,)])
+        p.grade((1,))
     with pytest.raises(InvalidInputError):
-        p.grades([(1, 0, 0)])
+        p.grade((1, 0, 0))
 
 
 multipolys = st.integers(0, 4).flatmap(
@@ -263,7 +263,7 @@ multipolys = st.integers(0, 4).flatmap(
 @given(multipolys)
 @settings(max_examples=150)
 def test_grades_match_per_row_dot_products(case):
-    # the one-call grading against a per-term, per-row dot product
+    # each row's grade against a per-term dot product
     size, terms, rows = case
     p = MultiPoly([f"t{g}" for g in range(1, size + 1)], terms)
     expected = []
@@ -273,10 +273,9 @@ def test_grades_match_per_row_dot_products(case):
             e = sum(w * x for w, x in zip(weights, exps))
             acc[e] = acc.get(e, 0) + c
         expected.append(LaurentPoly(acc))
-    assert p.grades(rows) == expected
-    assert [p.grades([w])[0] for w in rows] == expected  # a row alone grades the same
+    assert [p.grade(w) for w in rows] == expected
     with pytest.raises(InvalidInputError):
-        p.grades([*rows, (0,) * (size + 1)])
+        p.grade((0,) * (size + 1))
 
 
 def test_multipoly_json_roundtrip():

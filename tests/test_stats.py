@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from widthk.perm import (
 from widthk.poly import LaurentPoly
 from widthk.stats import (
     STATISTICS,
+    _lcm_terms,
     des,
     des_set,
     exc,
@@ -152,6 +154,39 @@ def test_inclusion_exclusion_matches_direct_count_exhaustively():
         for size in (1, 2, 3, 4):
             for ks in itertools.combinations((1, 2, 3, 4), size):
                 assert inv_by_lcm(w, ks) == inv(w, ks), (w, ks)
+
+
+def test_lcm_expansion_counts_each_gap_once():
+    # inclusion-exclusion per gap, with no permutation: the terms whose lcm
+    # divides g carry signs summing to 1 when some width of K divides g
+    for n in range(2, 11):
+        for size in range(1, n):
+            for ks in itertools.combinations(range(1, n), size):
+                terms = _lcm_terms(ks, n)
+                for g in range(1, n):
+                    covered = any(g % k == 0 for k in ks)
+                    assert sum(s for s, lcm in terms if g % lcm == 0) == covered, (n, ks, g)
+
+
+def test_lcm_expansion_lists_subsets_by_size_then_combinations_order():
+    assert _lcm_terms((3, 2), 9) == [(1, 2), (1, 3), (-1, 6)]
+    assert _lcm_terms((2, 3, 4), 13) == [
+        (1, 2), (1, 3), (1, 4), (-1, 6), (-1, 4), (-1, 12), (1, 12)
+    ]
+    assert _lcm_terms((2, 3), 6) == [(1, 2), (1, 3)]  # lcm 6 has no pair
+    assert _lcm_terms(7, 7) == []
+    with pytest.raises(InvalidInputError):
+        _lcm_terms((2, 9), 9)
+
+
+def test_inclusion_exclusion_at_large_width_sets():
+    # every K of [1, 8] with |K| >= 4 at n = 9, where a subset's lcm is
+    # often 9 or more; the scanner counts each K's words in one batch
+    rng = random.Random(9)
+    words = [tuple(rng.sample(range(1, 10), 9)) for _ in range(50)]
+    for size in range(4, 9):
+        for ks in itertools.combinations(range(1, 9), size):
+            assert [inv_by_lcm(w, ks) for w in words] == scanner("inv", 9, ks)(words), ks
 
 
 @given(perms, st.sets(st.integers(1, 6), min_size=1, max_size=3))

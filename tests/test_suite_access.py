@@ -8,7 +8,7 @@ import ast
 import pathlib
 
 GENFUN = pathlib.Path(__file__).resolve().parents[1] / "src" / "widthk" / "genfun.py"
-DIRECT = {"_sn_excedances", "_sn_majors", "_sn_g", "grades", "t_polynomial", "g_table"}
+DIRECT = {"_sn_excedances", "_sn_majors", "_sn_g", "grade", "t_polynomial", "g_table"}
 
 
 def _direct_reads(source: str) -> list[str]:
@@ -42,12 +42,12 @@ def test_the_check_sees_a_direct_read():
         "        return caches.g_table(top)\n"
         "    return _sn_g(top, 1), caches.dist(top, 'G', (1,))\n"
         "def suite_b(top, caches):\n"
-        "    return caches.t_poly(top, ()).grades([])\n"
+        "    return caches.t_poly(top, ()).grade([])\n"
         "def helper(n):\n"
         "    return t_polynomial(n)\n"
     )
     assert _direct_reads(source) == [
         "suite_a:3: g_table",
         "suite_a:4: _sn_g",
-        "suite_b:6: grades",
+        "suite_b:6: grade",
     ]
