@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter, namedtuple
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -35,12 +34,14 @@ from .perm import (
 from .poly import (
     LaurentPoly,
     MultiPoly,
+    _slot_width,
+    _unpack,
     binomial_product,
     block_multinomial,
     catalan,
     compositions,
     eulerian_poly,
-    q_factorial,
+    q_factorial_product,
 )
 
 Patterns = Iterable[Sequence[int]]
@@ -85,39 +86,38 @@ def _check_width(n: int, k: int) -> None:
         raise InvalidInputError(f"width must satisfy 1 <= k <= n-1, got k={k}, n={n}")
 
 
-def _by_blocks(n: int, k: int, dist: Callable[[int], LaurentPoly]) -> LaurentPoly:
-    # The width-k distribution over S_n, given dist(m), the classical one
-    # over S_m.  Proof: sending sigma to the value sets of its residue blocks
-    # sigma[r::k] and to the standardized blocks is a bijection from S_n onto
-    # (ordered set partitions with the block sizes) x prod S_(m_r), and each
-    # of des_k, inv_k, exc_k and maj_k is the sum over blocks of the
-    # classical statistic.  With n = dk+r, r blocks have d+1 letters.
-    d, r = divmod(n, k)
-    return block_multinomial(n, k) * dist(d + 1) ** r * dist(d) ** (k - r)
-
-
 def closed_des_k(n: int, k: int) -> LaurentPoly:
     """
     Closed form of the width-k descent distribution over S_n: with n = dk+r,
     the multinomial weight times A_{d+1}(q)^r A_d(q)^{k-r}.
 
+    Proof: sending sigma to the value sets of its residue blocks sigma[r::k]
+    and to the standardized blocks is a bijection from S_n onto (ordered set
+    partitions with the block sizes) x prod S_(m_r), and des_k (like inv_k,
+    exc_k and maj_k) is the sum over blocks of the classical statistic.  With
+    n = dk+r, r blocks have d+1 letters and k-r have d.
+
     >>> print(closed_des_k(6, 3))
     90 + 270*q + 270*q^2 + 90*q^3
     """
     _check_width(n, k)
-    return _by_blocks(n, k, eulerian_poly)
+    d, r = divmod(n, k)
+    return block_multinomial(n, k) * eulerian_poly(d + 1) ** r * eulerian_poly(d) ** (k - r)
 
 
 def closed_inv_k(n: int, k: int) -> LaurentPoly:
     """
     Closed form of the width-k inversion distribution over S_n: with
-    n = dk+r, the multinomial weight times [d+1]_q!^r [d]_q!^{k-r}.
+    n = dk+r, the multinomial weight times [d+1]_q!^r [d]_q!^{k-r}, by the
+    block bijection of `closed_des_k`.  It is one row of q-integer windows
+    (`q_factorial_product`), with no polynomial product.
 
-    >>> closed_inv_k(5, 1) == q_factorial(5)
-    True
+    >>> print(closed_inv_k(4, 2))  # 6 [2]_q!^2
+    6 + 12*q + 6*q^2
     """
     _check_width(n, k)
-    return _by_blocks(n, k, q_factorial)
+    d, r = divmod(n, k)
+    return q_factorial_product([d + 1] * r + [d] * (k - r), block_multinomial(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +179,17 @@ def rec_312(n: int, k: int) -> LaurentPoly:
 
     Both divisions are exact over the integers: S = A - 2xqF has integer
     coefficients because F counts words, so the sum is 2m times the integer
-    polynomial s_m, and a_(m+1) - s_(m+1) is 2q f_m.  A level costs 2k
-    products of a row by a quadratic in q.  Words of length n <= k have no
-    width-k descents, so k >= n gives the constant C_n at once, and the
-    recurrence only runs with 2k < 2n terms.
+    polynomial s_m, and a_(m+1) - s_(m+1) is 2q f_m.  Words of length n <= k
+    have no width-k descents, so k >= n gives the constant C_n at once, and
+    the recurrence only runs with 2k < 2n terms.
+
+    Every level is kept as one integer, s_m evaluated at q = 2^B, where a
+    slot of B bits holds C_n.  Evaluation is a ring homomorphism, and both
+    divisions are exact, so the recurrence holds for the values as it does
+    for the polynomials, and each of a level's 2k terms costs a few products
+    of a small integer by a big one.  The signed coefficients of s_m are
+    never decoded: only F's coefficients, which lie in 0..C_n, must fit a
+    slot of B bits to be read off at the end.
 
     >>> print(rec_312(3, 1))
     1 + 3*q + q^2
@@ -203,21 +210,21 @@ def rec_312(n: int, k: int) -> LaurentPoly:
         u = sum(cat[i - 1] * cat[j - i - 1] for i in pairs)
         c = cat[j - 1] if j <= k else 0
         d.append((u - 2 * c, 2 * c - 2 * u - 4 * (j == 1), u))
-    s = [[1]]
+    width = _slot_width(catalan(n).bit_length())
+    slot = 8 * width
+    s = [1]
     for m in range(1, n + 2):
-        terms = [(3 * j - 2 * m, s[m - j], dj) for j, dj in enumerate(d[:m], 1)]
-        acc = [0] * (max(len(row) for _, row, _ in terms) + 2)
-        for coef, row, dj in terms:
-            for e, w in enumerate(dj):
-                if w:  # acc += coef * w * q^e * row
-                    end = e + len(row)
-                    scaled = map(operator.mul, row, itertools.repeat(coef * w))
-                    acc[e:end] = map(operator.add, acc[e:end], scaled)
-        while not acc[-1]:  # s_m is never zero
-            acc.pop()
-        s.append([x // (2 * m) for x in acc])
-    # a_(n+1) = 0 because n > k, so f_n = -s_(n+1) / (2q)
-    return LaurentPoly(dict(enumerate(-x // 2 for x in s[n + 1][1:])))
+        # one sum per power of q in d_j, shifted into place once
+        x0 = x1 = x2 = 0
+        for j, (d0, d1, d2) in enumerate(d[:m], 1):
+            t = (3 * j - 2 * m) * s[m - j]
+            x0 += d0 * t
+            x1 += d1 * t
+            x2 += d2 * t
+        s.append((x0 + (x1 << slot) + (x2 << 2 * slot)) // (2 * m))
+    # a_(n+1) = 0 because n > k, so F = -s_(n+1) / (2q)
+    f = (-s[n + 1]) >> (slot + 1)
+    return LaurentPoly(dict(enumerate(_unpack(f, n - k + 1, width))))
 
 
 def rec_123_132(n: int, k: int) -> LaurentPoly:

@@ -5,13 +5,15 @@ LaurentPoly is univariate in q and allows negative exponents, which the
 signed descent-difference generating functions need.  It is stored densely,
 as a valuation and the tuple of coefficients from there up to the degree;
 large products of nonnegative polynomials take one big-integer product
-(Kronecker substitution).  A product of binomials, scale * prod (1 + q^a)^e,
-stays inside one packed integer from first factor to last
-(`binomial_product`), and so does each level of a sum over compositions of n
-(`compositions`), with one slot-width and unpack path shared with the
-Kronecker product.  MultiPoly tracks one exponent per named variable, is
-stored sparsely, and is used for joint descent distributions.
-Coefficients are plain Python ints, so nothing here ever rounds.
+(Kronecker substitution).  A product of q-factorials, scale * prod [m]_q!,
+is one coefficient row of sliding-window sums (`q_factorial_product`).  A
+product of binomials, scale * prod (1 + q^a)^e, stays inside one packed
+integer from first factor to last (`binomial_product`), and so does each
+level of a sum over compositions of n (`compositions`), with one slot-width
+and unpack path shared with the Kronecker product.  MultiPoly tracks one
+exponent per named variable, is stored sparsely, and is used for joint
+descent distributions.  Coefficients are plain Python ints, so nothing here
+ever rounds.
 
 >>> print(binomial_product([(1, 3)]))
 1 + 3*q + 3*q^2 + q^3
@@ -25,7 +27,7 @@ import math
 import operator
 import sys
 from array import array
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
@@ -309,21 +311,43 @@ ONE = LaurentPoly({0: 1})
 def q_factorial(m: int) -> LaurentPoly:
     """[m]_q! = [1]_q [2]_q ... [m]_q.
 
-    Multiplying by [i]_q is a sliding-window sum of width i, taken as a
-    difference of prefix sums.
-
     >>> print(q_factorial(3))
     1 + 2*q + 2*q^2 + q^3
     """
     if m < 0:
         raise InvalidInputError(f"q-factorial needs m >= 0, got {m}")
-    row = [1]
-    for i in range(2, m + 1):
-        # coefficient t of row * [i]_q is prefix[t + 1] - prefix[t + 1 - i],
-        # where prefix[j] sums the first j coefficients and is 0 for j <= 0
-        row.extend(repeat(0, i - 1))
-        prefix = list(accumulate(row, initial=0))
-        row = list(map(operator.sub, prefix[1:], chain(repeat(0, i - 1), prefix)))
+    return q_factorial_product([m])
+
+
+def q_factorial_product(sizes: Iterable[int], scale: int = 1) -> LaurentPoly:
+    """scale * prod [m]_q! over the sizes m, in one coefficient row.
+
+    Since [m]_q! = [1]_q [2]_q ... [m]_q, the product takes [i]_q once for
+    each size m >= i.  Multiplying by [i]_q is a sliding-window sum of width
+    i, taken as a difference of prefix sums, so no polynomial product runs.
+    Coefficient t of a window sum reads only coefficients up to t, and the
+    product is palindromic, as every [i]_q is; so the row is kept only up to
+    half its final degree and mirrored at the end.
+
+    >>> print(q_factorial_product([2, 2], 3))
+    3 + 6*q + 3*q^2
+    """
+    sizes = list(sizes)
+    if scale < 1 or min(sizes, default=0) < 0:
+        raise InvalidInputError(f"need scale >= 1 and sizes >= 0, got {scale}, {sizes}")
+    degree = sum(m * (m - 1) // 2 for m in sizes)
+    row = [scale]
+    for i in range(2, max(sizes, default=0) + 1):
+        for _ in range(sum(m >= i for m in sizes)):
+            # coefficient t of row * [i]_q is prefix[t + 1] - prefix[t + 1 - i],
+            # where prefix[j] sums the first j coefficients (all of them for
+            # j past the row) and is 0 for j <= 0
+            prefix = list(accumulate(row, initial=0))
+            prefix.extend(repeat(prefix[-1], i - 1))
+            row = prefix[1:i]
+            row += map(operator.sub, prefix[i:], prefix)
+            del row[degree // 2 + 1 :]
+    row += reversed(row[: degree + 1 - len(row)])
     return LaurentPoly._dense(0, tuple(row))
 
 

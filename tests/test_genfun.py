@@ -8,6 +8,7 @@ import collections
 import itertools
 import math
 import operator
+import random
 import re
 import sys
 from fractions import Fraction
@@ -681,6 +682,74 @@ class TestFormulasAboveTheCap:
             {j: math.comb(n, j) * math.comb(n, j + 1) // n for j in range(n)}
         )
         assert palindromic(dist)
+
+
+def block_route_inv_k(n, k):
+    """
+    closed_inv_k by its block form, with each q-factorial raised to its
+    power by LaurentPoly products: the independent oracle for the row of
+    q-integer windows.
+    """
+    d, r = divmod(n, k)
+    return block_multinomial(n, k) * q_factorial(d + 1) ** r * q_factorial(d) ** (k - r)
+
+
+def series_312(top, k):
+    """
+    rec_312(m, k) for m = 0..top, read term by term off the functional
+    equation F = 1 + x (1 - q) P F + x q F^2 with LaurentPoly arithmetic:
+    f_m = (1 - q) sum_(j < min(k, m)) C_j f_(m-1-j) + q sum_i f_i f_(m-1-i).
+    The independent oracle for the packed D-finite recurrence.
+    """
+    one_minus_q, q = LaurentPoly({0: 1, 1: -1}), LaurentPoly({1: 1})
+    f = [ONE]
+    for m in range(1, top + 1):
+        linear = sum((catalan(j) * f[m - 1 - j] for j in range(min(k, m))), LaurentPoly())
+        square = sum((f[i] * f[m - 1 - i] for i in range(m)), LaurentPoly())
+        f.append(one_minus_q * linear + q * square)
+    return f
+
+
+def seeded_widths(count, seed):
+    rng = random.Random(seed)
+    return [(n, rng.randint(1, n - 1)) for n in rng.sample(range(10, 151), count)]
+
+
+# the formula-large shapes of closed_inv_k, then ten seeded draws with n <= 150
+_INV_K_SHAPES = [(45, 1), (70, 2), (71, 2), (90, 3), (110, 5), *seeded_widths(10, 30)]
+
+
+class TestFormulasAgainstOracles:
+    # The fast routes above the cap against slower independent routes, and a
+    # guard that keeps them off polynomial products.
+
+    @pytest.mark.parametrize("nk", _INV_K_SHAPES, ids=str)
+    def test_closed_inv_k_matches_block_route(self, nk):
+        assert closed_inv_k(*nk) == block_route_inv_k(*nk)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_rec_312_matches_functional_equation(self, k):
+        # each pair n, n + 1 straddles a change of the slot width that holds C_n
+        tops = [6, 11, 19, 36, 40]
+        for n in tops:
+            assert poly._slot_width(catalan(n).bit_length()) < poly._slot_width(
+                catalan(n + 1).bit_length()
+            ), n
+        want = series_312(41, k)
+        for n in [m for top in tops for m in (top, top + 1)]:
+            assert rec_312(n, k) == want[n], (n, k)
+
+    def test_fast_routes_take_no_polynomial_product(self, monkeypatch):
+        inv_want, rec_want = block_route_inv_k(90, 3), series_312(90, 3)[90]
+
+        def refuse(*args):
+            raise AssertionError("a polynomial product ran")
+
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(LaurentPoly, name, refuse)
+        monkeypatch.setattr(poly, "_kronecker", refuse)
+        assert closed_inv_k(90, 3) == inv_want
+        assert rec_312(90, 3) == rec_want
 
 
 class TestGradedDistributions:

@@ -23,6 +23,7 @@ from widthk.poly import (
     compositions,
     eulerian_poly,
     q_factorial,
+    q_factorial_product,
 )
 
 Q = LaurentPoly({1: 1})
@@ -447,6 +448,25 @@ def test_q_factorial_matches_product_of_q_integers():
             q_int = LaurentPoly({e: 1 for e in range(i)})  # [i]_q
             want = oracle_product(LaurentPoly(want), q_int)
         assert q_factorial(m).terms() == want
+
+
+@given(st.lists(st.integers(0, 12), max_size=5), st.integers(1, 2**70))
+@settings(max_examples=100, deadline=None)
+def test_q_factorial_product_matches_product_of_q_integers(sizes, scale):
+    want = [(0, scale)]
+    for m in sizes:
+        for i in range(1, m + 1):
+            want = oracle_product(LaurentPoly(want), LaurentPoly({e: 1 for e in range(i)}))
+    assert q_factorial_product(sizes, scale).terms() == want
+    assert q_factorial_product(iter(sizes), scale).terms() == want
+
+
+def test_q_factorial_product_edge_cases():
+    assert q_factorial_product([]) == ONE
+    assert q_factorial_product([], 7) == q_factorial_product([0, 1], 7) == 7
+    for sizes, scale in (([], 0), ([3], -2), ([2, -1], 1)):
+        with pytest.raises(InvalidInputError):
+            q_factorial_product(sizes, scale)
 
 
 @given(laurents, st.one_of(st.integers(-4, 4).filter(bool),
