@@ -16,6 +16,8 @@ import json
 import os
 import sys
 from collections import Counter
+from itertools import starmap
+from typing import Iterable
 
 from . import genfun, stats
 from .errors import EnumerationCapError, InvalidInputError
@@ -57,9 +59,13 @@ def _emit_kv_rows(prefix: str, value) -> None:
         print(f"{prefix},{cell}")
 
 
-def _emit_poly_csv(poly: LaurentPoly, prefix: str = "") -> None:
-    for e, c in poly.terms():
-        print(f"{prefix}{e},{c}")
+def _emit_poly_csv(header: str, polys: Iterable[tuple[str, LaurentPoly]]) -> None:
+    # the header, then a "prefix,exponent,coefficient" row per nonzero term
+    # of each polynomial, in one write
+    rows = [header]
+    for prefix, poly in polys:
+        rows += starmap(f"{prefix},{{}},{{}}".format, poly.terms())
+    print("\n".join(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +184,19 @@ def cmd_gf(args: argparse.Namespace) -> int:
         routes.extend(formulas)
 
     agree = all(poly == routes[0][1] for _, poly in routes)
-    data = {
-        "n": n,
-        "statistic": statistic,
-        "widths": list(widths) if not isinstance(widths, int) else widths,
-        "patterns": [format_perm(p) for p in patterns],
-        "results": [{"method": m, "poly": p.to_json()} for m, p in routes],
-    }
-    if args.method == "all":
-        data["agree"] = agree
-
     if args.format == "json":
+        data = {
+            "n": n,
+            "statistic": statistic,
+            "widths": list(widths) if not isinstance(widths, int) else widths,
+            "patterns": [format_perm(p) for p in patterns],
+            "results": [{"method": m, "poly": p.to_json()} for m, p in routes],
+        }
+        if args.method == "all":
+            data["agree"] = agree
         print(json.dumps(data))
     elif args.format == "csv":
-        print("method,exponent,coefficient")
-        for method, poly in routes:
-            _emit_poly_csv(poly, prefix=f"{method},")
+        _emit_poly_csv("method,exponent,coefficient", routes)
     else:
         for method, poly in routes:
             print(f"{method}: {poly}")
@@ -211,9 +214,9 @@ def cmd_tpoly(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(poly.to_json()))
     elif args.format == "csv":
-        print(",".join(poly.vars + ("coefficient",)))
-        for exps, c in poly.terms():
-            print(",".join(map(str, (*exps, c))))
+        header = ",".join(poly.vars + ("coefficient",))
+        rows = (",".join(map(str, (*exps, c))) for exps, c in poly.terms())
+        print("\n".join([header, *rows]))
     else:
         print(poly)
     return 0
@@ -250,9 +253,7 @@ def cmd_gtable(args: argparse.Namespace) -> int:
             )
         )
     elif args.format == "csv":
-        print("n,k,exponent,coefficient")
-        for n, k, poly, _ in rows:
-            _emit_poly_csv(poly, prefix=f"{n},{k},")
+        _emit_poly_csv("n,k,exponent,coefficient", ((f"{n},{k}", poly) for n, k, poly, _ in rows))
     else:
         for n, k, poly, factored in rows:
             if factored is None or factored == str(poly):
@@ -306,7 +307,7 @@ def cmd_avoid(args: argparse.Namespace) -> int:
     # without --members the class is only counted, never held
     members = avoidance_class(args.n, patterns)
     if args.members:
-        members = [format_perm(w) for w in members]
+        members = list(map(format_perm, members))
         count = len(members)
     else:
         count = sum(1 for _ in members)
@@ -322,10 +323,7 @@ def cmd_avoid(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         _emit_kv(data)
     else:
-        print(data["count"])
-        if args.members:
-            for w in data["members"]:
-                print(w)
+        print("\n".join([str(count), *data.get("members", ())]))
     return 0
 
 

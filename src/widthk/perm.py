@@ -521,8 +521,4 @@ def parse_patterns(text: str) -> tuple[tuple[int, ...], ...]:
 
 def format_perm(word: Sequence[int]) -> str:
     """Inverse of parse_perm: digit string for n <= 9, comma-separated beyond."""
-    if len(word) == 0:
-        return ""
-    if len(word) <= 9:
-        return "".join(str(a) for a in word)
-    return ",".join(str(a) for a in word)
+    return ("" if len(word) <= 9 else ",").join(map(str, word))

@@ -27,7 +27,7 @@ import math
 import operator
 import sys
 from array import array
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
@@ -99,13 +99,11 @@ def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _unpack(product, len(a) + len(b) - 1, width)
 
 
-def _signed_sum(terms: Sequence[tuple[int, str]]) -> str:
-    # "b0 + b1 - b2" from the terms (c, body of |c|), "0" from none: each
-    # sign but the first is spaced off its body, and a first "+" is dropped
-    text = " ".join(f"{'+' if c > 0 else '-'} {body}" for c, body in terms)
-    if not text:
-        return "0"
-    return text[2:] if text[0] == "+" else "-" + text[2:]
+def _signed_sum(bodies: Iterable[str]) -> str:
+    # "b0 + b1 - b2" from the terms' bodies, each led by its coefficient's
+    # sign, "0" from none: a "-" is spaced off its body but on the first
+    # term.  It assumes that no variable name holds " + -".
+    return " + ".join(bodies).replace(" + -", " - ") or "0"
 
 
 class LaurentPoly:
@@ -159,7 +157,8 @@ class LaurentPoly:
 
     def terms(self) -> list[tuple[int, int]]:
         """Nonzero (exponent, coefficient) pairs in ascending exponent order."""
-        return [(e, c) for e, c in enumerate(self._coeffs, self._val) if c]
+        row = self._coeffs
+        return list(compress(zip(range(self._val, self._val + len(row)), row), row))
 
     @property
     def degree(self) -> int:
@@ -272,21 +271,27 @@ class LaurentPoly:
         return total
 
     def to_json(self) -> dict:
-        return {"terms": [[e, c] for e, c in self.terms()]}
+        return {"terms": list(map(list, self.terms()))}
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.terms())})"
 
     def __str__(self) -> str:
-        terms = []
-        for e, c in self.terms():
-            if e == 0:
-                body = str(abs(c))
-            else:
-                q = "q" if e == 1 else f"q^{e}"
-                body = q if abs(c) == 1 else f"{abs(c)}*{q}"
-            terms.append((c, body))
-        return _signed_sum(terms)
+        # Every body is "c*q^e" but at c = +-1, e = 0 and e = 1, which are
+        # few and rewritten in place; zero coefficients drop out at the join.
+        val, row = self._val, self._coeffs
+        bodies = list(map("%d*q^%d".__mod__, zip(row, range(val, val + len(row)))))
+        for unit, sign in ((1, ""), (-1, "-")):
+            i = -1
+            for _ in range(row.count(unit)):
+                i = row.index(unit, i + 1)
+                bodies[i] = f"{sign}q^{val + i}"
+        if 0 <= -val < len(row):
+            bodies[-val] = str(row[-val])
+        if 0 <= 1 - val < len(row):
+            c = row[1 - val]
+            bodies[1 - val] = "q" if c == 1 else "-q" if c == -1 else f"{c}*q"
+        return _signed_sum(compress(bodies, row))
 
 
 def _trim(val: int, row: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -581,7 +586,7 @@ class MultiPoly:
         return f"MultiPoly({self.vars!r}, {dict(self.terms())})"
 
     def __str__(self) -> str:
-        terms = []
+        bodies = []
         for exps, c in self.terms():
             factors = []
             for v, e in zip(self.vars, exps):
@@ -589,11 +594,8 @@ class MultiPoly:
                     factors.append(v)
                 elif e > 1:
                     factors.append(f"{v}^{e}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
+            if factors and abs(c) == 1:
+                bodies.append("*".join(factors) if c > 0 else "-" + "*".join(factors))
             else:
-                body = "*".join([str(abs(c))] + factors)
-            terms.append((c, body))
-        return _signed_sum(terms)
+                bodies.append("*".join([str(c), *factors]))
+        return _signed_sum(bodies)

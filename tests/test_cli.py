@@ -172,6 +172,22 @@ def test_gf_width_set_product(capsys):
         assert r["poly"]["terms"] == [[0, 1], [1, 1], [2, 2], [3, 2], [4, 1], [5, 1]]
 
 
+@pytest.mark.parametrize(
+    "method, keys",
+    [
+        ("all", ["n", "statistic", "widths", "patterns", "results", "agree"]),
+        ("closed", ["n", "statistic", "widths", "patterns", "results"]),
+    ],
+)
+def test_gf_json_key_order(capsys, method, keys):
+    code, out, _ = run(
+        capsys,
+        "gf", "--n", "5", "--stat", "inv", "--width", "2", "--avoid", "132,312",
+        "--method", method, "--format", "json",
+    )
+    assert code == 0 and list(json.loads(out)) == keys
+
+
 def test_gf_csv(capsys):
     code, out, _ = run(
         capsys,
@@ -619,6 +635,9 @@ def test_above_the_cap_exits_2_before_enumerating(capsys, monkeypatch, argv):
     [
         ("avoid", "--n", "8", "--patterns", "4321", "--members"),
         ("verify", "--format", "csv"),
+        # one write of about 92 KB, more than a 64 KiB pipe buffer holds
+        ("gf", "--n", "80", "--stat", "inv", "--width", "1", "--avoid", "132,312",
+         "--method", "closed", "--format", "csv"),
     ],
 )
 def test_a_reader_that_stops_early_gets_exit_1_and_no_traceback(argv):

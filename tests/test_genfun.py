@@ -683,6 +683,27 @@ class TestFormulasAboveTheCap:
         )
         assert palindromic(dist)
 
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_sn_theorems_by_the_packed_dp(self, monkeypatch, n):
+        # The DP over sets of filled positions counts S_n in n * 2^n steps,
+        # so it reaches past the cap once the cap is raised.  It places the
+        # values in increasing order, so a filled position holds a smaller
+        # value: placing at p makes a width-k descent at p when p + k is
+        # filled, and a width-k inversion with each filled p + jk.
+        monkeypatch.setenv("WIDTHK_MAX_N", str(n))
+        caches = SweepCaches()
+
+        def row(step, size):
+            return LaurentPoly(dict(enumerate(perm._sn_row(n, step, size))))
+
+        for k in range(1, n):
+            later = [sum(1 << q - 1 for q in range(p + k, n + 1, k)) for p in range(n + 1)]
+            des = row(lambda p, s: s >> p + k - 1 & 1, n)
+            inv = row(lambda p, s: (s & later[p]).bit_count(), n * (n - 1) // 2 + 1)
+            assert des == caches.dist(n, "exc", (k,)) == closed_des_k(n, k), k
+            assert inv == caches.dist(n, "maj", (k,)) == closed_inv_k(n, k), k
+            assert caches.dist(n, "G", (k,)) == closed_g(n, k), k
+
 
 def block_route_inv_k(n, k):
     """
@@ -790,6 +811,20 @@ class TestGradedDistributions:
         for k in range(1, 7):
             assert caches.dist(7, "exc", (k,)) == brute_distribution(7, "exc", k), k
             assert caches.dist(7, "maj", (k,)) == brute_distribution(7, "maj", k), k
+
+    def test_inv_and_maj_agree_on_a_width_set_iff_twice_its_least_width_covers_n(self):
+        # 219 cases with |K| >= 2 and n <= 8, of which 21 agree.  If
+        # 2 min K >= n, both statistics are the sum of des_k over K word by
+        # word; every K with 2 min K < n separates them.
+        caches = SweepCaches()
+        agree = 0
+        for n in range(3, 9):
+            for ks in genfun._width_subsets(n):
+                if len(ks) >= 2:
+                    same = caches.dist(n, "inv", ks) == caches.dist(n, "maj", ks)
+                    assert same == (2 * min(ks) >= n), (n, ks)
+                    agree += same
+        assert agree == 21
 
     def test_g_table_is_graded_once(self):
         caches = SweepCaches()
