@@ -256,10 +256,11 @@ def cmd_gtable(args: argparse.Namespace) -> int:
         _emit_poly_csv("n,k,exponent,coefficient", ((f"{n},{k}", poly) for n, k, poly, _ in rows))
     else:
         for n, k, poly, factored in rows:
-            if factored is None or factored == str(poly):
-                print(f"G[{n},{k}] = {poly}")
+            text = str(poly)
+            if factored is None or factored == text:
+                print(f"G[{n},{k}] = {text}")
             else:
-                print(f"G[{n},{k}] = {factored} = {poly}")
+                print(f"G[{n},{k}] = {factored} = {text}")
     return 0
 
 

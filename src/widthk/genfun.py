@@ -34,7 +34,7 @@ from .perm import (
 from .poly import (
     LaurentPoly,
     MultiPoly,
-    _slot_width,
+    _slot_bits,
     _unpack,
     binomial_product,
     block_multinomial,
@@ -146,7 +146,7 @@ def g_table(n: int) -> dict[int, LaurentPoly]:
     4*q^-2 + 16*q^-1 + 4
     """
     check_cap(n)
-    return {k: LaurentPoly(_sn_g(n, k)) for k in range(1, n)}
+    return {k: _sn_g(n, k) for k in range(1, n)}
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +210,7 @@ def rec_312(n: int, k: int) -> LaurentPoly:
         u = sum(cat[i - 1] * cat[j - i - 1] for i in pairs)
         c = cat[j - 1] if j <= k else 0
         d.append((u - 2 * c, 2 * c - 2 * u - 4 * (j == 1), u))
-    width = _slot_width(catalan(n).bit_length())
-    slot = 8 * width
+    slot = _slot_bits(catalan(n).bit_length())
     s = [1]
     for m in range(1, n + 2):
         # one sum per power of q in d_j, shifted into place once
@@ -224,7 +223,7 @@ def rec_312(n: int, k: int) -> LaurentPoly:
         s.append((x0 + (x1 << slot) + (x2 << 2 * slot)) // (2 * m))
     # a_(n+1) = 0 because n > k, so F = -s_(n+1) / (2q)
     f = (-s[n + 1]) >> (slot + 1)
-    return LaurentPoly(dict(enumerate(_unpack(f, n - k + 1, width))))
+    return LaurentPoly._row(_unpack(f, slot))
 
 
 def rec_123_132(n: int, k: int) -> LaurentPoly:
@@ -267,7 +266,7 @@ def rec_123_312(n: int, k: int) -> LaurentPoly:
             row[s + m - 2 * k] += m - 2 * k - 1
         low = s + max(1, m - 2 * k)
         row[low : n - k] = [c + 2 for c in row[low : n - k]]  # both ranges
-    return LaurentPoly(dict(enumerate(row)))
+    return LaurentPoly._row(row)
 
 
 def rec_132_213(n: int, k: int) -> LaurentPoly:
@@ -497,9 +496,9 @@ class SweepCaches:
             gaps = {m for k in widths for m in (range(k, n, k) if statistic == "inv" else [k])}
             dist = self.t_poly(n, patterns).grade([int(g in gaps) for g in range(1, n)])
         elif statistic == "maj" and not patterns:
-            dist = LaurentPoly(_sn_majors(n, widths))
+            dist = _sn_majors(n, widths)
         elif statistic in ("exc", "G") and not patterns and len(widths) == 1:
-            dist = LaurentPoly((_sn_excedances if statistic == "exc" else _sn_g)(n, *widths))
+            dist = (_sn_excedances if statistic == "exc" else _sn_g)(n, *widths)
         else:
             raise InvalidInputError(
                 f"no {statistic!r} distribution at widths {widths} over "

@@ -25,7 +25,7 @@ from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapError, InvalidInputError
-from .poly import _slot_width, _unpack
+from .poly import LaurentPoly, _slot_bits, _unpack
 
 DEFAULT_MAX_N = 10
 _ENV_CAP = "WIDTHK_MAX_N"
@@ -424,7 +424,9 @@ def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
 # ceil(p/k) in that block.  States run in increasing integer order: a set's
 # subsets are smaller integers, so each state is final when it is reached.
 # This is the inversion-table view of a permutation (Rodrigues 1839,
-# MacMahon 1915; Stanley, EC1, 1.3), on sets of positions.
+# MacMahon 1915; Stanley, EC1, 1.3), on sets of positions.  The
+# single-key kernels (_sn_majors, _sn_excedances, _sn_g) return their
+# distribution as a LaurentPoly, made once from the final packed row.
 
 
 def _sn_dp(n: int, w: int) -> dict[int, int]:
@@ -447,45 +449,39 @@ def _sn_dp(n: int, w: int) -> dict[int, int]:
     return row
 
 
-def _sn_row(n: int, step: Callable[[int, int], int], size: int) -> list[int]:
-    # Counts of the keys 0..size-1 over S_n, where placing the next value at
-    # p with s filled adds step(p, s) to the key.  Each state is one packed
-    # integer, and slot x counts key x.  A count never exceeds n!, so no slot
+def _sn_row(n: int, step: Callable[[int, int], int]) -> LaurentPoly:
+    # The sum of q^key over S_n, where placing the next value at p with s
+    # filled adds step(p, s) to the key.  Each state is one packed integer,
+    # and slot x counts key x.  A count never exceeds n!, so no slot
     # carries, and a step is a shift-add.
     check_cap(n)
-    width = _slot_width(math.factorial(n).bit_length())
-    shift = 8 * width
+    slot = _slot_bits(math.factorial(n).bit_length())
     states = [1] + [0] * ((1 << n) - 1)
     for s, row in enumerate(states):
         for p in range(1, n + 1):
             bit = 1 << p - 1
             if not s & bit:
-                states[s | bit] += row << shift * step(p, s)
-    return _unpack(row, size, width)
+                states[s | bit] += row << slot * step(p, s)
+    return LaurentPoly._row(_unpack(row, slot))
 
 
-def _sn_majors(n: int, widths: tuple[int, ...]) -> dict[int, int]:
-    # Counts of maj_K over S_n, K = widths: a width-g descent at p adds
-    # ceil(p/g), so tables[p][s >> p] is what the filled positions above p add
+def _sn_majors(n: int, widths: tuple[int, ...]) -> LaurentPoly:
+    # maj_K over S_n, K = widths: a width-g descent at p adds ceil(p/g), so
+    # tables[p][s >> p] is what the filled positions above p add
     tables = [[0]] + [_subset_sums(n - p, lambda g, p=p: (p + g - 1) // g if g in widths else 0)
                       for p in range(1, n + 1)]
-    size = 1 + sum(table[-1] for table in tables)  # every descent of K filled
-    return dict(enumerate(_sn_row(n, lambda p, s: tables[p][s >> p], size)))
+    return _sn_row(n, lambda p, s: tables[p][s >> p])
 
 
-def _sn_excedances(n: int, k: int) -> dict[int, int]:
-    # Counts of exc_k over S_n; block[r] holds the positions p = r + 1 mod k
+def _sn_excedances(n: int, k: int) -> LaurentPoly:
+    # exc_k over S_n; block[r] holds the positions p = r + 1 mod k
     block = [sum(1 << q for q in range(r, n, k)) for r in range(k)]
-    return dict(enumerate(_sn_row(
-        n, lambda p, s: (s & block[(p - 1) % k]).bit_count() >= (p + k - 1) // k, n + 1
-    )))
+    return _sn_row(n, lambda p, s: (s & block[(p - 1) % k]).bit_count() >= (p + k - 1) // k)
 
 
-def _sn_g(n: int, k: int) -> dict[int, int]:
-    # Counts of des_k - des_(n-k) over S_n, by the step offset by 1 per position
-    return dict(enumerate(_sn_row(
-        n, lambda p, s: 1 + (s >> p + k - 1 & 1) - (s >> p + n - k - 1 & 1), 2 * n + 1
-    ), -n))
+def _sn_g(n: int, k: int) -> LaurentPoly:
+    # des_k - des_(n-k) over S_n, by the step offset by 1 per position
+    return _sn_row(n, lambda p, s: 1 + (s >> p + k - 1 & 1) - (s >> p + n - k - 1 & 1)).shift(-n)
 
 
 def parse_perm(text: str) -> tuple[int, ...]:

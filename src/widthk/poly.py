@@ -3,17 +3,22 @@ Exact polynomials over the integers.
 
 LaurentPoly is univariate in q and allows negative exponents, which the
 signed descent-difference generating functions need.  It is stored densely,
-as a valuation and the tuple of coefficients from there up to the degree;
-large products of nonnegative polynomials take one big-integer product
-(Kronecker substitution).  A product of q-factorials, scale * prod [m]_q!,
-is one coefficient row of sliding-window sums (`q_factorial_product`).  A
-product of binomials, scale * prod (1 + q^a)^e, stays inside one packed
-integer from first factor to last (`binomial_product`), and so does each
-level of a sum over compositions of n (`compositions`), with one slot-width
-and unpack path shared with the Kronecker product.  MultiPoly tracks one
-exponent per named variable, is stored sparsely, and is used for joint
-descent distributions.  Coefficients are plain Python ints, so nothing here
-ever rounds.
+as a valuation and the tuple of coefficients from there up to the degree,
+and every coefficient row computed inside the package becomes a polynomial
+through one constructor, `LaurentPoly._row`, which drops the row's zero
+ends.  Large products of nonnegative polynomials take one big-integer
+product (Kronecker substitution).  A product of q-factorials, scale * prod
+[m]_q!, is one coefficient row of sliding-window sums
+(`q_factorial_product`).  A product of binomials, scale * prod (1 + q^a)^e,
+stays inside one packed integer from first factor to last
+(`binomial_product`), and so does each level of a sum over compositions of
+n (`compositions`).  A packed integer holds coefficient i in bits
+[i*slot, (i+1)*slot), where `_slot_bits` picks a slot of 8, 16, 32 or 64
+bits, or whole bytes above that, for the largest coefficient; `_unpack`
+reads every slot up to the top nonzero one.  Only this module turns packed
+integers into bytes and back.  MultiPoly tracks one exponent per named
+variable, is stored sparsely, and is used for joint descent distributions.
+Coefficients are plain Python ints, so nothing here ever rounds.
 
 >>> print(binomial_product([(1, 3)]))
 1 + 3*q + 3*q^2 + q^3
@@ -52,51 +57,52 @@ def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-# Array typecodes by item size, for slots of 1, 2, 4 or 8 bytes; array items
-# are native-endian, so this path is only taken on little-endian hosts.
+# Array typecodes by slot size, for slots of 8, 16, 32 or 64 bits; array
+# items are native-endian, so this path is only taken on little-endian hosts.
 _SLOT_CODES = (
-    {array(code).itemsize: code for code in "BHIQ"} if sys.byteorder == "little" else {}
+    {8 * array(code).itemsize: code for code in "BHIQ"} if sys.byteorder == "little" else {}
 )
 
 
-def _pack(row: Sequence[int], width: int, code: str | None) -> int:
-    # Coefficient i occupies bytes [i*width, (i+1)*width) of one integer.
+def _slot_bits(bits: int) -> int:
+    # Bits per slot for coefficients of up to `bits` bits: 8, 16, 32 or 64,
+    # so that the array typecodes apply, and whole bytes above that.
+    width = (bits + 7) // 8
+    return 8 << (width - 1).bit_length() if width <= 8 else 8 * width
+
+
+def _pack(row: Sequence[int], slot: int) -> int:
+    # Coefficient i occupies bits [i*slot, (i+1)*slot) of one integer.
+    code = _SLOT_CODES.get(slot)
     if code:
         raw = array(code, row).tobytes()
     else:
-        raw = b"".join(map(int.to_bytes, row, repeat(width), repeat("little")))
+        raw = b"".join(map(int.to_bytes, row, repeat(slot // 8), repeat("little")))
     return int.from_bytes(raw, "little")
 
 
-def _slot_width(bits: int) -> int:
-    # Bytes per slot for coefficients of up to `bits` bits: 1, 2, 4 or 8,
-    # so that the array typecodes apply, and whole bytes above that.
-    width = (bits + 7) // 8
-    return 1 << (width - 1).bit_length() if width <= 8 else width
-
-
-def _unpack(packed: int, size: int, width: int) -> list[int]:
-    # The first `size` slots of `width` bytes of a packed integer, lowest first.
-    raw = packed.to_bytes(size * width, "little")
-    code = _SLOT_CODES.get(width)
+def _unpack(packed: int, slot: int) -> list[int]:
+    # The slots of `slot` bits of a packed integer, lowest first, up to the
+    # top nonzero one (none for 0).
+    width = slot // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // slot) * width, "little")
+    code = _SLOT_CODES.get(slot)
     if code:
         return array(code, raw).tolist()
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, size * width, width)]
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """
     Coefficients of the product of two nonnegative coefficient rows by one
     big-integer product: each row is read as the digits of an integer in
-    base 2^(8*width), with width large enough that no product coefficient
-    carries into the next slot.
+    base 2^slot, with slot large enough that no product coefficient carries
+    into the next slot.
     """
     bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
-    width = _slot_width(bits)
-    code = _SLOT_CODES.get(width)
-    x = _pack(a, width, code)
-    product = x * x if a is b else x * _pack(b, width, code)
-    return _unpack(product, len(a) + len(b) - 1, width)
+    slot = _slot_bits(bits)
+    x = _pack(a, slot)
+    return _unpack(x * x if a is b else x * _pack(b, slot), slot)
 
 
 def _signed_sum(bodies: Iterable[str]) -> str:
@@ -131,20 +137,25 @@ class LaurentPoly:
             for e, c in terms:
                 acc[e] = acc.get(e, 0) + c
             terms = acc
-        if 0 in terms.values():
-            terms = {e: c for e, c in terms.items() if c}
-        if not terms:
-            self._val, self._coeffs = 0, ()
-            return
-        lo = min(terms)
-        row = tuple(map(terms.get, range(lo, max(terms) + 1), repeat(0)))
-        self._val, self._coeffs = lo, row
+        lo = min(terms, default=0)
+        row = tuple(map(terms.get, range(lo, max(terms, default=-1) + 1), repeat(0)))
+        p = LaurentPoly._row(row, lo)
+        self._val, self._coeffs = p._val, p._coeffs
 
     @classmethod
-    def _dense(cls, val: int, coeffs: tuple[int, ...]) -> "LaurentPoly":
-        # coeffs must already have nonzero ends, or be empty with val 0.
+    def _row(cls, row: Sequence[int], val: int = 0) -> "LaurentPoly":
+        # The polynomial sum row[i] q^(val + i), with the zero ends of the
+        # row dropped: every internal polynomial is made here.
+        hi = len(row)
+        while hi and not row[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not row[lo]:
+            lo += 1
+        if lo or hi < len(row):
+            row = row[lo:hi]
         out = object.__new__(cls)
-        out._val, out._coeffs = val, coeffs
+        out._val, out._coeffs = (val + lo, tuple(row)) if row else (0, ())
         return out
 
     @staticmethod
@@ -152,7 +163,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly._dense(0, (other,) if other else ())
+            return LaurentPoly._row((other,))
         raise TypeError(f"cannot combine LaurentPoly with {type(other).__name__}")
 
     def terms(self) -> list[tuple[int, int]]:
@@ -194,12 +205,12 @@ class LaurentPoly:
         if stop > len(row):
             row.extend(repeat(0, stop - len(row)))
         row[start:stop] = map(operator.add, row[start:stop], b._coeffs)
-        return LaurentPoly._dense(*_trim(a._val, row))
+        return LaurentPoly._row(row, a._val)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._dense(self._val, tuple(map(operator.neg, self._coeffs)))
+        return LaurentPoly._row(tuple(map(operator.neg, self._coeffs)), self._val)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -209,11 +220,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            if not other:
-                return ZERO
-            return LaurentPoly._dense(
-                self._val, tuple(map(operator.mul, self._coeffs, repeat(other)))
-            )
+            return LaurentPoly._row([c * other for c in self._coeffs], self._val)
         other = self._coerce(other)
         a, b = self._coeffs, other._coeffs
         if not a or not b:
@@ -225,8 +232,7 @@ class LaurentPoly:
             row = _schoolbook(a, b)
         else:
             row = _schoolbook(b, a)
-        # The ends multiply to nonzero ends, so the row needs no trimming.
-        return LaurentPoly._dense(self._val + other._val, tuple(row))
+        return LaurentPoly._row(row, self._val + other._val)
 
     __rmul__ = __mul__
 
@@ -245,15 +251,11 @@ class LaurentPoly:
 
     def shift(self, s: int) -> "LaurentPoly":
         """Multiply by q^s."""
-        if not self._coeffs:
-            return self
-        return LaurentPoly._dense(self._val + s, self._coeffs)
+        return LaurentPoly._row(self._coeffs, self._val + s)
 
     def inverse_q(self) -> "LaurentPoly":
         """Substitute q -> 1/q, i.e. negate every exponent."""
-        if not self._coeffs:
-            return self
-        return LaurentPoly._dense(-self.degree, self._coeffs[::-1])
+        return LaurentPoly._row(self._coeffs[::-1], 1 - self._val - len(self._coeffs))
 
     def __call__(self, x: int | Fraction) -> int | Fraction:
         """Evaluate exactly; negative exponents go through Fraction."""
@@ -292,21 +294,6 @@ class LaurentPoly:
             c = row[1 - val]
             bodies[1 - val] = "q" if c == 1 else "-q" if c == -1 else f"{c}*q"
         return _signed_sum(compress(bodies, row))
-
-
-def _trim(val: int, row: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Drop zero ends: the (valuation, coefficients) of a dense row at val."""
-    if row[0] and row[-1]:
-        return val, tuple(row)
-    hi = len(row)
-    while hi and not row[hi - 1]:
-        hi -= 1
-    lo = 0
-    while lo < hi and not row[lo]:
-        lo += 1
-    if lo == hi:
-        return 0, ()
-    return val + lo, tuple(row[lo:hi])
 
 
 ZERO = LaurentPoly()
@@ -353,7 +340,7 @@ def q_factorial_product(sizes: Iterable[int], scale: int = 1) -> LaurentPoly:
             row += map(operator.sub, prefix[i:], prefix)
             del row[degree // 2 + 1 :]
     row += reversed(row[: degree + 1 - len(row)])
-    return LaurentPoly._dense(0, tuple(row))
+    return LaurentPoly._row(row)
 
 
 def binomial_product(factors: Iterable[tuple[int, int]], scale: int = 1) -> LaurentPoly:
@@ -373,14 +360,12 @@ def binomial_product(factors: Iterable[tuple[int, int]], scale: int = 1) -> Laur
     factors = sorted(factors)  # the row grows slowest with the small shifts first
     if scale < 1 or factors and min(map(min, factors)) < 0:
         raise InvalidInputError(f"need scale >= 1 and a, e >= 0, got {scale}, {factors}")
-    width = _slot_width((scale << sum(e for _, e in factors)).bit_length())
+    slot = _slot_bits((scale << sum(e for _, e in factors)).bit_length())
     x = scale
     for a, e in factors:
-        shift = 8 * width * a
         for _ in range(e):
-            x += x << shift
-    size = 1 + sum(a * e for a, e in factors)
-    return LaurentPoly._dense(0, tuple(_unpack(x, size, width)))
+            x += x << slot * a
+    return LaurentPoly._row(_unpack(x, slot))
 
 
 def compositions(n: int, small: Sequence[int], big: int) -> LaurentPoly:
@@ -399,7 +384,7 @@ def compositions(n: int, small: Sequence[int], big: int) -> LaurentPoly:
     """
     if n < 0 or big < 0 or small and min(small) < 0:
         raise InvalidInputError(f"need n >= 0 and weights >= 0, got {n}, {small}, {big}")
-    slot = 8 * _slot_width(n)
+    slot = _slot_bits(n)
     shifts = [slot * w for w in small]
     levels = [1]
     running = 0  # levels 0 .. m - len(small) - 1, each below a large last part
@@ -410,9 +395,7 @@ def compositions(n: int, small: Sequence[int], big: int) -> LaurentPoly:
         for c, shift in enumerate(shifts[:m], 1):
             x += levels[m - c] << shift
         levels.append(x)
-    x = levels[n]
-    size = (x.bit_length() + slot - 1) // slot
-    return LaurentPoly(dict(enumerate(_unpack(x, size, slot // 8))))
+    return LaurentPoly._row(_unpack(levels[n], slot))
 
 
 # Row n counts permutations of n letters by descents; grown on demand.
@@ -439,7 +422,7 @@ def eulerian_poly(n: int) -> LaurentPoly:
         if not row[-1]:
             row.pop()
         rows.append(tuple(row))
-    return LaurentPoly(dict(enumerate(rows[n])))
+    return LaurentPoly._row(rows[n])
 
 
 def catalan(n: int) -> int:

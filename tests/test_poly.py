@@ -356,6 +356,41 @@ def test_kronecker_slots_hold_the_largest_coefficients():
             assert poly._kronecker(row, row) == poly._schoolbook(row, row)
 
 
+
+# the four array slots, and one slot past them that goes through to_bytes
+_SLOTS = (8, 16, 32, 64, 72)
+
+
+@given(st.sampled_from(_SLOTS), st.integers(-5, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_rows_round_trip(slot, val, data):
+    # rows with zero ends and interior zeros: unpacking reads up to the top
+    # nonzero slot, and the row constructor drops the zero ends
+    coeff = st.one_of(st.just(0), st.integers(1, 2**slot - 1))
+    zeros = st.integers(0, 3).map(lambda m: [0] * m)
+    low, body, high = data.draw(zeros), data.draw(st.lists(coeff, max_size=20)), data.draw(zeros)
+    row = low + body + high
+    nonzero = [i for i, c in enumerate(row) if c]
+    unpacked = poly._unpack(poly._pack(row, slot), slot)
+    assert poly._slot_bits(slot) == slot
+    assert unpacked == row[: nonzero[-1] + 1 if nonzero else 0]
+    p = LaurentPoly._row(unpacked, val)
+    assert p == LaurentPoly(dict(enumerate(row, val))) == LaurentPoly._row(row, val)
+    # stored with nonzero ends from the first nonzero coefficient
+    assert (p._val, p._coeffs) == (
+        (val + nonzero[0], tuple(row[nonzero[0] : nonzero[-1] + 1])) if nonzero else (0, ())
+    )
+
+
+@pytest.mark.parametrize("slot", _SLOTS)
+def test_zero_unpacks_to_no_slots_and_the_zero_polynomial(slot):
+    assert poly._unpack(0, slot) == []
+    assert poly._unpack(poly._pack([0, 0, 0], slot), slot) == []
+    for row in ([], [0], [0] * 5):
+        zero = LaurentPoly._row(row, 7)
+        assert zero == ZERO and zero.terms() == [] and hash(zero) == hash(0)
+
+
 def per_factor_product(factors, scale=1) -> LaurentPoly:
     """
     scale * prod (1 + q^a)^e by one LaurentPoly power and product per
