@@ -40,7 +40,7 @@ from .poly import (
     block_multinomial,
     catalan,
     compositions,
-    eulerian_poly,
+    eulerian_product,
     q_factorial_product,
 )
 
@@ -95,14 +95,15 @@ def closed_des_k(n: int, k: int) -> LaurentPoly:
     and to the standardized blocks is a bijection from S_n onto (ordered set
     partitions with the block sizes) x prod S_(m_r), and des_k (like inv_k,
     exc_k and maj_k) is the sum over blocks of the classical statistic.  With
-    n = dk+r, r blocks have d+1 letters and k-r have d.
+    n = dk+r, r blocks have d+1 letters and k-r have d.  It is one packed
+    integer (`eulerian_product`), with no polynomial product.
 
     >>> print(closed_des_k(6, 3))
     90 + 270*q + 270*q^2 + 90*q^3
     """
     _check_width(n, k)
     d, r = divmod(n, k)
-    return block_multinomial(n, k) * eulerian_poly(d + 1) ** r * eulerian_poly(d) ** (k - r)
+    return eulerian_product([d + 1] * r + [d] * (k - r), block_multinomial(n, k))
 
 
 def closed_inv_k(n: int, k: int) -> LaurentPoly:
@@ -750,7 +751,7 @@ def closed_g(n: int, k: int) -> LaurentPoly:
 
 def factored_form(c: int, s: int, m: int, e: int) -> LaurentPoly:
     """Expand the reference shape c * q^s * A_m(q)^e."""
-    return (c * eulerian_poly(m) ** e).shift(s)
+    return eulerian_product([m] * e, c).shift(s)
 
 
 def format_factored(c: int, s: int, m: int, e: int) -> str:

@@ -6,15 +6,17 @@ signed descent-difference generating functions need.  It is stored densely,
 as a valuation and the tuple of coefficients from there up to the degree,
 and every coefficient row computed inside the package becomes a polynomial
 through one constructor, `LaurentPoly._row`, which drops the row's zero
-ends.  Large products of nonnegative polynomials take one big-integer
-product (Kronecker substitution).  A product of q-factorials, scale * prod
-[m]_q!, is one coefficient row of sliding-window sums
-(`q_factorial_product`).  A product of binomials, scale * prod (1 + q^a)^e,
-stays inside one packed integer from first factor to last
-(`binomial_product`), and so does each level of a sum over compositions of
-n (`compositions`).  A packed integer holds coefficient i in bits
-[i*slot, (i+1)*slot), where `_slot_bits` picks a slot of 8, 16, 32 or 64
-bits, or whole bytes above that, for the largest coefficient; `_unpack`
+ends.  A product of two polynomials is one schoolbook loop; no route in the
+package runs one, since each formula has a packed or row kernel here.  A
+product of q-factorials, scale * prod [m]_q!, is one coefficient row of
+sliding-window sums (`q_factorial_product`).  A product of Eulerian
+polynomials, scale * prod A_m(q), is one big-integer power per distinct
+A_m on one packed integer (`eulerian_product`).  A product of binomials,
+scale * prod (1 + q^a)^e, stays inside one packed integer from first factor
+to last (`binomial_product`), and so does each level of a sum over
+compositions of n (`compositions`).  A packed integer holds coefficient i in
+bits [i*slot, (i+1)*slot), where `_slot_bits` picks a slot of 8, 16, 32 or
+64 bits, or whole bytes above that, for the largest coefficient; `_unpack`
 reads every slot up to the top nonzero one.  Only this module turns packed
 integers into bytes and back.  MultiPoly tracks one exponent per named
 variable, is stored sparsely, and is used for joint descent distributions.
@@ -32,15 +34,11 @@ import math
 import operator
 import sys
 from array import array
+from collections import Counter
 from itertools import accumulate, compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
-
-# Both operands of a product must have at least this many nonzero
-# coefficients, and no negative one, for the product to go through Kronecker
-# substitution; sparser or signed operands take the schoolbook loop.
-KRONECKER_MIN_TERMS = 8
 
 
 def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -92,19 +90,6 @@ def _unpack(packed: int, slot: int) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
-def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """
-    Coefficients of the product of two nonnegative coefficient rows by one
-    big-integer product: each row is read as the digits of an integer in
-    base 2^slot, with slot large enough that no product coefficient carries
-    into the next slot.
-    """
-    bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
-    slot = _slot_bits(bits)
-    x = _pack(a, slot)
-    return _unpack(x * x if a is b else x * _pack(b, slot), slot)
-
-
 def _signed_sum(bodies: Iterable[str]) -> str:
     # "b0 + b1 - b2" from the terms' bodies, each led by its coefficient's
     # sign, "0" from none: a "-" is spaced off its body but on the first
@@ -117,10 +102,8 @@ class LaurentPoly:
     A Laurent polynomial in q with integer coefficients, stored densely as
     a valuation and the tuple of coefficients from the valuation up to the
     degree, with nonzero ends (the zero polynomial is the empty tuple).
-    A product whose operands both have at least KRONECKER_MIN_TERMS nonzero
-    coefficients, none negative, is one big-integer product (Kronecker
-    substitution); any other product runs the schoolbook loop over the
-    nonzero coefficients of the sparser operand.
+    A product runs the schoolbook loop over the nonzero coefficients of the
+    sparser operand.
 
     >>> p = LaurentPoly({0: 1, 1: 1})
     >>> p * p
@@ -223,16 +206,9 @@ class LaurentPoly:
             return LaurentPoly._row([c * other for c in self._coeffs], self._val)
         other = self._coerce(other)
         a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return ZERO
-        nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
-        if min(nonzero_a, nonzero_b) >= KRONECKER_MIN_TERMS and min(a) >= 0 and min(b) >= 0:
-            row = _kronecker(a, b)
-        elif nonzero_a <= nonzero_b:
-            row = _schoolbook(a, b)
-        else:
-            row = _schoolbook(b, a)
-        return LaurentPoly._row(row, self._val + other._val)
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        return LaurentPoly._row(_schoolbook(a, b), self._val + other._val)
 
     __rmul__ = __mul__
 
@@ -423,6 +399,28 @@ def eulerian_poly(n: int) -> LaurentPoly:
             row.pop()
         rows.append(tuple(row))
     return LaurentPoly._row(rows[n])
+
+
+def eulerian_product(sizes: Iterable[int], scale: int = 1) -> LaurentPoly:
+    """scale * prod A_m(q) over the sizes m, as one packed integer.
+
+    Every coefficient of the product is nonnegative, so none exceeds its
+    value at q = 1, prod m!, which fixes the slot width once; the scale
+    multiplies the row after it is unpacked, so it does not widen the
+    slots.  Each distinct A_m is packed once and raised to its multiplicity
+    by one big-integer power.
+
+    >>> print(eulerian_product([3, 3], 2))
+    2 + 16*q + 36*q^2 + 16*q^3 + 2*q^4
+    """
+    sizes = list(sizes)
+    if scale < 1 or min(sizes, default=0) < 0:
+        raise InvalidInputError(f"need scale >= 1 and sizes >= 0, got {scale}, {sizes}")
+    slot = _slot_bits(math.prod(map(math.factorial, sizes)).bit_length())
+    x = 1
+    for m, e in Counter(sizes).items():
+        x *= _pack(eulerian_poly(m)._coeffs, slot) ** e
+    return LaurentPoly._row([c * scale for c in _unpack(x, slot)])
 
 
 def catalan(n: int) -> int:

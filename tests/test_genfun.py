@@ -712,6 +712,16 @@ def block_route_inv_k(n, k):
     return block_multinomial(n, k) * q_factorial(d + 1) ** r * q_factorial(d) ** (k - r)
 
 
+def block_route_des_k(n, k):
+    """
+    closed_des_k by its block form, with each Eulerian polynomial raised to
+    its power by LaurentPoly products: the independent oracle for the packed
+    Eulerian product.
+    """
+    d, r = divmod(n, k)
+    return block_multinomial(n, k) * eulerian_poly(d + 1) ** r * eulerian_poly(d) ** (k - r)
+
+
 def series_312(top, k):
     """
     rec_312(m, k) for m = 0..top, read term by term off the functional
@@ -733,8 +743,10 @@ def seeded_widths(count, seed):
     return [(n, rng.randint(1, n - 1)) for n in rng.sample(range(10, 151), count)]
 
 
-# the formula-large shapes of closed_inv_k, then ten seeded draws with n <= 150
+# the formula-large shapes of closed_inv_k and of closed_des_k, then ten
+# seeded draws with n <= 150 for each
 _INV_K_SHAPES = [(45, 1), (70, 2), (71, 2), (90, 3), (110, 5), *seeded_widths(10, 30)]
+_DES_K_SHAPES = [(80, 1), (110, 2), (120, 3), (118, 4), (100, 5), *seeded_widths(10, 33)]
 
 
 class TestFormulasAgainstOracles:
@@ -744,6 +756,10 @@ class TestFormulasAgainstOracles:
     @pytest.mark.parametrize("nk", _INV_K_SHAPES, ids=str)
     def test_closed_inv_k_matches_block_route(self, nk):
         assert closed_inv_k(*nk) == block_route_inv_k(*nk)
+
+    @pytest.mark.parametrize("nk", _DES_K_SHAPES, ids=str)
+    def test_closed_des_k_matches_block_route(self, nk):
+        assert closed_des_k(*nk) == block_route_des_k(*nk)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_rec_312_matches_functional_equation(self, k):
@@ -758,16 +774,47 @@ class TestFormulasAgainstOracles:
             assert rec_312(n, k) == want[n], (n, k)
 
     def test_fast_routes_take_no_polynomial_product(self, monkeypatch):
-        inv_want, rec_want = block_route_inv_k(90, 3), series_312(90, 3)[90]
+        # every route and every suite runs with the LaurentPoly ring
+        # operations refused, so each formula stands on its own kernel
+        c, s, m, e = g_shape(12, 8)  # gcd 4: c * q^s * A_m(q)^e with e = 4
+        want = {
+            (closed_des_k, 120, 3): block_route_des_k(120, 3),
+            (closed_g, 12, 8): (c * eulerian_poly(m) ** e).shift(s),
+            (closed_inv_k, 90, 3): block_route_inv_k(90, 3),
+            (rec_312, 90, 3): series_312(90, 3)[90],
+        }
+        reports = run_suite("all")
 
         def refuse(*args):
-            raise AssertionError("a polynomial product ran")
+            raise AssertionError("a polynomial ring operation ran")
 
-        for name in ("__mul__", "__rmul__", "__pow__"):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                     "__mul__", "__rmul__", "__pow__"):
             monkeypatch.setattr(LaurentPoly, name, refuse)
-        monkeypatch.setattr(poly, "_kronecker", refuse)
-        assert closed_inv_k(90, 3) == inv_want
-        assert rec_312(90, 3) == rec_want
+        for (route, n, k), dist in want.items():
+            assert route(n, k) == dist, (route.__name__, n, k)
+        assert run_suite("all") == reports
+
+    def test_planted_eulerian_defect_is_named_by_theorem_and_gtable(self, monkeypatch):
+        # one count of the Eulerian product over the sizes {3, 3} moved from
+        # q^0 to q^1: closed_des_k(6, 2) and the shape of G[8,2] read it, so
+        # exactly theorem[des] and gtable[n=8] must name those cases
+        def shifted(sizes, scale=1, product=genfun.eulerian_product):
+            sizes = list(sizes)
+            counts = product(sizes, scale)
+            if sorted(sizes) == [3, 3]:
+                counts += LaurentPoly({0: -1, 1: 1})
+            return counts
+
+        monkeypatch.setattr(genfun, "eulerian_product", shifted)
+        broken = {
+            r.identity: r.counterexample["params"]
+            for r in run_suite("all")
+            if r.status == "mismatch"
+        }
+        assert broken.keys() == {"theorem[des]", "gtable[n=8]"}
+        assert broken["theorem[des]"] == {"n": 6, "k": 2}
+        assert (broken["gtable[n=8]"]["n"], broken["gtable[n=8]"]["k"]) == (8, 2)
 
 
 class TestGradedDistributions:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from widthk import poly
 from widthk.errors import InvalidInputError
 from widthk.poly import (
-    KRONECKER_MIN_TERMS,
     ONE,
     ZERO,
     LaurentPoly,
@@ -22,6 +21,7 @@ from widthk.poly import (
     catalan,
     compositions,
     eulerian_poly,
+    eulerian_product,
     q_factorial,
     q_factorial_product,
 )
@@ -303,8 +303,8 @@ def oracle_product(a, b) -> list[tuple[int, int]]:
 
 
 def _dense_poly(draw_coeffs):
-    # a valuation and a run of coefficients whose length crosses the
-    # Kronecker threshold; drawn zeros leave gaps inside the run
+    # a valuation and a dense run of drawn coefficients; drawn zeros leave
+    # gaps inside the run
     return st.tuples(st.integers(-8, 8), draw_coeffs).map(
         lambda vc: LaurentPoly({vc[0] + i: c for i, c in enumerate(vc[1])})
     )
@@ -332,29 +332,6 @@ def test_product_matches_dict_oracle(a, b):
 @settings(max_examples=150, deadline=None)
 def test_power_matches_repeated_product(p, e):
     assert p**e == reduce(lambda acc, _: acc * p, range(e), ONE)
-
-
-def test_both_multiply_paths_are_taken(monkeypatch):
-    calls = []
-    kronecker = poly._kronecker
-    monkeypatch.setattr(poly, "_kronecker", lambda a, b: calls.append(1) or kronecker(a, b))
-    long = LaurentPoly({e: e + 1 for e in range(KRONECKER_MIN_TERMS)})
-    short = LaurentPoly({e: e + 1 for e in range(KRONECKER_MIN_TERMS - 1)})
-    sparse = LaurentPoly({0: 1, 100: 1})
-    signed = long - LaurentPoly({3: 100})
-    assert (long * long).terms() == oracle_product(long, long) and len(calls) == 1
-    for a in (short, sparse, signed):
-        assert (a * long).terms() == oracle_product(a, long)
-    assert len(calls) == 1
-
-
-def test_kronecker_slots_hold_the_largest_coefficients():
-    # all-ones rows give the largest possible middle coefficient, min(len)
-    for length in (8, 255, 256, 257):
-        for c in (1, 255, 256, 2**64 - 1, 2**64, 2**333):
-            row = (c,) * length
-            assert poly._kronecker(row, row) == poly._schoolbook(row, row)
-
 
 
 # the four array slots, and one slot past them that goes through to_bytes
@@ -502,6 +479,55 @@ def test_q_factorial_product_edge_cases():
     for sizes, scale in (([], 0), ([3], -2), ([2, -1], 1)):
         with pytest.raises(InvalidInputError):
             q_factorial_product(sizes, scale)
+
+
+def per_factor_eulerian(sizes, scale=1) -> LaurentPoly:
+    """
+    scale * prod A_m(q) by one LaurentPoly product per factor: the
+    independent oracle for the packed `eulerian_product`.
+    """
+    return reduce(lambda acc, m: acc * eulerian_poly(m), sizes, LaurentPoly({0: scale}))
+
+
+def test_eulerian_product_slots_hold_the_value_at_one(monkeypatch):
+    # each pair of size lists straddles a step of the slot that holds
+    # prod m!: 8 to 16, 16 to 32, 32 to 64, 64 to 72 bits, and one step
+    # between two byte widths above 64; the scale leaves the slot as it is
+    steps = {
+        ((3, 3, 3), (2, 3, 3, 3)): [8, 16],
+        ((4, 4, 4, 2), (4, 4, 4, 3)): [16, 32],
+        ((6, 6, 6, 3), (6, 6, 6, 4)): [32, 64],
+        ((12, 12, 4), (12, 12, 5)): [64, 72],
+        ((30, 30, 1), (30, 30, 4)): [216, 224],
+    }
+    slots = []
+    slot_bits = poly._slot_bits
+    monkeypatch.setattr(
+        poly, "_slot_bits", lambda bits: slots.append(slot_bits(bits)) or slot_bits(bits)
+    )
+    for (below, above), want in steps.items():
+        for scale in (1, 3, 2**70):
+            slots.clear()
+            assert eulerian_product(below, scale) == per_factor_eulerian(below, scale)
+            assert eulerian_product(above, scale) == per_factor_eulerian(above, scale)
+            assert slots == want, (below, above, scale)
+
+
+@given(st.lists(st.integers(0, 16), max_size=6), st.integers(1, 2**70))
+@settings(max_examples=100, deadline=None)
+def test_eulerian_product_matches_per_factor_product(sizes, scale):
+    got = eulerian_product(sizes, scale)
+    assert got == per_factor_eulerian(sizes, scale)
+    assert got(1) == scale * math.prod(map(math.factorial, sizes))
+
+
+def test_eulerian_product_edge_cases():
+    assert eulerian_product([]) == ONE
+    assert eulerian_product([], 5) == eulerian_product([0, 1, 1, 0], 5) == 5
+    assert eulerian_product(iter([3, 2]), 2) == 2 * eulerian_poly(3) * eulerian_poly(2)
+    for sizes, scale in (([], 0), ([3], -2), ([2, -1], 1)):
+        with pytest.raises(InvalidInputError):
+            eulerian_product(sizes, scale)
 
 
 @given(laurents, st.one_of(st.integers(-4, 4).filter(bool),
