@@ -3,10 +3,10 @@ Command-line driver: compute statistics, build distributions by any route,
 print the signed-difference tables, and run the verification suites.
 
 Exit codes: 0 on success (all identities verified), 1 when routes or
-identities disagree or when stdout closes before the output is written (as
-under `| head`, with nothing on stderr), 2 on usage, parse, or
-enumeration-cap errors.  Output is deterministic, so repeated runs are
-byte-identical.
+identities disagree, when stdout closes before the output is written (as
+under `| head`, with nothing on stderr), or when verify's forked worker exits
+before it has reported, 2 on usage, parse, or enumeration-cap errors.
+Output is deterministic, so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from collections import Counter
-from itertools import starmap
+from itertools import chain, islice, starmap
 from typing import Iterable
 
 from . import genfun, stats
@@ -267,30 +267,127 @@ def cmd_gtable(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+class _WorkerLost(Exception):
+    """The verification worker ended before it sent every report list."""
+
+
+class _Worker:
+    """
+    A forked process that runs genfun._WORKER_SUITES with a memo of its own
+    while this process runs the suites before them.  Through a pipe it
+    pickles each suite's report list in turn, or the exception that stopped
+    it, and it leaves by os._exit, so it never flushes stdout buffered here
+    nor runs exit handlers.
+    """
+
+    def __init__(self, pid: int, pipe) -> None:
+        self.pid = pid
+        self.pipe = pipe
+        self.reaped = False
+
+    @classmethod
+    def start(cls, n_max: int | None) -> _Worker | None:
+        # Fork only where a second CPU is free, and never beside another
+        # thread, whose held locks the worker would inherit locked.  A
+        # forked worker starts with the package loaded; a spawned one would
+        # import and compile it again, which costs most of what it saves.
+        affinity = getattr(os, "sched_getaffinity", None)
+        if not (hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2):
+            return None
+        import threading
+
+        if threading.active_count() != 1:
+            return None
+        import pickle  # here, not at the top: loading it slows every command's start
+
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return None
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                with os.fdopen(write, "wb") as out:
+                    try:
+                        for reports in genfun._run_suites(genfun._WORKER_SUITES, n_max):
+                            pickle.dump(reports, out)
+                            out.flush()
+                    except Exception as exc:
+                        pickle.dump(exc, out)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        return cls(pid, os.fdopen(read, "rb"))
+
+    def reports(self) -> Iterable[list[genfun.VerificationReport]]:
+        """Each worker suite's report list; a raised exception is raised here."""
+        import pickle
+
+        for name in genfun._WORKER_SUITES:
+            try:
+                reports = pickle.load(self.pipe)
+            except (EOFError, pickle.UnpicklingError):
+                status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+                self.reaped = True
+                raise _WorkerLost(
+                    f"verification worker exited (status {status}) before reporting {name}"
+                ) from None
+            if isinstance(reports, BaseException):
+                raise reports
+            yield reports
+
+    def stop(self) -> None:
+        """Close the pipe, then kill and reap the worker unless it was reaped."""
+        import signal
+
+        self.pipe.close()
+        if not self.reaped:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     import csv  # here, not at the top: loading it adds 0.4 MB of peak RSS to every command
 
     # the engine checks the name, the bounds and the cap before any suite
-    # runs; each suite's reports are printed as soon as it returns
+    # runs; each suite's reports are printed as soon as it returns.  With
+    # a second CPU free, "all" hands its tail suites to a forked worker and
+    # prints their reports after its own, in SUITES order.
     suites = genfun.suite_reports(args.suite, args.nmax)
-    tally: Counter[str] = Counter()
-    rows = csv.writer(sys.stdout, lineterminator="\n")
-    if args.format == "csv":
-        rows.writerow(("identity", "status", "range"))
-    for reports in suites:
-        for report in reports:
-            tally[report.status] += 1
-            if args.format == "json":
-                print(json.dumps(report.to_json()))
-            elif args.format == "csv":
-                rows.writerow((report.identity, report.status, report.range))
-            else:
-                print(f"[{report.status}] {report.identity}  ({report.range})")
-                for note in report.notes:
-                    print(f"    note: {note}")
-                if report.counterexample is not None:
-                    print(f"    counterexample: {json.dumps(report.counterexample)}")
-        sys.stdout.flush()
+    worker = _Worker.start(args.nmax) if args.suite == "all" else None
+    try:
+        if worker is not None:
+            head = len(genfun.SUITES) - len(genfun._WORKER_SUITES)
+            suites = chain(islice(suites, head), worker.reports())
+        tally: Counter[str] = Counter()
+        rows = csv.writer(sys.stdout, lineterminator="\n")
+        if args.format == "csv":
+            rows.writerow(("identity", "status", "range"))
+        for reports in suites:
+            for report in reports:
+                tally[report.status] += 1
+                if args.format == "json":
+                    print(json.dumps(report.to_json()))
+                elif args.format == "csv":
+                    rows.writerow((report.identity, report.status, report.range))
+                else:
+                    print(f"[{report.status}] {report.identity}  ({report.range})")
+                    for note in report.notes:
+                        print(f"    note: {note}")
+                    if report.counterexample is not None:
+                        print(f"    counterexample: {json.dumps(report.counterexample)}")
+            sys.stdout.flush()
+    except _WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if worker is not None:
+            worker.stop()
     if args.format == "plain":
         print(
             f"{tally['verified']} verified, {tally['mismatch']} mismatched, "

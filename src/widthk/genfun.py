@@ -1070,13 +1070,15 @@ SUITE_NMAX: dict[str, int] = {
 }
 
 
-def suite_reports(name: str, n_max: int | None = None) -> Iterator[list[VerificationReport]]:
-    """
-    Check a run of one suite (or "all") and return a lazy iterator over each
-    suite's report list, in SUITES order.  The name, n_max and the cap are
-    all checked before any suite runs; each suite sweeps up to n_max, or by
-    default up to its own SUITE_NMAX bound.  A run's suites share its memo.
-    """
+#: The contiguous tail of SUITES that `verify --suite all` hands to a forked
+#: worker when a second CPU is free.  These suites walk avoidance classes and
+#: share almost no memo entries with the S_n suites before them.
+_WORKER_SUITES = ("duality", "avoidance", "counting")
+
+
+def _run_suites(names: Sequence[str], n_max: int | None) -> Iterator[list[VerificationReport]]:
+    # Check n_max, the names and the cap, in that order, before any suite
+    # runs; then a lazy iterator over each suite's reports, sharing one memo.
     if n_max is not None:
         if n_max < 0:
             raise InvalidInputError(f"nmax must be >= 0, got {n_max}")
@@ -1084,14 +1086,24 @@ def suite_reports(name: str, n_max: int | None = None) -> Iterator[list[Verifica
             raise EnumerationCapError(
                 f"nmax={n_max} exceeds enumeration cap {cap} (raise WIDTHK_MAX_N to override)"
             )
-    if name not in SUITES and name != "all":
-        choices = ", ".join([*SUITES, "all"])
-        raise InvalidInputError(f"unknown suite {name!r}; choose from: {choices}")
-    names = list(SUITES) if name == "all" else [name]
+    for name in names:
+        if name not in SUITES:
+            choices = ", ".join([*SUITES, "all"])
+            raise InvalidInputError(f"unknown suite {name!r}; choose from: {choices}")
     tops = [SUITE_NMAX[each] if n_max is None else n_max for each in names]
     check_cap(max(tops))
     caches = SweepCaches()
     return (SUITES[each](top, caches) for each, top in zip(names, tops))
+
+
+def suite_reports(name: str, n_max: int | None = None) -> Iterator[list[VerificationReport]]:
+    """
+    Check a run of one suite (or "all") and return a lazy iterator over each
+    suite's report list, in SUITES order.  The name, n_max and the cap are
+    all checked before any suite runs; each suite sweeps up to n_max, or by
+    default up to its own SUITE_NMAX bound.  A run's suites share its memo.
+    """
+    return _run_suites(list(SUITES) if name == "all" else [name], n_max)
 
 
 def run_suite(name: str, n_max: int | None = None) -> list[VerificationReport]:

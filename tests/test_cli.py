@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from widthk import genfun, perm, stats
 from widthk.cli import FORMATS, _emit_kv, _factored_g, main
-from widthk.errors import EnumerationCapError
+from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import VerificationReport
 from widthk.poly import LaurentPoly
 
@@ -690,3 +690,186 @@ def test_main_leaves_no_garbage():
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# verify --suite all in two processes: a forked worker runs the suites of
+# genfun._WORKER_SUITES while the parent runs the ones before them
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _suites_printed(out):
+    # the suites named by a plain report's status lines
+    return {line.split()[1].split("[")[0] for line in out.splitlines() if line.startswith("[")}
+
+
+def _forked(monkeypatch):
+    # forking is decided by the host's CPUs; two are granted here, and every
+    # fork is counted (the worker's own count is never read)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    _cpus(monkeypatch, 0, 1)
+    return forks
+
+
+def _cpus(monkeypatch, *cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def _both(capsys, monkeypatch, *argv):
+    # (code, out, err) forked, then in-process
+    forks = _forked(monkeypatch)
+    forked = run(capsys, *argv)
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
+    _cpus(monkeypatch, 0)
+    alone = run(capsys, *argv)
+    assert len(forks) == 1
+    return forked, alone
+
+
+def test_worker_suites_are_the_tail_of_the_registry():
+    tail = list(genfun.SUITES)[-len(genfun._WORKER_SUITES):]
+    assert tail == list(genfun._WORKER_SUITES) == ["duality", "avoidance", "counting"]
+
+
+@pytest.mark.parametrize("nmax", [None, "5"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_forked_verify_prints_the_in_process_bytes(capsys, monkeypatch, fmt, nmax):
+    argv = ("verify", "--suite", "all", "--format", fmt, *(("--nmax", nmax) if nmax else ()))
+    forked, alone = _both(capsys, monkeypatch, *argv)
+    assert forked == alone
+    assert forked[0] == 0 and forked[2] == ""
+
+
+def test_single_suites_and_one_cpu_never_fork(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    _cpus(monkeypatch, 0, 1)
+    code, out, _ = run(capsys, "verify", "--suite", "avoidance", "--nmax", "5")
+    assert code == 0 and " 0 mismatched" in out
+    _cpus(monkeypatch, 0)
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "4")
+    assert code == 0 and " 0 mismatched" in out
+
+
+def test_a_failed_fork_runs_in_process(capsys, monkeypatch):
+    def no_fork():
+        raise OSError("no more processes")
+
+    _cpus(monkeypatch, 0, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    failed = run(capsys, "verify", "--suite", "all", "--nmax", "4")
+    _cpus(monkeypatch, 0)
+    assert failed == run(capsys, "verify", "--suite", "all", "--nmax", "4")
+
+
+def test_an_error_in_a_worker_suite_is_raised_where_it_would_be(capsys, monkeypatch):
+    # the duality reports come first, then the one error line and exit 2
+    def fail(top, caches):
+        raise InvalidInputError("planted failure in avoidance")
+
+    monkeypatch.setitem(genfun.SUITES, "avoidance", fail)
+    forked, alone = _both(capsys, monkeypatch, "verify", "--suite", "all", "--nmax", "5")
+    assert forked == alone
+    code, out, err = forked
+    assert code == 2 and err == "error: planted failure in avoidance\n"
+    assert out.splitlines()[-1].split()[1].startswith("duality[")
+
+
+def test_a_worker_that_dies_gives_one_line_and_exit_1(capsys, monkeypatch):
+    monkeypatch.setitem(genfun.SUITES, "avoidance", lambda top, caches: os._exit(3))
+    forks = _forked(monkeypatch)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--nmax", "5")
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
+    assert code == 1
+    assert err == "error: verification worker exited (status 3) before reporting avoidance\n"
+    # every suite before avoidance printed its reports
+    assert _suites_printed(out) == set(genfun.SUITES) - {"avoidance", "counting"}
+
+
+@pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
+def test_a_failing_head_suite_leaves_no_worker(capsys, monkeypatch, stop):
+    def fail(top, caches):
+        raise stop("planted")
+
+    monkeypatch.setitem(genfun.SUITES, "gtable", fail)
+    forks = _forked(monkeypatch)
+    with pytest.raises(stop):
+        main(["verify", "--suite", "all", "--nmax", "5"])
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
+    assert _suites_printed(capsys.readouterr().out) == {
+        "example", "theorem", "equidistribution", "inclusion-exclusion",
+    }
+
+
+class _ClosesAfterOneLine(io.StringIO):
+    # a stdout whose reader leaves after the first line; its file descriptor
+    # is a devnull of the test's own, so main may redirect it
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError
+        return super().write(text)
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_reader_that_leaves_early_stops_the_worker(monkeypatch):
+    forks = _forked(monkeypatch)
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        out = _ClosesAfterOneLine(fd)
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--suite", "all", "--nmax", "5"])
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
+    assert out.getvalue() == "[verified] example[des]  (sigma=4136572, K={2,3})\n"
+
+
+def test_a_planted_defect_in_a_worker_suite_crosses_the_pipe(capsys, monkeypatch):
+    # one count added at q^1 of rec_312(6, 2): the recursion's family names
+    # (6, 2), and so does the q = 1 Catalan check, which reads the same
+    # function; every other family stays verified
+    def nudged(n, k, rec=genfun.rec_312):
+        counts = rec(n, k)
+        if (n, k) == (6, 2):
+            counts += LaurentPoly({1: 1})
+        return counts
+
+    monkeypatch.setattr(genfun, "rec_312", nudged)
+    monkeypatch.setitem(genfun.RECURSIONS, ((3, 1, 2),), nudged)
+    for fmt in ("plain", "json"):
+        forked, alone = _both(capsys, monkeypatch, "verify", "--suite", "all", "--format", fmt)
+        assert forked == alone
+    code, out, _ = forked
+    assert code == 1
+    broken = {
+        r["identity"]: r["counterexample"]["params"]
+        for r in map(json.loads, out.splitlines())
+        if r["status"] == "mismatch"
+    }
+    assert broken == {
+        "avoidance[rec:312]": {"n": 6, "k": 2},
+        "avoidance[catalan@1]": {"n": 6, "k": 2},
+    }
