@@ -8,7 +8,6 @@ against the others.
 """
 from .errors import EnumerationCapError, InvalidInputError
 from .genfun import (
-    VerificationReport,
     brute_distribution,
     closed_des_k,
     closed_g,
@@ -21,7 +20,6 @@ from .genfun import (
     rec_123_312,
     rec_132_213,
     rec_312,
-    run_suite,
     t_polynomial,
 )
 from .perm import (
@@ -40,6 +38,17 @@ from .poly import LaurentPoly, MultiPoly, catalan, eulerian_poly, q_factorial
 from .stats import des, des_set, exc, inv, inv_by_lcm, inv_set, maj
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The verification engine loads on first use, so that importing the
+    # package, or running any command but verify, never compiles it.
+    if name in ("VerificationReport", "run_suite"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EnumerationCapError",

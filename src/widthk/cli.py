@@ -273,7 +273,7 @@ class _WorkerLost(Exception):
 
 class _Worker:
     """
-    A forked process that runs genfun._WORKER_SUITES with a memo of its own
+    A forked process that runs verify._WORKER_SUITES with a memo of its own
     while this process runs the suites before them.  Through a pipe it
     pickles each suite's report list in turn, or the exception that stopped
     it, and it leaves by os._exit, so it never flushes stdout buffered here
@@ -300,6 +300,8 @@ class _Worker:
             return None
         import pickle  # here, not at the top: loading it slows every command's start
 
+        from . import verify
+
         read, write = os.pipe()
         try:
             pid = os.fork()
@@ -313,7 +315,7 @@ class _Worker:
                 os.close(read)
                 with os.fdopen(write, "wb") as out:
                     try:
-                        for reports in genfun._run_suites(genfun._WORKER_SUITES, n_max):
+                        for reports in verify._run_suites(verify._WORKER_SUITES, n_max):
                             pickle.dump(reports, out)
                             out.flush()
                     except Exception as exc:
@@ -324,11 +326,13 @@ class _Worker:
         os.close(write)
         return cls(pid, os.fdopen(read, "rb"))
 
-    def reports(self) -> Iterable[list[genfun.VerificationReport]]:
+    def reports(self) -> Iterable[list]:
         """Each worker suite's report list; a raised exception is raised here."""
         import pickle
 
-        for name in genfun._WORKER_SUITES:
+        from . import verify
+
+        for name in verify._WORKER_SUITES:
             try:
                 reports = pickle.load(self.pipe)
             except (EOFError, pickle.UnpicklingError):
@@ -354,15 +358,17 @@ class _Worker:
 def cmd_verify(args: argparse.Namespace) -> int:
     import csv  # here, not at the top: loading it adds 0.4 MB of peak RSS to every command
 
+    from . import verify  # here, not at the top: no other command compiles the engine
+
     # the engine checks the name, the bounds and the cap before any suite
     # runs; each suite's reports are printed as soon as it returns.  With
     # a second CPU free, "all" hands its tail suites to a forked worker and
     # prints their reports after its own, in SUITES order.
-    suites = genfun.suite_reports(args.suite, args.nmax)
+    suites = verify.suite_reports(args.suite, args.nmax)
     worker = _Worker.start(args.nmax) if args.suite == "all" else None
     try:
         if worker is not None:
-            head = len(genfun.SUITES) - len(genfun._WORKER_SUITES)
+            head = len(verify.SUITES) - len(verify._WORKER_SUITES)
             suites = chain(islice(suites, head), worker.reports())
         tally: Counter[str] = Counter()
         rows = csv.writer(sys.stdout, lineterminator="\n")

@@ -10,17 +10,11 @@ import subprocess
 import sys
 import time
 
-from widthk.genfun import (
-    GTABLE_REFERENCE,
-    closed_g,
-    factored_form,
-    g_table,
-    rec_312,
-    run_suite,
-)
+from widthk.genfun import closed_g, factored_form, g_table, rec_312
 from widthk.perm import avoidance_class
 from widthk.poly import catalan
 from widthk.stats import des, des_set, exc, inv, inv_set, maj
+from widthk.verify import GTABLE_REFERENCE, run_suite
 
 W = (4, 1, 3, 6, 5, 7, 2)
 K = (2, 3)

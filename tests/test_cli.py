@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthk import genfun, perm, stats
+from widthk import genfun, perm, stats, verify
 from widthk.cli import FORMATS, _emit_kv, _factored_g, main
 from widthk.errors import EnumerationCapError, InvalidInputError
-from widthk.genfun import VerificationReport
 from widthk.poly import LaurentPoly
+from widthk.verify import VerificationReport
 
 
 def run(capsys, *argv):
@@ -438,7 +438,7 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     bad = VerificationReport(
         "fake[x]", "n=1", "mismatch", {"params": {"n": 1}, "lhs": 0, "rhs": 1}
     )
-    monkeypatch.setitem(genfun.SUITES, "example", lambda n_max=None, caches=None: [bad])
+    monkeypatch.setitem(verify.SUITES, "example", lambda n_max=None, caches=None: [bad])
     code, out, _ = run(capsys, "verify", "--suite", "example")
     assert code == 1
     assert "[mismatch] fake[x]" in out
@@ -450,7 +450,7 @@ def test_verify_streams_each_suite(capsys, monkeypatch):
     def fail(n_max=None, caches=None):
         raise RuntimeError("theorem suite failed")
 
-    monkeypatch.setitem(genfun.SUITES, "theorem", fail)
+    monkeypatch.setitem(verify.SUITES, "theorem", fail)
     with pytest.raises(RuntimeError):
         main(["verify"])
     lines = capsys.readouterr().out.splitlines()
@@ -546,7 +546,7 @@ _ARGV = st.one_of(
     _argv("gtable", _req("--n", _N_LIST), _FORMAT),
     _argv(
         "verify",
-        _opt("--suite", _choice(*genfun.SUITES, "all", "nope")),
+        _opt("--suite", _choice(*verify.SUITES, "all", "nope")),
         _req("--nmax", st.integers(-1, 5).map(str)),
         _FORMAT,
     ),
@@ -585,10 +585,10 @@ def test_verify_under_a_lowered_cap_exits_2(capsys, monkeypatch):
         assert err == "error: n=9 exceeds enumeration cap 8\n"
 
 
-@pytest.mark.parametrize("name", list(genfun.SUITES))
+@pytest.mark.parametrize("name", list(verify.SUITES))
 def test_each_suite_runs_at_its_declared_bound(capsys, monkeypatch, name):
     # example enumerates nothing, so it runs at WIDTHK_MAX_N=0
-    bound = genfun.SUITE_NMAX[name]
+    bound = verify.SUITE_NMAX[name]
     monkeypatch.setenv("WIDTHK_MAX_N", str(bound))
     code, out, err = run(capsys, "verify", "--suite", name)
     assert code == 0 and err == ""
@@ -598,9 +598,9 @@ def test_each_suite_runs_at_its_declared_bound(capsys, monkeypatch, name):
         # the bound is tight: the suite itself reaches n = bound (run_suite
         # refuses before calling it, so the suite is called directly)
         with pytest.raises(EnumerationCapError):
-            genfun.SUITES[name](bound, genfun.SweepCaches())
+            verify.SUITES[name](bound, verify.SweepCaches())
         with pytest.raises(EnumerationCapError):
-            genfun.run_suite(name)
+            verify.run_suite(name)
         code, out, err = run(capsys, "verify", "--suite", name)
         assert code == 2 and out == ""
         assert err == f"error: n={bound} exceeds enumeration cap {bound - 1}\n"
@@ -694,7 +694,7 @@ def test_main_leaves_no_garbage():
 
 # ---------------------------------------------------------------------------
 # verify --suite all in two processes: a forked worker runs the suites of
-# genfun._WORKER_SUITES while the parent runs the ones before them
+# verify._WORKER_SUITES while the parent runs the ones before them
 
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -738,8 +738,8 @@ def _both(capsys, monkeypatch, *argv):
 
 
 def test_worker_suites_are_the_tail_of_the_registry():
-    tail = list(genfun.SUITES)[-len(genfun._WORKER_SUITES):]
-    assert tail == list(genfun._WORKER_SUITES) == ["duality", "avoidance", "counting"]
+    tail = list(verify.SUITES)[-len(verify._WORKER_SUITES):]
+    assert tail == list(verify._WORKER_SUITES) == ["duality", "avoidance", "counting"]
 
 
 @pytest.mark.parametrize("nmax", [None, "5"])
@@ -780,7 +780,7 @@ def test_an_error_in_a_worker_suite_is_raised_where_it_would_be(capsys, monkeypa
     def fail(top, caches):
         raise InvalidInputError("planted failure in avoidance")
 
-    monkeypatch.setitem(genfun.SUITES, "avoidance", fail)
+    monkeypatch.setitem(verify.SUITES, "avoidance", fail)
     forked, alone = _both(capsys, monkeypatch, "verify", "--suite", "all", "--nmax", "5")
     assert forked == alone
     code, out, err = forked
@@ -789,7 +789,7 @@ def test_an_error_in_a_worker_suite_is_raised_where_it_would_be(capsys, monkeypa
 
 
 def test_a_worker_that_dies_gives_one_line_and_exit_1(capsys, monkeypatch):
-    monkeypatch.setitem(genfun.SUITES, "avoidance", lambda top, caches: os._exit(3))
+    monkeypatch.setitem(verify.SUITES, "avoidance", lambda top, caches: os._exit(3))
     forks = _forked(monkeypatch)
     code, out, err = run(capsys, "verify", "--suite", "all", "--nmax", "5")
     assert forks == [os.getpid()]
@@ -797,7 +797,7 @@ def test_a_worker_that_dies_gives_one_line_and_exit_1(capsys, monkeypatch):
     assert code == 1
     assert err == "error: verification worker exited (status 3) before reporting avoidance\n"
     # every suite before avoidance printed its reports
-    assert _suites_printed(out) == set(genfun.SUITES) - {"avoidance", "counting"}
+    assert _suites_printed(out) == set(verify.SUITES) - {"avoidance", "counting"}
 
 
 @pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
@@ -805,7 +805,7 @@ def test_a_failing_head_suite_leaves_no_worker(capsys, monkeypatch, stop):
     def fail(top, caches):
         raise stop("planted")
 
-    monkeypatch.setitem(genfun.SUITES, "gtable", fail)
+    monkeypatch.setitem(verify.SUITES, "gtable", fail)
     forks = _forked(monkeypatch)
     with pytest.raises(stop):
         main(["verify", "--suite", "all", "--nmax", "5"])

@@ -18,17 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthk
-from widthk import genfun, perm, poly, stats
+from widthk import genfun, perm, poly, stats, verify
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import (
     CLOSED_INV,
-    GTABLE_REFERENCE,
     PRODUCTS,
     RECURSIONS,
-    SUITE_NMAX,
-    SUITES,
-    SweepCaches,
-    VerificationReport,
     brute_distribution,
     closed_des_k,
     closed_g,
@@ -46,8 +41,6 @@ from widthk.genfun import (
     rec_123_312,
     rec_132_213,
     rec_312,
-    run_suite,
-    suite_reports,
     t_polynomial,
 )
 from widthk.perm import _joint_descents, avoidance_class, enumerate_sn, format_perm
@@ -59,6 +52,15 @@ from widthk.poly import (
     catalan,
     eulerian_poly,
     q_factorial,
+)
+from widthk.verify import (
+    GTABLE_REFERENCE,
+    SUITE_NMAX,
+    SUITES,
+    SweepCaches,
+    VerificationReport,
+    run_suite,
+    suite_reports,
 )
 
 
@@ -863,7 +865,7 @@ class TestGradedDistributions:
         caches = SweepCaches()
         agree = 0
         for n in range(3, 9):
-            for ks in genfun._width_subsets(n):
+            for ks in verify._width_subsets(n):
                 if len(ks) >= 2:
                     same = caches.dist(n, "inv", ks) == caches.dist(n, "maj", ks)
                     assert same == (2 * min(ks) >= n), (n, ks)
@@ -882,7 +884,7 @@ class TestGradedDistributions:
     def test_dist_matches_enumeration_at_every_width_set(self, statistic, pats):
         caches = SweepCaches()
         for n in range(1, 7):
-            for ks in genfun._width_subsets(max(n, 2)):
+            for ks in verify._width_subsets(max(n, 2)):
                 args = (n, statistic, ks, pats)
                 assert caches.dist(*args) == brute_distribution(*args), args
 
@@ -891,7 +893,7 @@ class TestGradedDistributions:
         # exc at every single width, maj at every width set
         caches = SweepCaches()
         for n in range(1, 8):
-            for ks in genfun._width_subsets(max(n, 2), 1 if statistic == "exc" else None):
+            for ks in verify._width_subsets(max(n, 2), 1 if statistic == "exc" else None):
                 args = (n, statistic, ks)
                 assert caches.dist(*args) == brute_distribution(*args), args
 
@@ -992,13 +994,13 @@ class TestGradedDistributions:
     def test_planted_exc_defect_is_reported_alone(self, monkeypatch):
         # one count of exc_2 over S_5 moved up by one: des=exc must name
         # exactly (5, 2), and the families that read no exc stay verified
-        def shifted(n, k, dp=genfun._sn_excedances):
+        def shifted(n, k, dp=perm._sn_excedances):
             counts = dp(n, k)
             if (n, k) == (5, 2):
                 counts += LaurentPoly({0: -1, 1: 1})
             return counts
 
-        monkeypatch.setattr(genfun, "_sn_excedances", shifted)
+        monkeypatch.setattr(perm, "_sn_excedances", shifted)
         reports = {r.identity: r for r in run_suite("equidistribution", n_max=6)}
         des_exc = reports["equidistribution[des=exc]"]
         assert des_exc.status == "mismatch"
@@ -1009,13 +1011,13 @@ class TestGradedDistributions:
     def test_planted_maj_defect_is_reported_alone(self, monkeypatch):
         # one count of maj_2 over S_5 moved up by one: inv=maj must name
         # exactly (5, 2), and the families that read no maj stay verified
-        def shifted(n, widths, dp=genfun._sn_majors):
+        def shifted(n, widths, dp=perm._sn_majors):
             counts = dp(n, widths)
             if (n, widths) == (5, (2,)):
                 counts += LaurentPoly({0: -1, 1: 1})
             return counts
 
-        monkeypatch.setattr(genfun, "_sn_majors", shifted)
+        monkeypatch.setattr(perm, "_sn_majors", shifted)
         reports = {r.identity: r for r in run_suite("equidistribution", n_max=6)}
         inv_maj = reports["equidistribution[inv=maj]"]
         assert inv_maj.status == "mismatch"
@@ -1027,13 +1029,13 @@ class TestGradedDistributions:
         # one count of G[8,3] moved from q^0 to q^1, which keeps its sum: the
         # reference row and closed_g must both name k = 3, while the other
         # rows and the q = 1 sizes stay verified
-        def shifted(n, k, dp=genfun._sn_g):
+        def shifted(n, k, dp=perm._sn_g):
             counts = dp(n, k)
             if (n, k) == (8, 3):
                 counts += LaurentPoly({0: -1, 1: 1})
             return counts
 
-        monkeypatch.setattr(genfun, "_sn_g", shifted)
+        monkeypatch.setattr(perm, "_sn_g", shifted)
         reports = {
             r.identity: r
             for suite in ("gtable", "conjecture", "counting")

@@ -5,7 +5,7 @@ SweepCaches.dist with brute_distribution, which counts through the scanner.
 A comparison checks something only while its two sides share no rule: in
 stats, the per-word sets, inv_by_lcm and the lcm expansion never name the
 scanner, nor the scanner them; in genfun, only brute_distribution names the
-scanner."""
+scanner, and nothing in verify names it."""
 
 import ast
 import pathlib
@@ -25,7 +25,7 @@ def _names(node: ast.AST):
             yield sub.lineno, sub.attr
 
 
-def _crossings(stats_source: str, genfun_source: str) -> list[str]:
+def _crossings(stats_source: str, genfun_source: str, verify_source: str) -> list[str]:
     found = []
     for fn in ast.parse(stats_source).body:
         if not isinstance(fn, ast.FunctionDef):
@@ -40,15 +40,19 @@ def _crossings(stats_source: str, genfun_source: str) -> list[str]:
         if isinstance(node, ast.FunctionDef) and node.name == "brute_distribution":
             continue
         found += [f"genfun.py:{line}: {name}" for line, name in _names(node) if name == "scanner"]
+    for node in ast.parse(verify_source).body:
+        found += [f"verify.py:{line}: {name}" for line, name in _names(node) if name == "scanner"]
     return found
 
 
 def test_scanner_and_per_word_sets_share_no_rule():
     stats_source = (PACKAGE / "stats.py").read_text()
     genfun_source = (PACKAGE / "genfun.py").read_text()
+    verify_source = (PACKAGE / "verify.py").read_text()
     assert "def scanner(" in stats_source and "def _lcm_terms(" in stats_source
     assert "def brute_distribution(" in genfun_source
-    assert _crossings(stats_source, genfun_source) == []
+    assert "class SweepCaches:" in verify_source and "def suite_theorem(" in verify_source
+    assert _crossings(stats_source, genfun_source, verify_source) == []
 
 
 def test_the_check_sees_a_crossing():
@@ -65,14 +69,22 @@ def test_the_check_sees_a_crossing():
     genfun_source = (
         "def brute_distribution(n, statistic, widths):\n"
         "    return stats.scanner(statistic, n, widths)\n"
+        "def t_polynomial(n):\n"
+        "    return stats.scanner('des', n, 1)\n"
+        "count = scanner\n"
+    )
+    verify_source = (
         "class SweepCaches:\n"
         "    def dist(self, n):\n"
         "        return stats.scanner('des', n, 1)\n"
-        "count = scanner\n"
+        "def suite_theorem(top, caches):\n"
+        "    return scanner\n"
     )
-    assert _crossings(stats_source, genfun_source) == [
+    assert _crossings(stats_source, genfun_source, verify_source) == [
         "stats.py:2: des_set names scanner",
         "stats.py:6: scanner names _lcm_terms",
+        "genfun.py:4: scanner",
         "genfun.py:5: scanner",
-        "genfun.py:6: scanner",
+        "verify.py:3: scanner",
+        "verify.py:5: scanner",
     ]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from widthk import perm, stats
 from widthk.errors import EnumerationCapError, InvalidInputError
-from widthk.genfun import SweepCaches
+from widthk.verify import SweepCaches
 from widthk.perm import (
     _class_walk,
     _digits,

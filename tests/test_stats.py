@@ -140,6 +140,28 @@ def test_width_one_reduces_to_classical():
         assert exc(w, 1) == e
 
 
+# One word per statistic on which widths 1 and 2 give different counts,
+# with the counts at width 1 and at width 2.
+DEFAULT_WIDTH_WITNESSES = [
+    (des, (3, 2, 1), 2, 1),
+    (inv, (3, 1, 2), 2, 1),
+    (exc, (2, 3, 1), 2, 1),
+    (maj, (1, 3, 2), 2, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "statistic, witness, at_1, at_2", DEFAULT_WIDTH_WITNESSES, ids=["des", "inv", "exc", "maj"]
+)
+def test_the_default_width_is_1(statistic, witness, at_1, at_2):
+    # every width gives 0 on words of length 0 and 1, so only longer words
+    # tell the default width from width 2
+    assert (statistic(witness), statistic(witness, 1), statistic(witness, 2)) == (at_1, at_1, at_2)
+    for n in range(3, 7):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert statistic(w) == statistic(w, 1), w
+
+
 def test_width_at_least_n_is_trivial():
     assert des(W, 7) == 0
     assert des(W, 12) == 0

@@ -1,13 +1,13 @@
 """Every verification suite reads its distributions through the run's
 SweepCaches: t_poly for a whole joint polynomial, dist for one
-distribution.  No suite_* function in genfun, nor any helper nested in one,
+distribution.  No suite_* function in verify, nor any helper nested in one,
 names a counting program, a grading call or an unmemoized constructor, so
 each distribution stays counted once per run."""
 
 import ast
 import pathlib
 
-GENFUN = pathlib.Path(__file__).resolve().parents[1] / "src" / "widthk" / "genfun.py"
+VERIFY = pathlib.Path(__file__).resolve().parents[1] / "src" / "widthk" / "verify.py"
 DIRECT = {"_sn_excedances", "_sn_majors", "_sn_g", "grade", "t_polynomial", "g_table"}
 
 
@@ -30,7 +30,7 @@ def _direct_reads(source: str) -> list[str]:
 
 
 def test_suites_read_distributions_only_through_the_memo():
-    source = GENFUN.read_text()
+    source = VERIFY.read_text()
     assert "def suite_theorem(" in source
     assert _direct_reads(source) == []
 
