@@ -17,8 +17,9 @@ to last (`binomial_product`), and so does each level of a sum over
 compositions of n (`compositions`).  A packed integer holds coefficient i in
 bits [i*slot, (i+1)*slot), where `_slot_bits` picks a slot of 8, 16, 32 or
 64 bits, or whole bytes above that, for the largest coefficient; `_unpack`
-reads every slot up to the top nonzero one.  Only this module turns packed
-integers into bytes and back.  MultiPoly tracks one exponent per named
+reads every slot up to the top nonzero one.  The same slots hold the lanes
+of `stats.scanner`, one word of a batch per slot (`_columns`, `_lanes`).
+Only this module turns packed integers into bytes and back.  MultiPoly tracks one exponent per named
 variable, is stored sparsely, and is used for joint descent distributions.
 Coefficients are plain Python ints, so nothing here ever rounds.
 
@@ -35,7 +36,7 @@ import operator
 import sys
 from array import array
 from collections import Counter
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
@@ -88,6 +89,38 @@ def _unpack(packed: int, slot: int) -> list[int]:
     if code:
         return array(code, raw).tolist()
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _columns(words: Sequence[Sequence[int]], bits: int) -> tuple[int, list[int]]:
+    # The columns of a batch of words of nonnegative integers, column j
+    # packed by _pack with word i's letter j in slot i, in the narrowest
+    # slot that holds values of `bits` bits and leaves the top bit of every
+    # letter clear; returns the slot and the columns.  bytes() packs an
+    # 8-bit slot and isascii() checks its top bits, with no pass in Python;
+    # a word alone is its own columns.
+    if len(words) > 1 and bits < 8:
+        try:
+            raw = list(map(bytes, zip(*words)))  # ValueError: a letter above 255
+            if b"".join(raw).isascii():
+                return 8, list(map(int.from_bytes, raw, repeat("little")))
+        except ValueError:
+            pass
+    letters = list(chain.from_iterable(words))
+    if min(letters) < 0:
+        raise InvalidInputError("letters must be nonnegative")
+    slot = _slot_bits(max(bits, max(letters).bit_length()) + 1)
+    if len(words) == 1:
+        return slot, letters
+    return slot, [_pack(column, slot) for column in zip(*words)]
+
+
+def _lanes(packed: int, slot: int, m: int) -> list[int]:
+    # The m slots of a packed integer, lowest first, zero slots included; a
+    # single slot is the integer itself.
+    if m == 1:
+        return [packed]
+    out = _unpack(packed, slot)
+    return out + [0] * (m - len(out))
 
 
 def _signed_sum(bodies: Iterable[str]) -> str:

@@ -10,9 +10,16 @@ widths counts once.  Indices are 1-based throughout, matching the usual
 one-line conventions.
 
 The counts des, inv, maj and exc come from `scanner`, which counts a
-whole batch of words at once: the widths are normalized once, the batch is
-transposed once into columns, and each compared pair of positions costs one
-C-level pass over the batch.  A single word is a batch of one.
+whole batch of words at once, in lanes: each position's column of the batch
+is one packed integer whose lane i holds word i's letter, and each compared
+pair of positions is one broadword comparison of two columns (Lamport,
+"Multiple byte processing with full-word instructions", CACM 18(8), 1975),
+so a pair costs a few big-integer operations whatever the batch's size.
+The words are words of distinct nonnegative integers.  A single word is a
+batch of one.
+
+>>> scanner("des", 4, 1)([(2, 1, 4, 3), (1, 2, 3, 4), (300, 5, 200, 0)])
+[2, 0, 2]
 
 The per-word sets des_set and inv_set come straight from the definitions,
 and `_lcm_terms` is the one inclusion-exclusion expansion of a width set,
@@ -23,11 +30,12 @@ that compare it with the per-word sets compare two routes, not one.
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress, repeat
-from operator import gt, itemgetter
+from itertools import combinations
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError
+from .poly import _columns, _lanes
 
 Widths = int | Iterable[int]
 
@@ -143,17 +151,19 @@ def scanner(
     statistic: str, n: int, widths: Widths
 ) -> Callable[[Sequence[Sequence[int]]], list[int]]:
     """
-    A counter of a statistic at the given widths over a batch of words of
-    length n, the widths normalized once: it maps a list of words to the
-    list of their counts, every count an int.  des, inv and maj transpose
-    the batch once into columns, compare the columns of every pair of
-    positions (i, i + d) in one map(gt) pass, and sum each word's row of
-    comparisons in C: des over the gaps d = k, inv over the distinct gaps
-    that some width divides (a pair has one gap), and maj over the weights
-    ceil(i/k) of the width-k descents that the row selects.  exc slices
-    each block b = a_i a_(i+k) ... out of every word in one pass per block
-    and counts the letters b_t above the t-th smallest letter of b, which is
-    rank(b_t) > t without standardizing.  No Python code runs per word.
+    A counter of a statistic at the given widths over a batch of m words of
+    length n, each a word of distinct nonnegative integers: it maps a list
+    of words to the list of their counts, every count an int.  It counts in
+    lanes of L bits, wide enough that every letter and every count of the
+    batch is below 2^(L-1).  Column p of the batch packs into one integer
+    whose lane i holds word i's letter at p; with ONE a 1 in every lane and
+    G = ONE << (L-1), lane i of ((A | G) - B - ONE) & G is G exactly when
+    a_i > b_i, and no borrow crosses a lane.  So one comparison of two
+    columns covers the whole batch: des sums it over the pairs (i, i + k),
+    inv over the pairs whose gap some width divides, and maj weights each
+    width-k pair by ceil((i + 1)/k).  exc sums, within each block
+    b = a_i a_(i+k) ..., one comparison per pair into the rank R_t of every
+    letter, and counts the letters with R_t > t.
 
     >>> scanner("inv", 7, (2, 3))([(4, 1, 3, 6, 5, 7, 2), (1, 2, 3, 4, 5, 6, 7)])
     [5, 0]
@@ -161,34 +171,43 @@ def scanner(
     if statistic not in STATISTICS:
         raise InvalidInputError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
     ks = normalize_widths(widths, n)
-
-    def zeros(words: Sequence[Sequence[int]]) -> list[int]:
-        return [0] * len(words)
-
+    pairs: list[tuple[int, int]] = []
+    weights: list[int] = []
+    blocks: list[slice] = []
     if statistic == "exc":  # blocks of one letter have no excedance
-        blocks = [itemgetter(slice(i, None, k)) for k in ks for i in range(min(k, n - k))]
-        if not blocks:
-            return zeros
-
-        def count_exc(words: Sequence[Sequence[int]]) -> list[int]:
-            sums = []
-            for block in blocks:
-                bs = list(map(block, words))
-                sums.append(map(sum, map(map, repeat(gt), bs, map(sorted, bs))))
-            return list(map(sum, zip(*sums)))
-
-        return count_exc
-    gaps = {d for k in ks for d in range(k, n, k)} if statistic == "inv" else ks
-    pairs = [(i, i + d) for d in gaps for i in range(n - d)]
-    if not pairs:
-        return zeros  # no pair to compare
-    weights = [i // d + 1 for d in gaps for i in range(n - d)] if statistic == "maj" else None
+        blocks = [slice(i, None, k) for k in ks for i in range(min(k, n - k))]
+        most = n * len(ks)  # above every rank and every count
+    else:
+        gaps = {d for k in ks for d in range(k, n, k)} if statistic == "inv" else ks
+        pairs = [(i, i + d) for d in gaps for i in range(n - d)]
+        if statistic == "maj":
+            weights = [i // d + 1 for d in gaps for i in range(n - d)]
+        most = sum(weights) or len(pairs)  # the largest count
 
     def count(words: Sequence[Sequence[int]]) -> list[int]:
-        cols = list(zip(*words)) or [()] * n  # no word, no letter in any column
-        rows = zip(*[map(gt, cols[i], cols[j]) for i, j in pairs])
-        if weights:
-            rows = map(compress, repeat(weights), rows)
-        return list(map(sum, rows))  # sum makes a single pair's bool an int
+        m = len(words)
+        if not m or not (pairs or blocks):
+            return [0] * m  # no pair to compare
+        slot, cols = _columns(words, most.bit_length())
+        one = ((1 << slot * m) - 1) // ((1 << slot) - 1)  # a 1 in every lane
+        high, shift = one << (slot - 1), slot - 1
+
+        # lane i of ((a | high) - b - one & high) >> shift is 1 exactly when a_i > b_i
+        above = [((cols[i] | high) - cols[j] - one & high) >> shift for i, j in pairs]
+        total = sum(map(mul, above, weights)) if weights else sum(above)
+        for block in blocks:
+            b = cols[block]
+            ranks = []  # lane i of ranks[t]: the letters of b below b_t
+            for t, bt in enumerate(b):
+                rank, bt1 = t * one, bt + one  # as if every earlier letter were below
+                for s in range(t):
+                    d = ((b[s] | high) - bt1 & high) >> shift  # b_s > b_t
+                    ranks[s] += d
+                    rank -= d  # the letters are distinct
+                ranks.append(rank)
+            # b_t is an excedance when its rank exceeds t, which the last rank cannot
+            for t, rank in enumerate(ranks[:-1]):
+                total += ((rank | high) - (t + 1) * one & high) >> shift
+        return _lanes(total, slot, m)
 
     return count

@@ -304,6 +304,99 @@ def test_scanner_on_empty_words_and_empty_batches():
     assert (des(()), inv((1,)), maj(()), exc((1,))) == (0, 0, 0, 0)
 
 
+def _lane_words(rng, letters, count):
+    # the increasing and the decreasing word on `letters`, which give the
+    # smallest and the largest counts, then `count` shuffles of them
+    words = [tuple(sorted(letters)), tuple(sorted(letters, reverse=True))]
+    for _ in range(count):
+        word = list(letters)
+        rng.shuffle(word)
+        words.append(tuple(word))
+    return words
+
+
+@pytest.mark.parametrize("n", [9, 15, 16, 17, 127, 128, 129, 255, 256, 300])
+def test_scanner_matches_per_word_definitions_across_lane_widths(n):
+    # the lanes widen from 8 to 16 to 32 bits as the letters and the counts
+    # grow: inv at n = 17 reaches 136 and at n >= 24 more than 255, and the
+    # letters of 1..n reach 128 at n = 128 and 256 at n = 256
+    rng = random.Random(n)
+    words = _lane_words(rng, range(1, n + 1), 3)
+    for widths in (1, 2, (1, 3, n // 2)):
+        for name in STATISTICS:
+            expected = [per_word(name, w, widths) for w in words]
+            assert scanner(name, n, widths)(words) == expected, (n, name, widths)
+
+
+@pytest.mark.parametrize("top", [127, 128, 255, 256, 2**15, 2**31, 2**63, 2**70])
+def test_scanner_sizes_lanes_from_the_largest_letter(top):
+    # letters far above n: the lanes follow the batch's largest letter (the
+    # last three need 64-bit and wider slots), never n
+    rng = random.Random(top)
+    for n in (3, 5, 9):
+        words = _lane_words(rng, [0, top, *rng.sample(range(1, min(top, 2**62)), n - 2)], 4)
+        for widths in (1, 2, (1, 2)):
+            for name in STATISTICS:
+                expected = [per_word(name, w, widths) for w in words]
+                assert scanner(name, n, widths)(words) == expected, (top, n, name, widths)
+    assert des((300, 200)) == 1 and inv((0, 2**70, 5)) == 1
+    assert exc((9, 300, 1)) == 2 and maj((256, 0, 128)) == 1
+
+
+def test_negative_letters_are_invalid_input():
+    # the lanes hold nonnegative letters; a negative one raises, alone or in
+    # a batch, in 8-bit lanes or wider ones
+    for words in ([(1, -2, 3)], [(1, 2, 3), (1, -2, 3)], [(300, 1, -1)], [(3, 2, 1), (-300, 1, 2)]):
+        for name in STATISTICS:
+            with pytest.raises(InvalidInputError, match="nonnegative"):
+                scanner(name, 3, 1)(words)
+
+
+def test_adjacent_lanes_hold_the_largest_and_the_smallest_letter():
+    # words and their reverses alternate, so at every position one lane
+    # holds the largest letter and the next the smallest; at n = 128, des at
+    # width 1 fills 8-bit lanes to the top (letters 0..127, counts <= 127),
+    # and one more letter or one more count takes 16 bits
+    for letters in (range(128), range(129), range(1, 129), range(300)):
+        n = len(letters)
+        rng = random.Random(n)
+        words = []
+        for _ in range(4):
+            word = list(letters)
+            rng.shuffle(word)
+            words += [tuple(word), tuple(reversed(word))]
+        words += [tuple(letters), tuple(reversed(letters))]
+        for widths in (1, n - 1, (1, 2)):
+            for name in STATISTICS:
+                expected = [per_word(name, w, widths) for w in words]
+                assert scanner(name, n, widths)(words) == expected, (n, name, widths)
+
+
+def test_scanner_counts_any_split_of_a_wide_batch_alike():
+    # 16-bit lanes (letters up to 129): cutting the batch anywhere, or
+    # counting each word alone, gives the same counts
+    rng = random.Random(129)
+    words = _lane_words(rng, range(1, 130), 9)
+    for name in STATISTICS:
+        count = scanner(name, 129, (1, 4))
+        whole = count(words)
+        for cut in range(len(words) + 1):
+            assert count(words[:cut]) + count(words[cut:]) == whole, (name, cut)
+        assert [count([w])[0] for w in words] == whole
+
+
+@pytest.mark.parametrize("pats", ["12", "21"])
+def test_brute_distribution_above_the_8_bit_lanes(pats, monkeypatch):
+    # Av_130(12) and Av_130(21) hold one word each, whose letters reach 130
+    # and whose inv reaches 8385
+    monkeypatch.setenv("WIDTHK_MAX_N", "130")
+    (word,) = avoidance_class(130, parse_patterns(pats))
+    for name in STATISTICS:
+        for widths in (1, 2, (2, 3)):
+            expected = LaurentPoly({per_word(name, word, widths): 1})
+            assert brute_distribution(130, name, widths, parse_patterns(pats)) == expected
+
+
 def test_counts_are_ints_never_bools():
     # one compared pair (des at width n - 1) gives a bool per word before
     # the sum; a bool key would print as True/False
