@@ -134,8 +134,10 @@ def exc(word: Sequence[int], widths: Widths = 1) -> int:
     """
     Width-k excedance count: the classical excedances of the standardized
     blocks a_i a_(i+k) a_(i+2k) ... for i = 1..k, summed over blocks and
-    over the widths.
+    over the widths.  A repeated letter raises InvalidInputError.
     """
+    if len(set(word)) != len(word):  # the scanner's ranks need distinct letters
+        raise InvalidInputError(f"entries must be distinct: {tuple(word)!r}")
     return scanner("exc", len(word), widths)([word])[0]
 
 

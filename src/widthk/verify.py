@@ -174,10 +174,36 @@ class SweepCaches:
 # verification suites
 #
 # Each suite declares its identity families as lazy generators of
-# (params, lhs, rhs) cases and hands each one to _check.
+# (params, lhs, rhs) cases and hands each one to _check.  A family swept over
+# (n, k) or (n, K) takes its cells and its range string from one grid, _nk or
+# _nK, so the string names exactly the cells the family walks; one case per
+# (n, k) is one call of _each_nk.  Families that sweep classes, fixed words
+# or the gtable rows keep their own loops.
 
 _EXAMPLE_WORD = (4, 1, 3, 6, 5, 7, 2)
 _EXAMPLE_WIDTHS = (2, 3)
+
+
+def _nk(top: int) -> tuple[str, list[tuple[int, int]]]:
+    # every (n, k) with 2 <= n <= top and 1 <= k <= n-1, and its range string
+    return f"2<=n<={top}, 1<=k<=n-1", [(n, k) for n in range(2, top + 1) for k in range(1, n)]
+
+
+def _nK(top: int, least: int = 1, most: int | None = None) -> tuple[str, list[tuple]]:
+    # every (n, K) with 2 <= n <= top and K a subset of [n-1] with least <= |K| <= most,
+    # and its range string, which names one size bound: most if given
+    size = f" with |K|<={most}" if most else f" with |K|>={least}" if least > 1 else ""
+    swept = f"2<=n<={top}, {'' if size else 'nonempty '}K subsets of [n-1]{size}"
+    return swept, [
+        (n, K) for n in range(2, top + 1) for K in _width_subsets(n, most) if len(K) >= least
+    ]
+
+
+def _each_nk(identity: str, top: int, sides: Callable, suffix="", keep=lambda n, k: True):
+    # one case {"n": n, "k": k}, *sides(n, k) per cell of _nk(top) that keep admits
+    swept, cells = _nk(top)
+    cases = (({"n": n, "k": k}, *sides(n, k)) for n, k in cells if keep(n, k))
+    return _check(identity, swept + suffix, cases)
 
 
 def suite_example(top: int, caches: SweepCaches):
@@ -207,16 +233,13 @@ def suite_example(top: int, caches: SweepCaches):
 
 def suite_theorem(top: int, caches: SweepCaches):
     """Brute-force des_k and inv_k over S_n against their closed forms."""
-    swept = f"2<=n<={top}, 1<=k<=n-1"
 
-    def cases(statistic: str, closed: Callable[[int, int], LaurentPoly]) -> Iterator[Case]:
-        for n in range(2, top + 1):
-            for k in range(1, n):
-                yield {"n": n, "k": k}, caches.dist(n, statistic, (k,)), closed(n, k)
+    def sides(statistic: str, closed: Callable[[int, int], LaurentPoly]):
+        return lambda n, k: (caches.dist(n, statistic, (k,)), closed(n, k))
 
     return [
-        _check("theorem[des]", swept, cases("des", genfun.closed_des_k)),
-        _check("theorem[inv]", swept, cases("inv", genfun.closed_inv_k)),
+        _each_nk("theorem[des]", top, sides("des", genfun.closed_des_k)),
+        _each_nk("theorem[inv]", top, sides("inv", genfun.closed_inv_k)),
     ]
 
 
@@ -233,25 +256,23 @@ def suite_equidistribution(top: int, caches: SweepCaches):
     k >= n/2.  Also reports, without asserting, how inv and maj compare on
     width sets of size >= 2, where no equidistribution is claimed.
     """
-    swept = f"2<=n<={top}, 1<=k<=n-1"
 
-    def cases(left: str, right: str, least_k=lambda n: 1) -> Iterator[Case]:
-        for n in range(2, top + 1):
-            for k in range(least_k(n), n):
-                yield {"n": n, "k": k}, caches.dist(n, left, (k,)), caches.dist(n, right, (k,))
+    def sides(left: str, right: str):
+        return lambda n, k: (caches.dist(n, left, (k,)), caches.dist(n, right, (k,)))
 
     reports = [
-        _check("equidistribution[des=exc]", swept, cases("des", "exc")),
-        _check("equidistribution[inv=maj]", swept, cases("inv", "maj")),
-        _check(
+        _each_nk("equidistribution[des=exc]", top, sides("des", "exc")),
+        _each_nk("equidistribution[inv=maj]", top, sides("inv", "maj")),
+        _each_nk(
             "equidistribution[des=inv|2k>=n]",
-            swept,
-            cases("des", "inv", least_k=lambda n: (n + 1) // 2),
+            top,
+            sides("des", "inv"),
+            keep=lambda n, k: 2 * k >= n,
         ),
     ]
 
     info_top = min(top, 7)
-    width_sets = [(n, K) for n in range(2, info_top + 1) for K in _width_subsets(n) if len(K) >= 2]
+    info_range, width_sets = _nK(info_top, least=2)
     agree = [caches.dist(n, "inv", K) == caches.dist(n, "maj", K) for n, K in width_sets]
     equal, total = sum(agree), len(agree)
     first_diff = next((pair for pair, same in zip(width_sets, agree) if not same), None)
@@ -265,10 +286,7 @@ def suite_equidistribution(top: int, caches: SweepCaches):
         note += f"; first difference at n={n0}, K={{{','.join(map(str, k0))}}}"
     reports.append(
         VerificationReport(
-            "equidistribution[inv_K=maj_K|info]",
-            f"2<=n<={info_top}, K subsets of [n-1] with |K|>=2",
-            "not-applicable",
-            notes=(note,),
+            "equidistribution[inv_K=maj_K|info]", info_range, "not-applicable", notes=(note,)
         )
     )
     return reports
@@ -293,14 +311,16 @@ def suite_inclusion_exclusion(top: int, caches: SweepCaches):
         for route, value in routes.items()
     ]
 
+    swept, cells = _nK(top, most=3)
+
     def sweep() -> Iterator[Case]:
         # Both sides are linear in (des_1, ..., des_(n-1)), so checking each
         # exponent vector of the memoized joint distribution covers every
         # sigma.  All K of a vector are compared at once, as one case; only a
         # vector whose lists differ is split into its (n, K, des_g) cases, in
         # K order, so the runner still reports the first disagreeing one.
-        for n in range(2, top + 1):
-            subsets = list(_width_subsets(n, max_size=3))
+        for n, row in itertools.groupby(cells, key=lambda cell: cell[0]):
+            subsets = [K for _, K in row]
             # per K, the indices g-1 of the gaps g counted by inv_K
             unions = [sorted({m - 1 for k in K for m in range(k, n, k)}) for K in subsets]
             # per K, the lcms < n of its odd- and of its even-sized subsets
@@ -324,11 +344,7 @@ def suite_inclusion_exclusion(top: int, caches: SweepCaches):
             example,
             notes=(f"inv_2={parts[2]}, inv_3={parts[3]}, inv_6={parts[6]}",),
         ),
-        _check(
-            "inclusion-exclusion[sweep]",
-            f"2<=n<={top}, K subsets of [n-1] with |K|<=3, all sigma",
-            sweep(),
-        ),
+        _check("inclusion-exclusion[sweep]", f"{swept}, all sigma", sweep()),
     ]
 
 
@@ -396,18 +412,13 @@ def suite_gtable(top: int, caches: SweepCaches):
 
 def suite_conjecture(top: int, caches: SweepCaches):
     """closed_g at every coprime (n, k), where it is n*q^(1-k)*A_(n-1)(q)."""
-
-    def cases() -> Iterator[Case]:
-        for n in range(2, top + 1):
-            for k in range(1, n):
-                if math.gcd(n, k) == 1:
-                    yield {"n": n, "k": k}, caches.dist(n, "G", (k,)), genfun.closed_g(n, k)
-
     return [
-        _check(
+        _each_nk(
             "conjecture[G=n*q^(1-k)*A_(n-1)]",
-            f"2<=n<={top}, 1<=k<=n-1 with gcd(k,n)=1",
-            cases(),
+            top,
+            lambda n, k: (caches.dist(n, "G", (k,)), genfun.closed_g(n, k)),
+            " with gcd(k,n)=1",
+            keep=lambda n, k: math.gcd(n, k) == 1,
         )
     ]
 
@@ -477,33 +488,30 @@ def suite_duality(top: int, caches: SweepCaches):
                 actual, expected = _duality_sides(caches, n, pats, mode)
                 yield {"n": n, "patterns": [perm.format_perm(p) for p in pats]}, actual, expected
 
-    def twins_123_321() -> Iterator[Case]:
-        for n in range(2, top + 1):
-            for k in range(1, n):
-                f123 = caches.dist(n, "des", (k,), ((1, 2, 3),))
-                f321 = caches.dist(n, "des", (k,), ((3, 2, 1),))
-                yield {"n": n, "k": k}, f123, f321.inverse_q().shift(n - k)
+    def twins_123_321(n: int, k: int) -> tuple[LaurentPoly, LaurentPoly]:
+        f123 = caches.dist(n, "des", (k,), ((1, 2, 3),))
+        return f123, caches.dist(n, "des", (k,), ((3, 2, 1),)).inverse_q().shift(n - k)
+
+    swept, cells = _nk(top)
 
     def twins_132_213_231_312() -> Iterator[Case]:
-        for n in range(2, top + 1):
-            for k in range(1, n):
-                f132, f213, f231, f312 = (
-                    caches.dist(n, "des", (k,), (p,))
-                    for p in ((1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2))
-                )
-                links = (
-                    ("132=213", f132, f213),
-                    ("132=q^(n-k)*231(1/q)", f132, f231.inverse_q().shift(n - k)),
-                    ("231=312", f231, f312),
-                )
-                for label, lhs, rhs in links:
-                    yield {"n": n, "k": k, "link": label}, lhs, rhs
+        for n, k in cells:
+            f132, f213, f231, f312 = (
+                caches.dist(n, "des", (k,), (p,))
+                for p in ((1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2))
+            )
+            links = (
+                ("132=213", f132, f213),
+                ("132=q^(n-k)*231(1/q)", f132, f231.inverse_q().shift(n - k)),
+                ("231=312", f231, f312),
+            )
+            for label, lhs, rhs in links:
+                yield {"n": n, "k": k, "link": label}, lhs, rhs
 
     joint_range = f"1<=n<={multi_top}, all pattern sets from S_3 of size <= 2"
-    swept = f"2<=n<={top}, 1<=k<=n-1"
     return [
         *(_check(f"duality[{mode}]", joint_range, joint(mode)) for mode in DUALITY_MODES),
-        _check("duality[univariate:123~321]", swept, twins_123_321()),
+        _each_nk("duality[univariate:123~321]", top, twins_123_321),
         _check("duality[univariate:132~213~231~312]", swept, twins_132_213_231_312()),
     ]
 
@@ -515,82 +523,73 @@ def suite_avoidance(top: int, caches: SweepCaches):
     formulas, and the q=1 specializations to C_n and 2^(n-1).
     """
     multi_top = min(top, 8)
+    swept, cells = _nk(top)
+    products_range, width_sets = _nK(multi_top)
 
-    def recursion(pats, fn) -> Iterator[Case]:
-        for n in range(2, top + 1):
-            for k in range(1, n):
-                yield {"n": n, "k": k}, fn(n, k), caches.dist(n, "des", (k,), pats)
+    def recursion(pats, fn):
+        return lambda n, k: (fn(n, k), caches.dist(n, "des", (k,), pats))
 
     def product(pats, fn) -> Iterator[Case]:
-        for n in range(2, multi_top + 1):
-            for K in _width_subsets(n):
-                yield {"n": n, "K": K}, fn(n, K), caches.dist(n, "des", K, pats)
+        for n, K in width_sets:
+            yield {"n": n, "K": K}, fn(n, K), caches.dist(n, "des", K, pats)
 
     def closed_inv() -> Iterator[Case]:
-        for n in range(2, top + 1):
-            for k in range(1, n):
-                want = genfun.closed_inv_132_312(n, k)
-                multiples = tuple(range(k, n, k))
-                sides = (
-                    ("inv over Av(132,312)", caches.dist(n, "inv", (k,), ((1, 3, 2), (3, 1, 2)))),
-                    ("inv over Av(132,231)", caches.dist(n, "inv", (k,), ((1, 3, 2), (2, 3, 1)))),
-                    ("product at K=multiples of k", genfun.product_132_312(n, multiples)),
-                )
-                for label, got in sides:
-                    yield {"n": n, "k": k, "side": label}, got, want
+        for n, k in cells:
+            want = genfun.closed_inv_132_312(n, k)
+            multiples = tuple(range(k, n, k))
+            sides = (
+                ("inv over Av(132,312)", caches.dist(n, "inv", (k,), ((1, 3, 2), (3, 1, 2)))),
+                ("inv over Av(132,231)", caches.dist(n, "inv", (k,), ((1, 3, 2), (2, 3, 1)))),
+                ("product at K=multiples of k", genfun.product_132_312(n, multiples)),
+            )
+            for label, got in sides:
+                yield {"n": n, "k": k, "side": label}, got, want
 
-    def degrees() -> Iterator[Case]:
-        for n in range(2, top + 1):
-            for k in range(1, n):
-                actual = tuple(caches.dist(n, s, (k,), ((3, 1, 2),)).degree for s in ("des", "inv"))
-                yield {"n": n, "k": k}, actual, (
-                    genfun.des_degree_312(n, k), genfun.inv_degree_312(n, k)
-                )
-
-    def catalan_at_one() -> Iterator[Case]:
-        for n in range(2, top + 1):
-            for k in range(1, n):
-                yield {"n": n, "k": k}, genfun.rec_312(n, k)(1), poly.catalan(n)
+    def degrees(n: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        actual = tuple(caches.dist(n, s, (k,), ((3, 1, 2),)).degree for s in ("des", "inv"))
+        return actual, (genfun.des_degree_312(n, k), genfun.inv_degree_312(n, k))
 
     def powers_of_two_at_one() -> Iterator[Case]:
-        for n in range(2, top + 1):
+        # each n's single widths, then its width sets: the sort by n is stable
+        for n, w in sorted([*cells, *width_sets], key=lambda cell: cell[0]):
             want = 2 ** (n - 1)
-            for k in range(1, n):
-                values = (
-                    ("rec:123,132", genfun.rec_123_132(n, k)(1)),
-                    ("rec:132,213", genfun.rec_132_213(n, k)(1)),
-                    ("closed-inv:132,312", genfun.closed_inv_132_312(n, k)(1)),
-                )
-                for label, got in values:
-                    yield {"n": n, "k": k, "formula": label}, got, want
-            if n <= multi_top:
-                for K in _width_subsets(n):
-                    params = {"n": n, "K": K, "formula": "product:132,312"}
-                    yield params, genfun.product_132_312(n, K)(1), want
+            if isinstance(w, tuple):  # a width set K
+                params = {"n": n, "K": w, "formula": "product:132,312"}
+                yield params, genfun.product_132_312(n, w)(1), want
+                continue
+            values = (
+                ("rec:123,132", genfun.rec_123_132(n, w)(1)),
+                ("rec:132,213", genfun.rec_132_213(n, w)(1)),
+                ("closed-inv:132,312", genfun.closed_inv_132_312(n, w)(1)),
+            )
+            for label, got in values:
+                yield {"n": n, "k": w, "formula": label}, got, want
 
     return [
         *(
-            _check(
+            _each_nk(
                 f"avoidance[rec:{','.join(map(perm.format_perm, pats))}]",
-                f"2<=n<={top}, 1<=k<=n-1, {_format_class(pats)}",
+                top,
                 recursion(pats, fn),
+                f", {_format_class(pats)}",
             )
             for pats, fn in genfun.RECURSIONS.items()
         ),
         *(
             _check(
                 f"avoidance[product:{','.join(map(perm.format_perm, pats))}]",
-                f"2<=n<={multi_top}, nonempty K subsets of [n-1], {_format_class(pats)}",
+                f"{products_range}, {_format_class(pats)}",
                 product(pats, fn),
             )
             for pats, fn in genfun.PRODUCTS.items()
         ),
-        _check(
-            "avoidance[closed-inv:132,312|132,231]", f"2<=n<={top}, 1<=k<=n-1", closed_inv()
-        ),
-        _check("avoidance[degree:312]", f"2<=n<={top}, 1<=k<=n-1, Av(312)", degrees()),
-        _check(
-            "avoidance[catalan@1]", f"2<=n<={top}, 1<=k<=n-1, Av(312)", catalan_at_one()
+        _check("avoidance[closed-inv:132,312|132,231]", swept, closed_inv()),
+        _each_nk("avoidance[degree:312]", top, degrees, ", Av(312)"),
+        _each_nk(
+            "avoidance[catalan@1]",
+            top,
+            lambda n, k: (genfun.rec_312(n, k)(1), poly.catalan(n)),
+            ", Av(312)",
         ),
         _check(
             "avoidance[2^(n-1)@1]",
@@ -622,16 +621,14 @@ def suite_counting(top: int, caches: SweepCaches):
             yield {"n": n}, size(n, ((1, 2, 3), (3, 2, 1))), 0
 
     def domain_sizes() -> Iterator[Case]:
-        for n in range(2, top + 1):
-            for k in range(1, n):
-                routes = (("closed des", genfun.closed_des_k), ("closed inv", genfun.closed_inv_k))
-                for label, closed in routes:
-                    params = {"n": n, "k": k, "distribution": label}
-                    yield params, closed(n, k)(1), math.factorial(n)
-        for n in range(2, small_top + 1):
-            for k in range(1, n):
-                params = {"n": n, "k": k, "distribution": "signed descent difference"}
-                yield params, caches.dist(n, "G", (k,))(1), math.factorial(n)
+        routes = (("closed des", genfun.closed_des_k), ("closed inv", genfun.closed_inv_k))
+        for n, k in _nk(top)[1]:
+            for label, closed in routes:
+                params = {"n": n, "k": k, "distribution": label}
+                yield params, closed(n, k)(1), math.factorial(n)
+        for n, k in _nk(small_top)[1]:
+            params = {"n": n, "k": k, "distribution": "signed descent difference"}
+            yield params, caches.dist(n, "G", (k,))(1), math.factorial(n)
         for n in range(1, small_top + 1):
             for pats in _small_pattern_classes():
                 params = {"n": n, "patterns": [perm.format_perm(p) for p in pats]}

@@ -1340,6 +1340,88 @@ class TestSuites:
             ),
         ]
 
+    def test_every_family_checks_its_pinned_number_of_cases(self, monkeypatch):
+        # Cases each family hands to _check at default bounds, counted as the
+        # runner consumes them: a sweep that loses cases keeps its range
+        # string and its status, so only its count shows the loss.
+        counts = collections.Counter()
+        check = verify._check
+
+        def counted(identity, swept, cases, notes=()):
+            def each():
+                for case in cases:
+                    counts[identity] += 1
+                    yield case
+
+            counts[identity] += 0
+            return check(identity, swept, each(), notes)
+
+        monkeypatch.setattr(verify, "_check", counted)
+        run_suite("all")
+        assert list(counts.items()) == [
+            ("example[des]", 1),
+            ("example[inv]", 1),
+            ("example[exc]", 1),
+            ("example[maj]", 1),
+            ("theorem[des]", 28),
+            ("theorem[inv]", 28),
+            ("equidistribution[des=exc]", 28),
+            ("equidistribution[inv=maj]", 28),
+            ("equidistribution[des=inv|2k>=n]", 16),
+            ("inclusion-exclusion[example]", 3),
+            ("inclusion-exclusion[sweep]", 648),
+            ("gtable[n=6]", 5),
+            ("gtable[n=8]", 7),
+            ("gtable[n=9]", 8),
+            ("conjecture[G=n*q^(1-k)*A_(n-1)]", 27),
+            ("duality[reverse]", 154),
+            ("duality[complement]", 154),
+            ("duality[reverse-complement]", 154),
+            ("duality[univariate:123~321]", 28),
+            ("duality[univariate:132~213~231~312]", 84),
+            ("avoidance[rec:312]", 36),
+            ("avoidance[rec:123,132]", 36),
+            ("avoidance[rec:123,312]", 36),
+            ("avoidance[rec:132,213]", 36),
+            ("avoidance[product:132,231]", 247),
+            ("avoidance[product:132,312]", 247),
+            ("avoidance[closed-inv:132,312|132,231]", 108),
+            ("avoidance[degree:312]", 36),
+            ("avoidance[catalan@1]", 36),
+            ("avoidance[2^(n-1)@1]", 355),
+            ("counting[catalan]", 54),
+            ("counting[Av(123,321)-vanishes]", 4),
+            ("counting[eval@1=domain-size]", 231),
+        ]
+
+    def test_the_nk_grid_and_its_range_string(self):
+        # below n = 2 the grid is empty, so a family on it reports not-applicable
+        assert [verify._nk(top) for top in range(4)] == [
+            ("2<=n<=0, 1<=k<=n-1", []),
+            ("2<=n<=1, 1<=k<=n-1", []),
+            ("2<=n<=2, 1<=k<=n-1", [(2, 1)]),
+            ("2<=n<=3, 1<=k<=n-1", [(2, 1), (3, 1), (3, 2)]),
+        ]
+        assert [r.status for r in run_suite("theorem", n_max=1)] == ["not-applicable"] * 2
+
+    def test_the_nK_grid_and_its_range_string(self):
+        assert [verify._nK(top) for top in range(4)] == [
+            ("2<=n<=0, nonempty K subsets of [n-1]", []),
+            ("2<=n<=1, nonempty K subsets of [n-1]", []),
+            ("2<=n<=2, nonempty K subsets of [n-1]", [(2, (1,))]),
+            ("2<=n<=3, nonempty K subsets of [n-1]", [(2, (1,)), (3, (1,)), (3, (2,)), (3, (1, 2))]),
+        ]
+        assert [verify._nK(top, least=2) for top in (1, 3)] == [
+            ("2<=n<=1, K subsets of [n-1] with |K|>=2", []),
+            ("2<=n<=3, K subsets of [n-1] with |K|>=2", [(3, (1, 2))]),
+        ]
+        assert [verify._nK(top, most=1) for top in (0, 3)] == [
+            ("2<=n<=0, K subsets of [n-1] with |K|<=1", []),
+            ("2<=n<=3, K subsets of [n-1] with |K|<=1", [(2, (1,)), (3, (1,)), (3, (2,))]),
+        ]
+        _, cells = verify._nK(7, most=3)
+        assert len(cells) == sum(math.comb(n - 1, s) for n in range(2, 8) for s in (1, 2, 3))
+
     def test_small_full_run_report_shape(self):
         for report in run_suite("all", n_max=5):
             assert report.status in ("verified", "mismatch", "not-applicable")

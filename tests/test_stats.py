@@ -352,6 +352,15 @@ def test_negative_letters_are_invalid_input():
                 scanner(name, 3, 1)(words)
 
 
+def test_exc_of_a_word_with_a_repeated_letter_is_invalid_input():
+    # the block ranks take b_s < b_t as the reverse of b_s > b_t, which holds
+    # only for distinct letters, so exc refuses a repeat rather than miscount
+    for word, widths in (((2, 2, 1), 1), ((1, 3, 5, 3), 2), ((4, 1, 4), (1, 2))):
+        with pytest.raises(InvalidInputError, match=r"^entries must be distinct: \("):
+            exc(word, widths)
+    assert exc((2, 3, 1)) == 2 and exc((9, 300, 1), 2) == 1
+
+
 def test_adjacent_lanes_hold_the_largest_and_the_smallest_letter():
     # words and their reverses alternate, so at every position one lane
     # holds the largest letter and the next the smallest; at n = 128, des at
