@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain, starmap
 from typing import Callable, Iterable, Sequence
 
 from . import stats
 from .errors import InvalidInputError
-from .perm import _batches, _joint_descents, _sn_g, check_cap, check_patterns
+from .perm import _batches, _joint_descents, _sn_columns, _sn_g, check_cap, check_patterns
 from .poly import (
     LaurentPoly,
     MultiPoly,
@@ -45,8 +46,9 @@ def brute_distribution(
     """
     The exact distribution polynomial of a width statistic over S_n, or over
     the class avoiding the given patterns.  This enumerates the whole domain
-    in lists of about a thousand words (islice chunks of S_n, or the class
-    walk's lists), and one `stats.scanner` counts each list, every word from
+    in batches: S_n as byte columns of at most 7! words (S_7's columns
+    relabelled, no tuple per word), a class as the walk's lists of about a
+    thousand words.  One `stats.scanner` counts each batch, every word from
     its own letters.  It is the per-word route of `gf --method brute`, and
     the tests' oracle for the S_n programs and the class key walk that
     `verify` reads through `SweepCaches.dist`.
@@ -58,10 +60,12 @@ def brute_distribution(
     """
     check_cap(n)  # the scanner's pair lists grow with n
     count = stats.scanner(statistic, n, widths)
-    dist: Counter = Counter()
-    for batch in _batches(n, patterns):
-        dist.update(count(batch))
-    return LaurentPoly(dist)
+    pats = check_patterns(patterns)
+    if pats:
+        batches = map(count, _batches(n, pats))
+    else:
+        batches = starmap(count, _sn_columns(n))
+    return LaurentPoly(Counter(chain.from_iterable(batches)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ set, and the joint descent profile, which the des/inv grades, inclusion-
 exclusion and duality read whole, as a dict of packed keys per set.  The
 pruned walk of a class counts its joint descent profile by int keys, and
 hands its members or keys on in lists.  Words are built only where they
-are listed: by `enumerate_sn`, by `avoidance_class`, and in the batches of
-brute-force counting.  The S_n DPs and the key walk build none.  Every
-enumeration checks the cap.
+are listed: by `enumerate_sn`, by `avoidance_class`, and in the class
+batches of brute-force counting.  Brute-force counting takes S_n as byte
+columns, relabelled from S_7's, and the S_n DPs and the key walk build no
+word either.  Every enumeration checks the cap.
 
 A permutation of [n] = {1, ..., n} is represented as a tuple of its values
 a_1, ..., a_n.  The empty tuple is the empty permutation, which is a valid
@@ -30,6 +31,10 @@ from .poly import LaurentPoly, _slot_bits, _unpack
 DEFAULT_MAX_N = 10
 _ENV_CAP = "WIDTHK_MAX_N"
 _BATCH = 1024  # words per list handed from an enumeration to its counters
+_BYTES = bytes(range(256))  # the identity table of bytes.translate
+# _SHIFT[a - 1]: the table of bytes.translate that adds one to the values
+# from a on, relabelling [j - 1] onto [j] minus a, for a <= 7
+_SHIFT = [_BYTES[:a] + _BYTES[a + 1:] + b"\xff" for a in range(1, 8)]
 
 
 def enumeration_cap() -> int:
@@ -215,9 +220,39 @@ def avoidance_class(
         yield from batch
 
 
+def _sn_columns(n: int) -> Iterator[tuple[list[bytes], int]]:
+    # S_n in lexicographic order for brute-force counting, in batches of
+    # m! words, m = min(n, 7): each batch is one bytes column per position
+    # (byte i: word i's letter) and its number of words, and no tuple is
+    # built per word.  A batch fixes the first n - m letters, each a
+    # repeated byte, and relabels S_m's columns onto the m values they leave
+    # by bytes.translate.  S_m's columns come the same way, by the first-
+    # letter decomposition: S_j is the union over a of a followed by S_(j-1)
+    # relabelled onto [j] minus a.  It checks the cap when it first runs.
+    check_cap(n)
+    if n > 255:
+        raise InvalidInputError(f"brute-force counting over S_n takes n <= 255, got n={n}")
+    m = min(n, 7)
+    base: list[bytes] = []
+    size = 1
+    for j in range(1, m + 1):  # size = (j - 1)!, the words of S_(j-1)
+        base = [b"".join([_BYTES[a:a + 1] * size for a in range(1, j + 1)]),
+                *[b"".join(map(column.translate, _SHIFT[:j])) for column in base]]
+        size *= j
+    if n == m:
+        yield base, size
+        return
+    values = range(1, n + 1)
+    for prefix in itertools.permutations(values, n - m):
+        table = bytes([0, *sorted(set(values).difference(prefix))]).ljust(256, b"\0")
+        columns = [_BYTES[a:a + 1] * size for a in prefix]
+        yield columns + [column.translate(table) for column in base], size
+
+
 def _batches(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[list[tuple[int, ...]]]:
     # avoidance_class's members, in order, as lists of about _BATCH words:
-    # islice chunks of S_n, or the class walk's lists
+    # islice chunks of S_n, or the class walk's lists.  Brute-force counting
+    # takes only the class walk's lists from here, and S_n from _sn_columns.
     check_cap(n)
     pats = check_patterns(patterns)
     if not pats:

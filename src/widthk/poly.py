@@ -18,7 +18,8 @@ compositions of n (`compositions`).  A packed integer holds coefficient i in
 bits [i*slot, (i+1)*slot), where `_slot_bits` picks a slot of 8, 16, 32 or
 64 bits, or whole bytes above that, for the largest coefficient; `_unpack`
 reads every slot up to the top nonzero one.  The same slots hold the lanes
-of `stats.scanner`, one word of a batch per slot (`_columns`, `_lanes`).
+of `stats.scanner`, one word of a batch per slot (`_columns`, or
+`_byte_columns` for a batch that arrives as byte columns, and `_lanes`).
 Only this module turns packed integers into bytes and back.  MultiPoly tracks one exponent per named
 variable, is stored sparsely, and is used for joint descent distributions.
 Coefficients are plain Python ints, so nothing here ever rounds.
@@ -112,6 +113,21 @@ def _columns(words: Sequence[Sequence[int]], bits: int) -> tuple[int, list[int]]
     if len(words) == 1:
         return slot, letters
     return slot, [_pack(column, slot) for column in zip(*words)]
+
+
+def _byte_columns(columns: Sequence[bytes], bits: int) -> tuple[int, list[int]]:
+    # The columns of a batch given as one bytes object per position (byte i:
+    # word i's letter), in the slot _columns would pick: a letter has 7 bits
+    # when every column is ASCII, else 8.  Each column's bytes go to the low
+    # byte of every lane.
+    slot = _slot_bits(max(bits, 7 if all(map(bytes.isascii, columns)) else 8) + 1)
+    width = slot // 8
+    packed = []
+    for column in columns:
+        lanes = bytearray(width * len(column))
+        lanes[::width] = column
+        packed.append(int.from_bytes(lanes, "little"))
+    return slot, packed
 
 
 def _lanes(packed: int, slot: int, m: int) -> list[int]:

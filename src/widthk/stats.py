@@ -16,7 +16,8 @@ pair of positions is one broadword comparison of two columns (Lamport,
 "Multiple byte processing with full-word instructions", CACM 18(8), 1975),
 so a pair costs a few big-integer operations whatever the batch's size.
 The words are words of distinct nonnegative integers.  A single word is a
-batch of one.
+batch of one.  A batch may also arrive as its columns, one bytes object per
+position, as brute-force counting builds S_n; only the packing differs.
 
 >>> scanner("des", 4, 1)([(2, 1, 4, 3), (1, 2, 3, 4), (300, 5, 200, 0)])
 [2, 0, 2]
@@ -35,7 +36,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError
-from .poly import _columns, _lanes
+from .poly import _byte_columns, _columns, _lanes
 
 Widths = int | Iterable[int]
 
@@ -149,15 +150,15 @@ def maj(word: Sequence[int], widths: Widths = 1) -> int:
     return scanner("maj", len(word), widths)([word])[0]
 
 
-def scanner(
-    statistic: str, n: int, widths: Widths
-) -> Callable[[Sequence[Sequence[int]]], list[int]]:
+def scanner(statistic: str, n: int, widths: Widths) -> Callable[..., list[int]]:
     """
     A counter of a statistic at the given widths over a batch of m words of
     length n, each a word of distinct nonnegative integers: it maps a list
-    of words to the list of their counts, every count an int.  It counts in
-    lanes of L bits, wide enough that every letter and every count of the
-    batch is below 2^(L-1).  Column p of the batch packs into one integer
+    of words to the list of their counts, every count an int, and the n
+    byte columns of a batch (byte i of column p: word i's letter at p),
+    given size=m, to the same list.  It counts in lanes of L bits, wide
+    enough that every letter and every count of the batch is below
+    2^(L-1).  Column p of the batch packs into one integer
     whose lane i holds word i's letter at p; with ONE a 1 in every lane and
     G = ONE << (L-1), lane i of ((A | G) - B - ONE) & G is G exactly when
     a_i > b_i, and no borrow crosses a lane.  So one comparison of two
@@ -169,6 +170,8 @@ def scanner(
 
     >>> scanner("inv", 7, (2, 3))([(4, 1, 3, 6, 5, 7, 2), (1, 2, 3, 4, 5, 6, 7)])
     [5, 0]
+    >>> scanner("inv", 3, 1)([b"\\x01\\x03", b"\\x02\\x02", b"\\x03\\x01"], size=2)  # 123, 321
+    [0, 3]
     """
     if statistic not in STATISTICS:
         raise InvalidInputError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
@@ -186,11 +189,12 @@ def scanner(
             weights = [i // d + 1 for d in gaps for i in range(n - d)]
         most = sum(weights) or len(pairs)  # the largest count
 
-    def count(words: Sequence[Sequence[int]]) -> list[int]:
-        m = len(words)
+    def count(batch: Sequence, size: int | None = None) -> list[int]:
+        m = len(batch) if size is None else size
         if not m or not (pairs or blocks):
             return [0] * m  # no pair to compare
-        slot, cols = _columns(words, most.bit_length())
+        pack = _columns if size is None else _byte_columns
+        slot, cols = pack(batch, most.bit_length())
         one = ((1 << slot * m) - 1) // ((1 << slot) - 1)  # a 1 in every lane
         high, shift = one << (slot - 1), slot - 1
 

@@ -270,6 +270,20 @@ def test_gf_width_beyond_n_exits_2(capsys):
     assert code == 0 and out == "brute: 1\n"
 
 
+def test_gf_brute_over_sn_beyond_a_byte_exits_2(capsys, monkeypatch):
+    # S_n's brute batches hold one letter per byte: with the cap raised,
+    # n = 256 is refused with one error line before a word is built, while
+    # a class of 256 still counts from the walk's lists
+    monkeypatch.setenv("WIDTHK_MAX_N", "300")
+    monkeypatch.setattr(perm, "_BYTES", None)  # building a batch would fail
+    for n in ("256", "300"):
+        code, out, err = run(capsys, "gf", "--n", n, "--stat", "inv", "--method", "brute")
+        assert code == 2 and out == ""
+        assert err == f"error: brute-force counting over S_n takes n <= 255, got n={n}\n"
+    code, out, _ = run(capsys, "gf", "--n", "256", "--stat", "des", "--avoid", "21")
+    assert code == 0 and out == "brute: 1\n"
+
+
 def test_gf_route_disagreement_exits_1(capsys, monkeypatch):
     # force the registered recursion to emit garbage: 'all' must flag it
     monkeypatch.setitem(

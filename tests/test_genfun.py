@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthk
-from widthk import genfun, perm, poly, stats, verify
+from widthk import cli, genfun, perm, poly, stats, verify
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import (
     CLOSED_INV,
@@ -114,6 +114,27 @@ class TestBruteDistribution:
         # an empty class still rejects its widths
         with pytest.raises(InvalidInputError, match="not contained"):
             brute_distribution(3, "des", (0, 2), [(1,)])
+
+    def test_brute_over_sn_lists_no_word(self, monkeypatch, capsys):
+        # S_n reaches the scanner as byte columns: with enumerate_sn and the
+        # word batches refused, brute_distribution and gf --method brute
+        # still give the polynomials they gave before
+        cases = [(name, k) for name in stats.STATISTICS for k in (1, 3, (2, 5))]
+        want = {case: brute_distribution(8, *case) for case in cases}
+        argv = ["gf", "--n", "8", "--stat", "maj", "--widths", "2,5", "--method", "brute"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("S_n was listed word by word")
+
+        monkeypatch.setattr(perm, "enumerate_sn", refuse)
+        monkeypatch.setattr(perm, "_batches", refuse)
+        monkeypatch.setattr(genfun, "_batches", refuse)
+        for case, dist in want.items():
+            assert brute_distribution(8, *case) == dist, case
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == printed
 
 
 class TestClosedForms:

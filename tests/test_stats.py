@@ -15,6 +15,7 @@ from widthk.genfun import brute_distribution
 from widthk.perm import (
     _BATCH,
     _batches,
+    _sn_columns,
     avoidance_class,
     avoids,
     enumerate_sn,
@@ -451,6 +452,53 @@ def test_brute_distribution_over_classes_of_several_batches(n, pats):
         for widths in (1, 3, (1, 2)):
             expected = Counter(per_word(name, w, widths) for w in members)
             assert brute_distribution(n, name, widths, patterns) == LaurentPoly(expected)
+
+
+def test_sn_column_batches_are_the_listed_words_columns():
+    # joined across batches, S_n's byte columns are the columns of
+    # enumerate_sn's words, byte for byte and in order, and no batch holds
+    # more than 7! words
+    for n in range(9):
+        batches = list(_sn_columns(n))
+        assert {size for _, size in batches} == {math.factorial(min(n, 7))}, n
+        assert all(len(batch) == n for batch, _ in batches), n
+        assert all(len(column) == size for batch, size in batches for column in batch), n
+        joined = [b"".join(batch[p] for batch, _ in batches) for p in range(n)]
+        assert joined == [bytes(column) for column in zip(*enumerate_sn(n))], n
+
+
+def test_brute_distribution_over_sn_matches_the_word_path():
+    # S_n counted from its byte columns against the scanner over
+    # enumerate_sn's word list, at every single width and three width sets
+    for n in range(9):
+        words = list(enumerate_sn(n))
+        top = max(n - 1, 1)
+        sets = [ks for ks in ((1, 2), (2, 3), (1, 3, 5)) if ks[-1] <= top]
+        for widths in [*range(1, top + 1), *sets]:
+            for name in STATISTICS:
+                expected = LaurentPoly(Counter(scanner(name, n, widths)(words)))
+                assert brute_distribution(n, name, widths) == expected, (n, name, widths)
+
+
+@pytest.mark.parametrize("n, cases", [
+    (12, [(name, range(1, 12)) for name in STATISTICS]),
+    (130, [("des", 1), ("maj", (1, 2)), ("inv", (50, 100)), ("exc", 64)]),
+])
+def test_first_sn_column_batch_in_wide_lanes(n, cases, monkeypatch):
+    # S_12's maj at widths 1..11 can exceed 127, and S_130's letters reach
+    # 130, so neither fits 8-bit lanes; each column batch counts as its
+    # words do
+    monkeypatch.setenv("WIDTHK_MAX_N", str(n))
+    columns, size = next(_sn_columns(n))
+    words = list(zip(*columns))
+    assert len(words) == size == 5040 and words[0] == tuple(range(1, n + 1))
+    if n == 12:
+        assert maj(range(12, 0, -1), range(1, 12)) > 127
+    else:
+        assert max(columns[-1]) == 130
+    for name, widths in cases:
+        count = scanner(name, n, widths)
+        assert count(columns, size) == count(words), (name, widths)
 
 
 def test_avoidance_class_raises_on_first_next():
