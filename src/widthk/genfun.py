@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import stats
 from .errors import InvalidInputError
-from .perm import _batches, _joint_descents, _sn_columns, _sn_g, check_cap, check_patterns
+from .perm import _column_batches, _joint_descents, _sn_g, check_cap, check_patterns
 from .poly import (
     LaurentPoly,
     MultiPoly,
@@ -46,12 +46,13 @@ def brute_distribution(
     """
     The exact distribution polynomial of a width statistic over S_n, or over
     the class avoiding the given patterns.  This enumerates the whole domain
-    in batches: S_n as byte columns of at most 7! words (S_7's columns
-    relabelled, no tuple per word), a class as the walk's lists of about a
-    thousand words.  One `stats.scanner` counts each batch, every word from
-    its own letters.  It is the per-word route of `gf --method brute`, and
-    the tests' oracle for the S_n programs and the class key walk that
-    `verify` reads through `SweepCaches.dist`.
+    in batches, and a batch is its columns: S_n's are S_7's byte columns
+    relabelled, at most 7! words and no tuple per word, and a class's are
+    the walk's lists of about a thousand words transposed.  One
+    `stats.scanner` counts each batch, every word from its own letters.  It
+    is the per-word route of `gf --method brute`, and the tests' oracle for
+    the S_n programs and the class key walk that `verify` reads through
+    `SweepCaches.dist`.
 
     >>> print(brute_distribution(3, "des"))
     1 + 4*q + q^2
@@ -60,12 +61,7 @@ def brute_distribution(
     """
     check_cap(n)  # the scanner's pair lists grow with n
     count = stats.scanner(statistic, n, widths)
-    pats = check_patterns(patterns)
-    if pats:
-        batches = map(count, _batches(n, pats))
-    else:
-        batches = starmap(count, _sn_columns(n))
-    return LaurentPoly(Counter(chain.from_iterable(batches)))
+    return LaurentPoly(Counter(chain.from_iterable(starmap(count, _column_batches(n, patterns)))))
 
 
 # ---------------------------------------------------------------------------

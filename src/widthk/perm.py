@@ -5,12 +5,13 @@ over the sets of filled positions counts every distribution over S_n: a
 single-key one (exc_k, maj_K, des_k - des_(n-k)) as one packed integer per
 set, and the joint descent profile, which the des/inv grades, inclusion-
 exclusion and duality read whole, as a dict of packed keys per set.  The
-pruned walk of a class counts its joint descent profile by int keys, and
-hands its members or keys on in lists.  Words are built only where they
-are listed: by `enumerate_sn`, by `avoidance_class`, and in the class
-batches of brute-force counting.  Brute-force counting takes S_n as byte
-columns, relabelled from S_7's, and the S_n DPs and the key walk build no
-word either.  Every enumeration checks the cap.
+pruned walk of a class counts its joint descent profile by int keys, or
+hands its members on in lists.  Words are built only where they are
+listed: by `enumerate_sn`, by `avoidance_class`, and in the class walk's
+lists.  Brute-force counting takes one batch form, and a batch is its
+columns: S_n's relabelled from S_7's byte columns, with no word built, and
+a class's the walk's lists transposed.  The S_n DPs and the key walk build
+no word either.  Every enumeration checks the cap.
 
 A permutation of [n] = {1, ..., n} is represented as a tuple of its values
 a_1, ..., a_n.  The empty tuple is the empty permutation, which is a valid
@@ -30,7 +31,7 @@ from .poly import LaurentPoly, _slot_bits, _unpack
 
 DEFAULT_MAX_N = 10
 _ENV_CAP = "WIDTHK_MAX_N"
-_BATCH = 1024  # words per list handed from an enumeration to its counters
+_BATCH = 1024  # members per list handed on by the class walk
 _BYTES = bytes(range(256))  # the identity table of bytes.translate
 # _SHIFT[a - 1]: the table of bytes.translate that adds one to the values
 # from a on, relabelling [j - 1] onto [j] minus a, for a <= 7
@@ -182,42 +183,32 @@ def avoidance_class(
     n: int, patterns: Iterable[Sequence[int]] = ()
 ) -> Iterator[tuple[int, ...]]:
     """
-    All permutations of [n] avoiding every given pattern, lexicographically.
-
-    Generated by depth-first prefix extension, with no containment search.
-    An occurrence of a prefix p[:t] of a pattern p of length m is kept as
-    the bitmask S of its values; a later letter extends it to p[:t+1]
-    exactly when it lies in the value interval gap(S) that the rank of p[t]
-    among p[:t+1] dictates.  A new occurrence of p[:m-1] forbids its gap for
-    the whole subtree, and every member still places every value, so a
-    letter whose placing would forbid a value not yet placed opens no
-    branch: the walk opens only prefixes that extend to a member, each
-    branch draws the next letter from the bitmask `left` of the values not
-    yet placed, and a prefix of length n - 1 is completed by the one value
-    left, without another level.
-
-    The occurrences of p[:m-2] are folded into `rows`, one int with a field
-    of n + 2 bits per value: field x holds what placing x next would
-    forbid, so the occurrence of p[:m-1] that x completes costs nothing to
-    find.  Length 2 starts field v at gap({v}).  One int fold[a] per letter
-    holds, in field v, what the occurrence (a, v) of p[:2] forbids for all
-    length-3 patterns at once, and, in a pending field v above rows' own,
-    what (a, v) folds in for all length-4 patterns; placing a ORs it into
-    rows, and placing v moves pending field v into rows' fields.  So a
-    placement costs a fixed number of int operations, whatever the prefix
-    length or the number of patterns.  From length 5 on, placing v also
-    extends the occurrences {a} of p[:1] (the values placed on p's side of
-    v) and the stored occurrences of p[:2] .. p[:m-3] whose gap holds v; a
-    stored occurrence is dropped once no value left can fall in its gap.
-    Their gaps and folds are memoized per pattern for the call.
-
-    The walk is a plain recursion that appends members to a list, a whole
-    subtree at a time, and hands the lists on at about a thousand members;
-    this generator yields from them, and brute-force counting takes them
-    whole.  It checks the cap and the patterns when it first runs.
+    All permutations of [n] avoiding every given pattern, lexicographically:
+    S_n for none, else the members that the pruned walk (`_class_walk`)
+    lists.  It checks the cap and the patterns when it first runs.
     """
-    for batch in _batches(n, patterns):
+    check_cap(n)
+    pats = check_patterns(patterns)
+    if not pats:
+        yield from enumerate_sn(n)
+        return
+    for batch in _class_walk(n, pats):
         yield from batch
+
+
+def _column_batches(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[tuple[list, int]]:
+    # Brute-force counting's batches over Av_n(patterns), S_n for none, in
+    # order: a batch is its columns (item i: word i's letter) and its number
+    # of words.  S_n's come from _sn_columns; a class's are the walk's lists
+    # transposed, to bytes while the letters fit a byte, else to int tuples.
+    check_cap(n)
+    pats = check_patterns(patterns)
+    if not pats:
+        yield from _sn_columns(n)
+        return
+    column = bytes if n < 256 else tuple
+    for batch in _class_walk(n, pats):
+        yield list(map(column, zip(*batch))), len(batch)
 
 
 def _sn_columns(n: int) -> Iterator[tuple[list[bytes], int]]:
@@ -249,35 +240,45 @@ def _sn_columns(n: int) -> Iterator[tuple[list[bytes], int]]:
         yield columns + [column.translate(table) for column in base], size
 
 
-def _batches(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[list[tuple[int, ...]]]:
-    # avoidance_class's members, in order, as lists of about _BATCH words:
-    # islice chunks of S_n, or the class walk's lists.  Brute-force counting
-    # takes only the class walk's lists from here, and S_n from _sn_columns.
-    check_cap(n)
-    pats = check_patterns(patterns)
-    if not pats:
-        words = enumerate_sn(n)
-        while batch := list(itertools.islice(words, _BATCH)):
-            yield batch
-        return
-    yield from _class_walk(n, pats)
-
-
 def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[list]:
-    # The walk of avoidance_class over Av_n(pats).  It yields the members in
-    # order, in lists of about _BATCH, or, given the key tables of
-    # _joint_descents, their keys.  Below two letters, or with the pattern 1,
-    # a class holds at most the identity, with key 0.  Then the masks ride
-    # in one int with an n-bit field per value (field v at bit n*v): placing
-    # v at position j reads field v, and one AND and one OR set bit j-1 in
-    # fields 1..v-1.  A member or key completes in its parent's loop: no
-    # prefix of length n - 1 grows.  Above rows' n fields ride the pending
-    # fields of span bits: the one at bit span*v holds what placing v will
-    # fold in.  One plain recursion, extend, fills a list with the members
-    # below a prefix.  Prefixes shorter than cut - 1 are expanded one level
-    # at a time into a stack of states, so a list gathers whole subtrees of
-    # at most 6! members until it holds _BATCH, and the walk never holds
-    # the whole class.
+    # The pruned walk over Av_n(pats), by depth-first prefix extension with no
+    # containment search.  It yields the members in lexicographic order, in
+    # lists of about _BATCH, or, given the key tables of _joint_descents, their
+    # keys.  An occurrence of a prefix p[:t] of a pattern p of length m is kept
+    # as the bitmask S of its values; a later letter extends it to p[:t+1]
+    # exactly when it lies in the value interval gap(S) that the rank of p[t]
+    # among p[:t+1] dictates.  A new occurrence of p[:m-1] forbids its gap for
+    # the whole subtree, and every member still places every value, so a letter
+    # whose placing would forbid a value not yet placed opens no branch: the
+    # walk opens only prefixes that extend to a member, each branch draws the
+    # next letter from the bitmask `left` of the values not yet placed, and a
+    # member or key completes in its parent's loop, by the one value left: no
+    # prefix of length n - 1 grows.
+    #
+    # The occurrences of p[:m-2] are folded into `rows`, one int with a field
+    # of width = n + 2 bits per value: field x holds what placing x next would
+    # forbid, so the occurrence of p[:m-1] that x completes costs nothing to
+    # find.  Length 2 starts field v at gap({v}).  One int fold[a] per letter
+    # holds, in field v, what the occurrence (a, v) of p[:2] forbids for all
+    # length-3 patterns at once, and, in the pending field v at bit span*v
+    # above rows' own fields, what (a, v) folds in for all length-4 patterns;
+    # placing a ORs it into rows, and placing v moves pending field v into
+    # rows' fields.  So a placement costs a fixed number of int operations,
+    # whatever the prefix length or the number of patterns.  From length 5 on,
+    # placing v also extends (grow) the occurrences {a} of p[:1] (the values
+    # placed on p's side of v) and the stored occurrences of p[:2] .. p[:m-3]
+    # whose gap holds v; a stored occurrence is dropped once no value left can
+    # fall in its gap.  Their gaps and folds are memoized per pattern for the
+    # call.
+    #
+    # Below two letters, or with the pattern 1, a class holds at most the
+    # identity, with key 0.  The key masks ride in one int with an n-bit field
+    # per value (field v at bit n*v): placing v at position j reads field v,
+    # and one AND and one OR set bit j-1 in fields 1..v-1.  One plain
+    # recursion, extend, fills a list with the members below a prefix.
+    # Prefixes shorter than cut - 1 are expanded one level at a time into a
+    # stack of states, so a list gathers whole subtrees of at most 6! members
+    # until it holds _BATCH, and the walk never holds the whole class.
     if n < 2 or (1,) in pats:
         if not n or (1,) not in pats:  # every letter is an occurrence of 1
             yield [0] if tables else [tuple(range(1, n + 1))]

@@ -18,11 +18,12 @@ compositions of n (`compositions`).  A packed integer holds coefficient i in
 bits [i*slot, (i+1)*slot), where `_slot_bits` picks a slot of 8, 16, 32 or
 64 bits, or whole bytes above that, for the largest coefficient; `_unpack`
 reads every slot up to the top nonzero one.  The same slots hold the lanes
-of `stats.scanner`, one word of a batch per slot (`_columns`, or
-`_byte_columns` for a batch that arrives as byte columns, and `_lanes`).
-Only this module turns packed integers into bytes and back.  MultiPoly tracks one exponent per named
-variable, is stored sparsely, and is used for joint descent distributions.
-Coefficients are plain Python ints, so nothing here ever rounds.
+of `stats.scanner`, one word of a batch per slot: a batch is its columns,
+and `_columns` packs each, whether it arrives as bytes or as ints; `_lanes`
+reads the counts back.  Only this module turns packed integers into bytes
+and back.  MultiPoly tracks one exponent per named variable, is stored
+sparsely, and is used for joint descent distributions.  Coefficients are
+plain Python ints, so nothing here ever rounds.
 
 >>> print(binomial_product([(1, 3)]))
 1 + 3*q + 3*q^2 + q^3
@@ -92,42 +93,33 @@ def _unpack(packed: int, slot: int) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
-def _columns(words: Sequence[Sequence[int]], bits: int) -> tuple[int, list[int]]:
-    # The columns of a batch of words of nonnegative integers, column j
-    # packed by _pack with word i's letter j in slot i, in the narrowest
-    # slot that holds values of `bits` bits and leaves the top bit of every
-    # letter clear; returns the slot and the columns.  bytes() packs an
-    # 8-bit slot and isascii() checks its top bits, with no pass in Python;
-    # a word alone is its own columns.
-    if len(words) > 1 and bits < 8:
-        try:
-            raw = list(map(bytes, zip(*words)))  # ValueError: a letter above 255
-            if b"".join(raw).isascii():
-                return 8, list(map(int.from_bytes, raw, repeat("little")))
-        except ValueError:
-            pass
-    letters = list(chain.from_iterable(words))
+def _columns(columns: Sequence[Sequence[int]], m: int, bits: int) -> tuple[int, list[int]]:
+    # The columns of a batch of m words of nonnegative integers, one per
+    # position (item i: word i's letter), each packed with word i's letter
+    # in slot i, in the narrowest slot that holds values of `bits` bits and
+    # leaves the top bit of every letter clear; returns the slot and the
+    # packed columns.  A bytes column spreads into the lanes with no pass in
+    # Python, and in 8-bit slots it is its packed column as it stands: a
+    # letter has 7 bits when every column is ASCII, else 8.  Any other
+    # column goes through _pack, and a single word's columns are its letters.
+    if isinstance(columns[0], bytes):
+        slot = _slot_bits(max(bits, 7 if all(map(bytes.isascii, columns)) else 8) + 1)
+        if slot == 8:
+            return slot, list(map(int.from_bytes, columns, repeat("little")))
+        width = slot // 8
+        lanes = bytearray(width * m)  # each column's bytes go to the low byte of every lane
+        packed = []
+        for column in columns:
+            lanes[::width] = column
+            packed.append(int.from_bytes(lanes, "little"))
+        return slot, packed
+    letters = list(chain.from_iterable(columns))
     if min(letters) < 0:
         raise InvalidInputError("letters must be nonnegative")
     slot = _slot_bits(max(bits, max(letters).bit_length()) + 1)
-    if len(words) == 1:
+    if m == 1:
         return slot, letters
-    return slot, [_pack(column, slot) for column in zip(*words)]
-
-
-def _byte_columns(columns: Sequence[bytes], bits: int) -> tuple[int, list[int]]:
-    # The columns of a batch given as one bytes object per position (byte i:
-    # word i's letter), in the slot _columns would pick: a letter has 7 bits
-    # when every column is ASCII, else 8.  Each column's bytes go to the low
-    # byte of every lane.
-    slot = _slot_bits(max(bits, 7 if all(map(bytes.isascii, columns)) else 8) + 1)
-    width = slot // 8
-    packed = []
-    for column in columns:
-        lanes = bytearray(width * len(column))
-        lanes[::width] = column
-        packed.append(int.from_bytes(lanes, "little"))
-    return slot, packed
+    return slot, [_pack(column, slot) for column in columns]
 
 
 def _lanes(packed: int, slot: int, m: int) -> list[int]:

@@ -10,16 +10,17 @@ widths counts once.  Indices are 1-based throughout, matching the usual
 one-line conventions.
 
 The counts des, inv, maj and exc come from `scanner`, which counts a
-whole batch of words at once, in lanes: each position's column of the batch
-is one packed integer whose lane i holds word i's letter, and each compared
-pair of positions is one broadword comparison of two columns (Lamport,
-"Multiple byte processing with full-word instructions", CACM 18(8), 1975),
-so a pair costs a few big-integer operations whatever the batch's size.
-The words are words of distinct nonnegative integers.  A single word is a
-batch of one.  A batch may also arrive as its columns, one bytes object per
-position, as brute-force counting builds S_n; only the packing differs.
+whole batch of words at once, in lanes.  A batch is its columns, one per
+position (item i: word i's letter), bytes or ints, and its number of words;
+each column packs into one integer whose lane i holds word i's letter, and
+each compared pair of positions is one broadword comparison of two columns
+(Lamport, "Multiple byte processing with full-word instructions", CACM
+18(8), 1975), so a pair costs a few big-integer operations whatever the
+batch's size.  The words are words of distinct nonnegative integers.  A
+single word is a batch of one, each column one letter.
 
->>> scanner("des", 4, 1)([(2, 1, 4, 3), (1, 2, 3, 4), (300, 5, 200, 0)])
+>>> words = [(2, 1, 4, 3), (1, 2, 3, 4), (300, 5, 200, 0)]
+>>> scanner("des", 4, 1)(list(zip(*words)), 3)
 [2, 0, 2]
 
 The per-word sets des_set and inv_set come straight from the definitions,
@@ -36,7 +37,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError
-from .poly import _byte_columns, _columns, _lanes
+from .poly import _columns, _lanes
 
 Widths = int | Iterable[int]
 
@@ -78,7 +79,7 @@ def des_set(word: Sequence[int], widths: Widths) -> tuple[int, ...]:
 
 def des(word: Sequence[int], widths: Widths = 1) -> int:
     """Number of width-k descents (multiset size for a width set)."""
-    return scanner("des", len(word), widths)([word])[0]
+    return scanner("des", len(word), widths)(list(zip(word)), 1)[0]
 
 
 def inv_set(word: Sequence[int], widths: Widths) -> tuple[tuple[int, int], ...]:
@@ -98,7 +99,7 @@ def inv_set(word: Sequence[int], widths: Widths) -> tuple[tuple[int, int], ...]:
 
 def inv(word: Sequence[int], widths: Widths = 1) -> int:
     """Number of width-k inversions (set-union size for a width set)."""
-    return scanner("inv", len(word), widths)([word])[0]
+    return scanner("inv", len(word), widths)(list(zip(word)), 1)[0]
 
 
 def _lcm_terms(widths: Widths, n: int) -> list[tuple[int, int]]:
@@ -139,7 +140,7 @@ def exc(word: Sequence[int], widths: Widths = 1) -> int:
     """
     if len(set(word)) != len(word):  # the scanner's ranks need distinct letters
         raise InvalidInputError(f"entries must be distinct: {tuple(word)!r}")
-    return scanner("exc", len(word), widths)([word])[0]
+    return scanner("exc", len(word), widths)(list(zip(word)), 1)[0]
 
 
 def maj(word: Sequence[int], widths: Widths = 1) -> int:
@@ -147,31 +148,34 @@ def maj(word: Sequence[int], widths: Widths = 1) -> int:
     Width-k major index: sum of ceil(i / k) over width-k descents i,
     summed over the widths.  Equals the blockwise classical major sum.
     """
-    return scanner("maj", len(word), widths)([word])[0]
+    return scanner("maj", len(word), widths)(list(zip(word)), 1)[0]
 
 
-def scanner(statistic: str, n: int, widths: Widths) -> Callable[..., list[int]]:
+def scanner(statistic: str, n: int, widths: Widths) -> Callable[[Sequence, int], list[int]]:
     """
     A counter of a statistic at the given widths over a batch of m words of
-    length n, each a word of distinct nonnegative integers: it maps a list
-    of words to the list of their counts, every count an int, and the n
-    byte columns of a batch (byte i of column p: word i's letter at p),
-    given size=m, to the same list.  It counts in lanes of L bits, wide
-    enough that every letter and every count of the batch is below
-    2^(L-1).  Column p of the batch packs into one integer
-    whose lane i holds word i's letter at p; with ONE a 1 in every lane and
-    G = ONE << (L-1), lane i of ((A | G) - B - ONE) & G is G exactly when
-    a_i > b_i, and no borrow crosses a lane.  So one comparison of two
-    columns covers the whole batch: des sums it over the pairs (i, i + k),
-    inv over the pairs whose gap some width divides, and maj weights each
-    width-k pair by ceil((i + 1)/k).  exc sums, within each block
-    b = a_i a_(i+k) ..., one comparison per pair into the rank R_t of every
-    letter, and counts the letters with R_t > t.
+    length n, each a word of distinct nonnegative integers.  A batch is its
+    columns: count(columns, m) takes the n columns (item i of column p: word
+    i's letter at p), each a bytes object or a sequence of ints, and returns
+    the list of the m counts, every count an int.  It counts in lanes of L
+    bits, wide enough that every letter and every count of the batch is
+    below 2^(L-1).  Column p packs into one integer whose lane i holds word
+    i's letter at p; with ONE a 1 in every lane and G = ONE << (L-1), lane i
+    of ((A | G) - B - ONE) & G is G exactly when a_i > b_i, and no borrow
+    crosses a lane.  So one comparison of two columns covers the whole
+    batch: des sums it over the pairs (i, i + k), inv over the pairs whose
+    gap some width divides, and maj weights each width-k pair by
+    ceil((i + 1)/k).  exc sums, within each block b = a_i a_(i+k) ..., one
+    comparison per pair into the rank R_t of every letter, and counts the
+    letters with R_t > t.
 
-    >>> scanner("inv", 7, (2, 3))([(4, 1, 3, 6, 5, 7, 2), (1, 2, 3, 4, 5, 6, 7)])
+    >>> words = [(4, 1, 3, 6, 5, 7, 2), (1, 2, 3, 4, 5, 6, 7)]
+    >>> scanner("inv", 7, (2, 3))(list(zip(*words)), 2)
     [5, 0]
-    >>> scanner("inv", 3, 1)([b"\\x01\\x03", b"\\x02\\x02", b"\\x03\\x01"], size=2)  # 123, 321
+    >>> scanner("inv", 3, 1)([b"\\x01\\x03", b"\\x02\\x02", b"\\x03\\x01"], 2)  # 123, 321
     [0, 3]
+    >>> scanner("des", 0, 1)([], 1)  # S_0: the empty word
+    [0]
     """
     if statistic not in STATISTICS:
         raise InvalidInputError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
@@ -189,12 +193,10 @@ def scanner(statistic: str, n: int, widths: Widths) -> Callable[..., list[int]]:
             weights = [i // d + 1 for d in gaps for i in range(n - d)]
         most = sum(weights) or len(pairs)  # the largest count
 
-    def count(batch: Sequence, size: int | None = None) -> list[int]:
-        m = len(batch) if size is None else size
+    def count(columns: Sequence, m: int) -> list[int]:
         if not m or not (pairs or blocks):
             return [0] * m  # no pair to compare
-        pack = _columns if size is None else _byte_columns
-        slot, cols = pack(batch, most.bit_length())
+        slot, cols = _columns(columns, m, most.bit_length())
         one = ((1 << slot * m) - 1) // ((1 << slot) - 1)  # a 1 in every lane
         high, shift = one << (slot - 1), slot - 1
 

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthk.perm import enumerate_sn, standardize
-from widthk.stats import des, exc, inv, maj, scanner
+from widthk.stats import des, exc, inv, maj
 
 
 def foata_first(perm):
@@ -107,7 +107,7 @@ def test_foata_maps_on_small_words():
     assert maj((1, 3, 2)) == inv((3, 1, 2)) == 2
 
 
-def test_both_transports_are_bijections_of_sn_exhaustively():
+def test_both_transports_are_bijections_of_sn_exhaustively(word_counter):
     # every word of S_n, n <= 6, at every width k <= n, one batch per count
     for n in range(7):
         words = list(enumerate_sn(n))
@@ -115,8 +115,8 @@ def test_both_transports_are_bijections_of_sn_exhaustively():
             phis = [phi(w, k) for w in words]
             big_phis = [big_phi(w, k) for w in words]
             assert sorted(phis) == words and sorted(big_phis) == words, (n, k)
-            assert scanner("exc", n, k)(words) == scanner("des", n, k)(phis), (n, k)
-            assert scanner("maj", n, k)(words) == scanner("inv", n, k)(big_phis), (n, k)
+            assert word_counter("exc", n, k)(words) == word_counter("des", n, k)(phis), (n, k)
+            assert word_counter("maj", n, k)(words) == word_counter("inv", n, k)(big_phis), (n, k)
 
 
 @st.composite

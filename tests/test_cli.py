@@ -694,6 +694,12 @@ def test_main_leaves_no_garbage():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         main(["stat", "--perm", "21", "--stat", "des"])  # builds the parser
+        # cmd_verify imports these lazily; a first import inside the window
+        # leaves pickle's pure-Python exception classes, which _pickle's
+        # replace, as cycles for the collector
+        import pickle  # noqa: F401
+        import threading  # noqa: F401
+
         gc.collect()
         gc.disable()
         try:

@@ -117,8 +117,8 @@ class TestBruteDistribution:
 
     def test_brute_over_sn_lists_no_word(self, monkeypatch, capsys):
         # S_n reaches the scanner as byte columns: with enumerate_sn and the
-        # word batches refused, brute_distribution and gf --method brute
-        # still give the polynomials they gave before
+        # class walk refused, brute_distribution and gf --method brute still
+        # give the polynomials they gave before
         cases = [(name, k) for name in stats.STATISTICS for k in (1, 3, (2, 5))]
         want = {case: brute_distribution(8, *case) for case in cases}
         argv = ["gf", "--n", "8", "--stat", "maj", "--widths", "2,5", "--method", "brute"]
@@ -129,8 +129,7 @@ class TestBruteDistribution:
             raise AssertionError("S_n was listed word by word")
 
         monkeypatch.setattr(perm, "enumerate_sn", refuse)
-        monkeypatch.setattr(perm, "_batches", refuse)
-        monkeypatch.setattr(genfun, "_batches", refuse)
+        monkeypatch.setattr(perm, "_class_walk", refuse)
         for case, dist in want.items():
             assert brute_distribution(8, *case) == dist, case
         assert cli.main(argv) == 0
@@ -957,11 +956,11 @@ class TestGradedDistributions:
 
     def test_each_class_is_walked_once(self, monkeypatch):
         # a class is walked by the key walk behind t_polynomial, or listed
-        # in batches for brute_distribution; a run does either at most once
-        # per (n, class)
+        # in column batches for brute_distribution; a run does either at
+        # most once per (n, class)
         walks = collections.Counter()
 
-        for name in ("_joint_descents", "_batches"):
+        for name in ("_joint_descents", "_column_batches"):
 
             def counted(n, patterns=(), walk=getattr(genfun, name)):
                 walks[(n, tuple(patterns))] += 1

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthk import perm, stats
+from widthk import perm
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.verify import SweepCaches
 from widthk.perm import (
@@ -136,13 +136,13 @@ def _maj_profile(word):
 
 
 @pytest.mark.parametrize("n", range(9))
-def test_exc_maj_walk_matches_per_word_scan(n):
+def test_exc_maj_walk_matches_per_word_scan(n, word_counter):
     # the maj_K DP at every single width (and, for n <= 6, at every width
     # set K) and the exc_k DPs, at every k, against one scan per word (each
     # exc scanner is what stats.exc runs); maj_K sums the profile over K
     ks = range(1, n)
     words = list(itertools.permutations(range(1, n + 1)))
-    excs = {k: collections.Counter(stats.scanner("exc", n, k)(words)) for k in ks}
+    excs = {k: collections.Counter(word_counter("exc", n, k)(words)) for k in ks}
     majs = collections.Counter(map(_maj_profile, words))
     for size in range(1, n if n <= 6 else 2):
         for K in itertools.combinations(ks, size):

@@ -14,7 +14,7 @@ from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import brute_distribution
 from widthk.perm import (
     _BATCH,
-    _batches,
+    _column_batches,
     _sn_columns,
     avoidance_class,
     avoids,
@@ -22,7 +22,7 @@ from widthk.perm import (
     parse_patterns,
     standardize,
 )
-from widthk.poly import LaurentPoly
+from widthk.poly import LaurentPoly, _columns
 from widthk.stats import (
     STATISTICS,
     _lcm_terms,
@@ -202,14 +202,14 @@ def test_lcm_expansion_lists_subsets_by_size_then_combinations_order():
         _lcm_terms((2, 9), 9)
 
 
-def test_inclusion_exclusion_at_large_width_sets():
+def test_inclusion_exclusion_at_large_width_sets(word_counter):
     # every K of [1, 8] with |K| >= 4 at n = 9, where a subset's lcm is
     # often 9 or more; the scanner counts each K's words in one batch
     rng = random.Random(9)
     words = [tuple(rng.sample(range(1, 10), 9)) for _ in range(50)]
     for size in range(4, 9):
         for ks in itertools.combinations(range(1, 9), size):
-            assert [inv_by_lcm(w, ks) for w in words] == scanner("inv", 9, ks)(words), ks
+            assert [inv_by_lcm(w, ks) for w in words] == word_counter("inv", 9, ks)(words), ks
 
 
 @given(perms, st.sets(st.integers(1, 6), min_size=1, max_size=3))
@@ -268,7 +268,7 @@ def _width_sets(n):
         yield from itertools.combinations(range(1, top + 1), size)
 
 
-def test_scanners_match_per_word_definitions():
+def test_scanners_match_per_word_definitions(word_counter):
     # S_n as one batch, n <= 6, at every width set; then S_7 at every single
     # width, those >= n included, and at some width sets
     cases = [(n, ks) for n in range(7) for ks in _width_sets(n)]
@@ -276,32 +276,34 @@ def test_scanners_match_per_word_definitions():
     for n, widths in cases:
         words = list(enumerate_sn(n))
         for name in STATISTICS:
-            assert scanner(name, n, widths)(words) == [
+            assert word_counter(name, n, widths)(words) == [
                 per_word(name, w, widths) for w in words
             ], (name, n, widths)
 
 
-def test_scanner_counts_any_split_of_a_batch_alike():
+def test_scanner_counts_any_split_of_a_batch_alike(word_counter):
     # a batch's counts do not depend on where the batch is cut, nor on the
     # other words in it; a word alone is a batch of one
     words = list(enumerate_sn(6))
     for name in STATISTICS:
         for widths in (1, 4, (1, 2), (2, 3, 5)):
-            count = scanner(name, 6, widths)
+            count = word_counter(name, 6, widths)
             whole = count(words)
             for cut in (0, 1, 359, 719, 720):
                 assert count(words[:cut]) + count(words[cut:]) == whole, (name, widths, cut)
             assert [count([w])[0] for w in words[::37]] == whole[::37]
 
 
-def test_scanner_on_empty_words_and_empty_batches():
+def test_scanner_on_empty_words_and_empty_batches(word_counter):
     # zip(*[()]) has no columns: words of length 0 and 1 have no pair
     for name in STATISTICS:
-        assert scanner(name, 0, 1)([()]) == [0]
-        assert scanner(name, 1, 1)([(1,)]) == [0]
-        assert scanner(name, 1, [1])([(1,), (1,)]) == [0, 0]
+        assert word_counter(name, 0, 1)([()]) == [0]
+        assert word_counter(name, 1, 1)([(1,)]) == [0]
+        assert word_counter(name, 1, [1])([(1,), (1,)]) == [0, 0]
         for n in (0, 1, 5):
-            assert scanner(name, n, 1)([]) == []
+            assert word_counter(name, n, 1)([]) == []
+        assert scanner(name, 0, 1)([], 1) == [0]  # S_0: the empty word
+        assert scanner(name, 5, 1)([], 0) == []
     assert (des(()), inv((1,)), maj(()), exc((1,))) == (0, 0, 0, 0)
 
 
@@ -317,7 +319,7 @@ def _lane_words(rng, letters, count):
 
 
 @pytest.mark.parametrize("n", [9, 15, 16, 17, 127, 128, 129, 255, 256, 300])
-def test_scanner_matches_per_word_definitions_across_lane_widths(n):
+def test_scanner_matches_per_word_definitions_across_lane_widths(n, word_counter):
     # the lanes widen from 8 to 16 to 32 bits as the letters and the counts
     # grow: inv at n = 17 reaches 136 and at n >= 24 more than 255, and the
     # letters of 1..n reach 128 at n = 128 and 256 at n = 256
@@ -326,11 +328,11 @@ def test_scanner_matches_per_word_definitions_across_lane_widths(n):
     for widths in (1, 2, (1, 3, n // 2)):
         for name in STATISTICS:
             expected = [per_word(name, w, widths) for w in words]
-            assert scanner(name, n, widths)(words) == expected, (n, name, widths)
+            assert word_counter(name, n, widths)(words) == expected, (n, name, widths)
 
 
 @pytest.mark.parametrize("top", [127, 128, 255, 256, 2**15, 2**31, 2**63, 2**70])
-def test_scanner_sizes_lanes_from_the_largest_letter(top):
+def test_scanner_sizes_lanes_from_the_largest_letter(top, word_counter):
     # letters far above n: the lanes follow the batch's largest letter (the
     # last three need 64-bit and wider slots), never n
     rng = random.Random(top)
@@ -339,18 +341,18 @@ def test_scanner_sizes_lanes_from_the_largest_letter(top):
         for widths in (1, 2, (1, 2)):
             for name in STATISTICS:
                 expected = [per_word(name, w, widths) for w in words]
-                assert scanner(name, n, widths)(words) == expected, (top, n, name, widths)
+                assert word_counter(name, n, widths)(words) == expected, (top, n, name, widths)
     assert des((300, 200)) == 1 and inv((0, 2**70, 5)) == 1
     assert exc((9, 300, 1)) == 2 and maj((256, 0, 128)) == 1
 
 
-def test_negative_letters_are_invalid_input():
+def test_negative_letters_are_invalid_input(word_counter):
     # the lanes hold nonnegative letters; a negative one raises, alone or in
     # a batch, in 8-bit lanes or wider ones
     for words in ([(1, -2, 3)], [(1, 2, 3), (1, -2, 3)], [(300, 1, -1)], [(3, 2, 1), (-300, 1, 2)]):
         for name in STATISTICS:
             with pytest.raises(InvalidInputError, match="nonnegative"):
-                scanner(name, 3, 1)(words)
+                word_counter(name, 3, 1)(words)
 
 
 def test_exc_of_a_word_with_a_repeated_letter_is_invalid_input():
@@ -362,7 +364,7 @@ def test_exc_of_a_word_with_a_repeated_letter_is_invalid_input():
     assert exc((2, 3, 1)) == 2 and exc((9, 300, 1), 2) == 1
 
 
-def test_adjacent_lanes_hold_the_largest_and_the_smallest_letter():
+def test_adjacent_lanes_hold_the_largest_and_the_smallest_letter(word_counter):
     # words and their reverses alternate, so at every position one lane
     # holds the largest letter and the next the smallest; at n = 128, des at
     # width 1 fills 8-bit lanes to the top (letters 0..127, counts <= 127),
@@ -379,16 +381,16 @@ def test_adjacent_lanes_hold_the_largest_and_the_smallest_letter():
         for widths in (1, n - 1, (1, 2)):
             for name in STATISTICS:
                 expected = [per_word(name, w, widths) for w in words]
-                assert scanner(name, n, widths)(words) == expected, (n, name, widths)
+                assert word_counter(name, n, widths)(words) == expected, (n, name, widths)
 
 
-def test_scanner_counts_any_split_of_a_wide_batch_alike():
+def test_scanner_counts_any_split_of_a_wide_batch_alike(word_counter):
     # 16-bit lanes (letters up to 129): cutting the batch anywhere, or
     # counting each word alone, gives the same counts
     rng = random.Random(129)
     words = _lane_words(rng, range(1, 130), 9)
     for name in STATISTICS:
-        count = scanner(name, 129, (1, 4))
+        count = word_counter(name, 129, (1, 4))
         whole = count(words)
         for cut in range(len(words) + 1):
             assert count(words[:cut]) + count(words[cut:]) == whole, (name, cut)
@@ -407,13 +409,13 @@ def test_brute_distribution_above_the_8_bit_lanes(pats, monkeypatch):
             assert brute_distribution(130, name, widths, parse_patterns(pats)) == expected
 
 
-def test_counts_are_ints_never_bools():
+def test_counts_are_ints_never_bools(word_counter):
     # one compared pair (des at width n - 1) gives a bool per word before
     # the sum; a bool key would print as True/False
     words = list(enumerate_sn(5))
     for name in STATISTICS:
         for widths in (4, (4,), 1, (1, 3)):
-            counts = scanner(name, 5, widths)(words)
+            counts = word_counter(name, 5, widths)(words)
             assert {type(c) for c in counts} == {int}, (name, widths)
             dist = brute_distribution(5, name, widths)
             assert {type(e) for e, _ in dist.terms()} == {int}, (name, widths)
@@ -437,17 +439,17 @@ def test_brute_distribution_matches_per_word_definitions(pats):
 
 @pytest.mark.parametrize("n, pats", [(7, "4321"), (8, "1234"), (8, "132,4321")])
 def test_brute_distribution_over_classes_of_several_batches(n, pats):
-    # Av_7(4321) and Av_8(1234) fill more than one of the walk's lists, S_7
-    # more than one islice chunk; the counts over the batches must add up
+    # Av_7(4321) and Av_8(1234) fill more than one of the walk's lists, and
+    # S_8 more than one 7! batch; the counts over the batches must add up
     # to the per-word counts over the members
     patterns = parse_patterns(pats)
-    batches = list(_batches(n, patterns))
-    members = [w for batch in batches for w in batch]
+    batches = list(_column_batches(n, patterns))
+    members = [w for columns, _ in batches for w in zip(*columns)]
     assert members == [w for w in enumerate_sn(n) if avoids(w, patterns)]
     assert len(batches) > 1 or len(members) <= _BATCH
-    assert all(0 < len(batch) < 2 * _BATCH for batch in batches)
-    sn = list(_batches(7, ()))
-    assert [len(b) for b in sn] == [_BATCH] * 4 + [5040 - 4 * _BATCH]
+    assert all(0 < m < 2 * _BATCH for _, m in batches)
+    assert [m for _, m in _column_batches(7, ())] == [5040]
+    assert [m for _, m in _column_batches(8, ())] == [5040] * 8
     for name in STATISTICS:
         for widths in (1, 3, (1, 2)):
             expected = Counter(per_word(name, w, widths) for w in members)
@@ -467,7 +469,7 @@ def test_sn_column_batches_are_the_listed_words_columns():
         assert joined == [bytes(column) for column in zip(*enumerate_sn(n))], n
 
 
-def test_brute_distribution_over_sn_matches_the_word_path():
+def test_brute_distribution_over_sn_matches_the_word_path(word_counter):
     # S_n counted from its byte columns against the scanner over
     # enumerate_sn's word list, at every single width and three width sets
     for n in range(9):
@@ -476,7 +478,7 @@ def test_brute_distribution_over_sn_matches_the_word_path():
         sets = [ks for ks in ((1, 2), (2, 3), (1, 3, 5)) if ks[-1] <= top]
         for widths in [*range(1, top + 1), *sets]:
             for name in STATISTICS:
-                expected = LaurentPoly(Counter(scanner(name, n, widths)(words)))
+                expected = LaurentPoly(Counter(word_counter(name, n, widths)(words)))
                 assert brute_distribution(n, name, widths) == expected, (n, name, widths)
 
 
@@ -484,7 +486,7 @@ def test_brute_distribution_over_sn_matches_the_word_path():
     (12, [(name, range(1, 12)) for name in STATISTICS]),
     (130, [("des", 1), ("maj", (1, 2)), ("inv", (50, 100)), ("exc", 64)]),
 ])
-def test_first_sn_column_batch_in_wide_lanes(n, cases, monkeypatch):
+def test_first_sn_column_batch_in_wide_lanes(n, cases, monkeypatch, word_counter):
     # S_12's maj at widths 1..11 can exceed 127, and S_130's letters reach
     # 130, so neither fits 8-bit lanes; each column batch counts as its
     # words do
@@ -498,7 +500,62 @@ def test_first_sn_column_batch_in_wide_lanes(n, cases, monkeypatch):
         assert max(columns[-1]) == 130
     for name, widths in cases:
         count = scanner(name, n, widths)
-        assert count(columns, size) == count(words), (name, widths)
+        assert count(columns, size) == word_counter(name, n, widths)(words), (name, widths)
+
+
+@pytest.mark.parametrize("pats", [
+    "312", "132,4321", "1342,2143", "4321", "1234", "12345", "13524,21", "24153,3412",
+])
+def test_class_column_batches_are_the_listed_words_columns(pats):
+    # joined across batches, a class's byte columns are the columns of
+    # avoidance_class's words, byte for byte and in order; Av_7(4321) and
+    # Av_8(1234) fill several of the walk's lists
+    patterns = parse_patterns(pats)
+    for n in range(9):
+        words = list(avoidance_class(n, patterns))
+        batches = list(_column_batches(n, patterns))
+        assert sum(m for _, m in batches) == len(words), (pats, n)
+        assert all(len(columns) == n for columns, _ in batches), (pats, n)
+        assert all(
+            type(column) is bytes and len(column) == m for columns, m in batches for column in columns
+        ), (pats, n)
+        joined = [b"".join(columns[p] for columns, _ in batches) for p in range(n)]
+        assert joined == [bytes(w[p] for w in words) for p in range(n)], (pats, n)
+        if pats in ("4321", "1234") and n >= 7:
+            assert len(batches) > 1, (pats, n)
+
+
+@pytest.mark.parametrize("pats", ["12", "21"])
+def test_class_batches_above_a_byte_are_int_columns(pats, monkeypatch):
+    # a letter of 256 does not fit a byte: Av_256(12) and Av_256(21), one
+    # word each, arrive as int columns and count as the definitions say
+    monkeypatch.setenv("WIDTHK_MAX_N", "256")
+    patterns = parse_patterns(pats)
+    (word,) = avoidance_class(256, patterns)
+    ((columns, m),) = _column_batches(256, patterns)
+    assert m == 1 and columns == [(a,) for a in word]
+    for name in STATISTICS:
+        for widths in (1, 2, (2, 3)):
+            expected = LaurentPoly({per_word(name, word, widths): 1})
+            assert brute_distribution(256, name, widths, patterns) == expected, (name, widths)
+
+
+@pytest.mark.parametrize("letters, slot", [(range(1, 9), 8), (range(1, 131), 16)])
+def test_bytes_and_int_columns_count_alike(letters, slot):
+    # one batch as bytes columns and as int columns packs into the same
+    # lanes, 8-bit below 128 and 16-bit above, and counts alike
+    words = _lane_words(random.Random(len(letters)), letters, 20)
+    n, m = len(letters), len(words)
+    ints = list(zip(*words))
+    raw = list(map(bytes, ints))
+    assert _columns(raw, m, 1) == _columns(ints, m, 1) and _columns(raw, m, 1)[0] == slot
+    for bits in (7, 8, 15, 16):
+        assert _columns(raw, m, bits) == _columns(ints, m, bits), bits
+    for widths in (1, 2, (1, 3)):
+        for name in STATISTICS:
+            count = scanner(name, n, widths)
+            expected = [per_word(name, w, widths) for w in words]
+            assert count(raw, m) == count(ints, m) == expected, (name, widths)
 
 
 def test_avoidance_class_raises_on_first_next():
