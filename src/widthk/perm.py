@@ -5,13 +5,16 @@ over the sets of filled positions counts every distribution over S_n: a
 single-key one (exc_k, maj_K, des_k - des_(n-k)) as one packed integer per
 set, and the joint descent profile, which the des/inv grades, inclusion-
 exclusion and duality read whole, as a dict of packed keys per set.  The
-pruned walk of a class counts its joint descent profile by int keys, or
-hands its members on in lists.  Words are built only where they are
-listed: by `enumerate_sn`, by `avoidance_class`, and in the class walk's
-lists.  Brute-force counting takes one batch form, and a batch is its
-columns: S_n's relabelled from S_7's byte columns, with no word built, and
-a class's the walk's lists transposed.  The S_n DPs and the key walk build
-no word either.  Every enumeration checks the cap.
+same joint DP, through a filter on where the next value may go, counts the
+joint descent profile of every class of length-3 patterns.  The pruned
+walk of a class counts the joint profile of the other classes, mixed or
+longer patterns, by int keys, and hands the members of every class on in
+lists.  Words are built only where they are listed: by `enumerate_sn`, by
+`avoidance_class`, and in the class walk's lists.  Brute-force counting
+takes one batch form, and a batch is its columns: S_n's relabelled from
+S_7's byte columns, with no word built, and a class's the walk's lists
+transposed.  The DPs and the key walk build no word either.  Every
+enumeration checks the cap.
 
 A permutation of [n] = {1, ..., n} is represented as a tuple of its values
 a_1, ..., a_n.  The empty tuple is the empty permutation, which is a valid
@@ -439,18 +442,23 @@ def _digits(keys: dict[int, int], n: int, w: int) -> dict[tuple[int, ...], int]:
 
 
 def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
-    # Counts of (des_1, ..., des_(n-1)) over Av_n(pats): by the class walk's
-    # keys, or over S_n by the DP.  des_g <= n - 1 < 2^w
+    # Counts of (des_1, ..., des_(n-1)) over Av_n(pats), by the DP over sets
+    # of filled positions: over S_n for no pattern, and through the filter of
+    # _allowed for patterns all of length 3.  Mixed and longer sets go by the
+    # class walk's keys.  des_g <= n - 1 < 2^w
     check_cap(n)
     w = (n - 1).bit_length()
     if not pats:
         return _digits(_sn_dp(n, w), n, w)
+    if all(len(p) == 3 for p in pats):
+        return _digits(_sn_dp(n, w, allowed=_allowed(n, pats)), n, w)
     tables = [_subset_sums(j - 1, lambda i, j=j: 1 << w * (j - i - 1)) for j in range(n + 1)]
     return _digits(Counter(itertools.chain.from_iterable(_class_walk(n, pats, tables))), n, w)
 
 
 # ---------------------------------------------------------------------------
-# distributions over S_n by a DP over the set of filled positions
+# distributions over S_n and over classes of length-3 patterns by a DP over
+# the set of filled positions
 #
 # Place the values 1..n in increasing order.  The value placed at position p
 # exceeds every value placed before it, so the set s of filled positions
@@ -463,41 +471,104 @@ def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
 # MacMahon 1915; Stanley, EC1, 1.3), on sets of positions.  The
 # single-key kernels (_sn_majors, _sn_excedances, _sn_g) return their
 # distribution as a LaurentPoly, made once from the final packed row.
+#
+# Over a class of length-3 patterns, the joint DP (_sn_dp) places a value
+# only where the filter of _allowed lets it, and counts the class with no
+# other state: the insertion-encoding view of a class (Albert, Linton and
+# Ruskuc, 2005; West's generating trees, 1995, are the same view by values).
 
 
-def _sn_dp(n: int, w: int) -> dict[int, int]:
-    # The packed keys of (des_1, ..., des_(n-1)) over S_n: placing at p adds
-    # step[s >> p], one to digit g-1 per filled position p + g.  Each state is
-    # a dict of keys, popped when reached: only the frontier stays alive.
+def _sn_dp(n: int, w: int, allowed: Callable[[int], int] | None = None) -> dict[int, int]:
+    # The packed keys of (des_1, ..., des_(n-1)) over S_n, or, given the
+    # filter allowed, over the class it admits: allowed(s) is the bitmask of
+    # the free positions where the next value may go when s is filled.
+    # Placing at p adds step[s >> p], one to digit g-1 per filled position
+    # p + g.  Each state is a dict of keys, popped when reached: only the
+    # frontier stays alive, and a state no member fills is skipped.  An
+    # empty class leaves the full state unreached, and counts to {}.
     step = _subset_sums(n - 1, lambda g: 1 << w * (g - 1))
+    full = (1 << n) - 1
     states = {0: {0: 1}}
     for s in range(1 << n):
-        row = states.pop(s)
-        for p in range(1, n + 1):
-            bit = 1 << p - 1
-            if s & bit:
-                continue
-            d = step[s >> p]
+        row = states.pop(s, None)
+        if row is None:
+            continue
+        free = full ^ s if allowed is None else allowed(s)
+        while free:
+            bit = free & -free
+            free ^= bit
+            d = step[s >> bit.bit_length()]
             target = states.setdefault(s | bit, {})
             get = target.get
             for key, c in row.items():
-                target[key + d] = get(key + d, 0) + c
-    return row
+                key += d
+                target[key] = get(key, 0) + c
+    return row or {}
+
+
+def _allowed(n: int, pats: tuple) -> Callable[[int], int]:
+    # The filter of _sn_dp for Av_n(pats), every pattern of length 3:
+    # allowed(s) holds the free positions where the next, larger value v may
+    # go when the positions in s are filled.  An occurrence of a pattern
+    # completes when its 3 is placed, and its 1 and 2 were placed before:
+    # placing v at p makes v the 2 of an occurrence with each filled a on
+    # the side of p that the pattern fixes for its 1, and that pair forbids
+    # one interval to its 3.  Every free position takes a larger value
+    # later, so p is allowed exactly when the union of those intervals holds
+    # no free position but p.  That union reads only the lowest or highest
+    # filled position on one side of p, so per pattern, in bits, the
+    # allowed positions are (reversal swaps the rules of 123 and 321, of 132
+    # and 231, and of 312 and 213):
+    #   123: below every filled one, or the highest free one;
+    #   321: above every filled one, or the lowest free one;
+    #   132: below every filled one, or the lowest free one above the
+    #        lowest filled one;
+    #   231: above every filled one, or the highest free one below the
+    #        highest filled one;
+    #   312: below every filled one above the lowest free one;
+    #   213: above every filled one below the highest free one.
+    # Each rule takes (s, e), e the free positions, and may hold filled
+    # positions too; allowed ANDs the rules of pats with e.  x & -x is the
+    # lowest set bit of x, 1 << x.bit_length() >> 1 the highest, and
+    # -1 << x.bit_length() the bits above x's.
+    rules = {
+        (1, 2, 3): lambda s, e: (s & -s) - 1 | 1 << e.bit_length() >> 1,
+        (3, 2, 1): lambda s, e: -1 << s.bit_length() | e & -e,
+        (1, 3, 2): lambda s, e: (s & -s) - 1 | (t := e & -(s & -s)) & -t,
+        (2, 3, 1): lambda s, e: (-1 << s.bit_length()
+                                 | 1 << (e & (1 << s.bit_length() >> 1) - 1).bit_length() >> 1),
+        (3, 1, 2): lambda s, e: ((t := s & -(e & -e)) & -t) - 1,
+        (2, 1, 3): lambda s, e: -1 << (s & (1 << e.bit_length()) - 1).bit_length(),
+    }
+    chosen = [rules[p] for p in pats]
+    full = (1 << n) - 1
+
+    def allowed(s: int) -> int:
+        e = full ^ s
+        free = e
+        for rule in chosen:
+            free &= rule(s, e)
+        return free
+
+    return allowed
 
 
 def _sn_row(n: int, step: Callable[[int, int], int]) -> LaurentPoly:
     # The sum of q^key over S_n, where placing the next value at p with s
     # filled adds step(p, s) to the key.  Each state is one packed integer,
     # and slot x counts key x.  A count never exceeds n!, so no slot
-    # carries, and a step is a shift-add.
+    # carries, and a step is a shift-add.  As in _sn_dp, the free positions
+    # are drawn by their bits.
     check_cap(n)
     slot = _slot_bits(math.factorial(n).bit_length())
-    states = [1] + [0] * ((1 << n) - 1)
+    full = (1 << n) - 1
+    states = [1] + [0] * full
     for s, row in enumerate(states):
-        for p in range(1, n + 1):
-            bit = 1 << p - 1
-            if not s & bit:
-                states[s | bit] += row << slot * step(p, s)
+        free = full ^ s
+        while free:
+            bit = free & -free
+            free ^= bit
+            states[s | bit] += row << slot * step(bit.bit_length(), s)
     return LaurentPoly._row(_unpack(row, slot))
 
 

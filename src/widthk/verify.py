@@ -118,10 +118,12 @@ class SweepCaches:
     """
     Memo for the distributions that one run's suites compare.  Each is
     graded or counted once per run, on first request: each (n, class) is
-    enumerated once, by packed keys, into its joint descent distribution,
-    and each des/inv distribution is one grade of it.  Over S_n the DP over
-    sets of filled positions counts each exc_k, maj_K and G[n,k] as one
-    packed row, with no joint distribution behind it.
+    counted once, by packed keys, into its joint descent distribution, and
+    each des/inv distribution is one grade of it.  The joint comes from the
+    DP over sets of filled positions for S_n and for a class of length-3
+    patterns, and from the class walk for any other class.  Over S_n the
+    same DP counts each exc_k, maj_K and G[n,k] as one packed row, with no
+    joint distribution behind it.
     """
 
     def __init__(self) -> None:
@@ -678,8 +680,9 @@ SUITE_NMAX: dict[str, int] = {
 
 
 #: The contiguous tail of SUITES that `verify --suite all` hands to a forked
-#: worker when a second CPU is free.  These suites walk avoidance classes and
-#: share almost no memo entries with the S_n suites before them.
+#: worker when a second CPU is free.  These suites count avoidance classes,
+#: by the filtered DP for length-3 patterns and by the class walk for longer
+#: ones, and share almost no memo entries with the S_n suites before them.
 _WORKER_SUITES = ("duality", "avoidance", "counting")
 
 

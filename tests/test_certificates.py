@@ -22,6 +22,14 @@ to another word by word:
 The maps live here as oracles: no route of the package runs them.  They
 check the batch counters at every n, where the per-word definitions of
 tests/test_stats.py reach only a few hundred letters at a few widths.
+
+Two class formulas rest on a structure theorem (Simion and Schmidt,
+"Restricted permutations", European J. Combin. 6, 1985): a member of
+Av(123, 132), or of Av(132, 213), is the skew sum of one block per part c of
+a composition of n, each block above the ones after it.  The block is
+(c-1)(c-2)...1c for {123, 132} and 12...c for {132, 213}, so des_k of a
+member is a function of its composition.  The constructions below check
+that map onto the class, and des_k word by word at any n.
 """
 
 import itertools
@@ -29,7 +37,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthk.perm import enumerate_sn, standardize
+from widthk.perm import avoidance_class, enumerate_sn, standardize
 from widthk.stats import des, exc, inv, maj
 
 
@@ -147,3 +155,69 @@ def test_cyclic_descents_exhaustively():
         for word in itertools.permutations(range(1, n + 1)):
             for k in range(1, n):
                 assert des(word, k) - des(word, n - k) == cdes(word, k) - k, (word, k)
+
+
+def skew_sum(parts, block):
+    """The skew sum of block(c) over the parts c, in order: each block takes
+    the largest values that the blocks after it leave."""
+    word, top = [], sum(parts)
+    for c in parts:
+        top -= c
+        word += [top + v for v in block(c)]
+    return tuple(word)
+
+
+def compositions(n):
+    """Every composition of n, by its set of cut points in 1..n-1."""
+    if n == 0:
+        return [()]
+    out = []
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        parts, size = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(size)
+                size = 0
+            size += 1
+        out.append((*parts, size))
+    return out
+
+
+# the block, the des_k of a member of length n > k by its composition
+CLASS_FORMULAS = {
+    ((1, 2, 3), (1, 3, 2)): (
+        lambda c: [*range(c - 1, 0, -1), c],
+        lambda parts, n, k: n - k - sum(c > k for c in parts),
+    ),
+    ((1, 3, 2), (2, 1, 3)): (
+        lambda c: range(1, c + 1),
+        lambda parts, n, k: sum(min(c, k) for c in parts) - k,
+    ),
+}
+
+
+def test_skew_sums_of_blocks_are_each_class_exhaustively():
+    for pats, (block, des_k) in CLASS_FORMULAS.items():
+        for n in range(9):
+            members = {parts: skew_sum(parts, block) for parts in compositions(n)}
+            assert sorted(members.values()) == list(avoidance_class(n, pats)), (pats, n)
+            for parts, word in members.items():
+                for k in range(1, n):
+                    assert des(word, k) == des_k(parts, n, k), (pats, word, k)
+
+
+@st.composite
+def compositions_and_widths(draw, top=300):
+    n = draw(st.integers(2, top))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    parts = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+    return parts, draw(st.integers(1, n - 1))
+
+
+@given(compositions_and_widths())
+@settings(max_examples=50, deadline=None)
+def test_class_formulas_at_any_length(case):
+    parts, k = case
+    n = sum(parts)
+    for block, des_k in CLASS_FORMULAS.values():
+        assert des(skew_sum(parts, block), k) == des_k(parts, n, k)

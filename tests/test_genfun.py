@@ -723,6 +723,29 @@ class TestFormulasAboveTheCap:
             assert inv == caches.dist(n, "maj", (k,)) == closed_inv_k(n, k), k
             assert caches.dist(n, "G", (k,)) == closed_g(n, k), k
 
+    def test_class_formulas_by_the_filtered_dp(self, monkeypatch):
+        # The DP over sets of filled positions counts a class of length-3
+        # patterns through its filter in at most n * 2^n steps, so it checks
+        # the class formulas past the cap, where no walk lists the class.
+        # Each formula is one grade of the class's joint descents.
+        n = 12
+        monkeypatch.setenv("WIDTHK_MAX_N", str(n))
+        joints = {pats: t_polynomial(n, pats) for pats in [*RECURSIONS, *CLOSED_INV]}
+
+        def grade(pats, widths):
+            return joints[pats].grade([int(g in widths) for g in range(1, n)])
+
+        assert joints[((3, 1, 2),)].at_ones() == catalan(n)
+        for pats, recursion in RECURSIONS.items():
+            for k in (2, 3):
+                assert grade(pats, {k}) == recursion(n, k), (pats, k)
+        for pats in CLOSED_INV:
+            for k in range(1, n):
+                multiples = tuple(range(k, n, k))
+                expected = grade(pats, multiples)
+                assert closed_inv_132_312(n, k) == expected, (pats, k)
+                assert product_132_312(n, multiples) == expected, (pats, k)
+
 
 def block_route_inv_k(n, k):
     """
@@ -973,14 +996,16 @@ class TestGradedDistributions:
 
     @pytest.fixture
     def sn_runs(self, monkeypatch):
-        # (n, caller) of every S_n DP run
+        # (n, caller) of every S_n DP run.  A DP given a filter counts an
+        # avoidance class, and test_each_class_is_walked_once pins those
         runs = collections.Counter()
 
         for name in ("_sn_dp", "_sn_row"):
 
-            def counted(n, *args, dp=getattr(perm, name)):
-                runs[(n, sys._getframe(1).f_code.co_name)] += 1
-                return dp(n, *args)
+            def counted(n, *args, dp=getattr(perm, name), **allowed):
+                if not allowed:
+                    runs[(n, sys._getframe(1).f_code.co_name)] += 1
+                return dp(n, *args, **allowed)
 
             monkeypatch.setattr(perm, name, counted)
         return runs

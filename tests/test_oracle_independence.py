@@ -5,7 +5,11 @@ SweepCaches.dist with brute_distribution, which counts through the scanner.
 A comparison checks something only while its two sides share no rule: in
 stats, the per-word sets, inv_by_lcm and the lcm expansion never name the
 scanner, nor the scanner them; in genfun, only brute_distribution names the
-scanner, and nothing in verify names it."""
+scanner, and nothing in verify names it.
+
+Likewise the tests compare the DP's filter for classes of length-3 patterns
+(perm._allowed) with the class walk's fold tables: the two name neither each
+other nor a common helper of perm, and the filter does not name _gap."""
 
 import ast
 import pathlib
@@ -87,4 +91,55 @@ def test_the_check_sees_a_crossing():
         "genfun.py:5: scanner",
         "verify.py:3: scanner",
         "verify.py:5: scanner",
+    ]
+
+
+def _filter_crossings(perm_source: str) -> list[str]:
+    # perm's own module-level names are its helpers
+    body = ast.parse(perm_source).body
+    functions = {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
+    defined = set(functions) | {
+        target.id
+        for node in body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    walk_names = {name for _, name in _names(functions["_class_walk"])}
+    found = [
+        f"perm.py:{line}: _allowed names {name}"
+        for line, name in _names(functions["_allowed"])
+        if name in ("_class_walk", "_gap") or name in defined & walk_names
+    ]
+    found += [
+        f"perm.py:{line}: _class_walk names _allowed"
+        for line, name in _names(functions["_class_walk"])
+        if name == "_allowed"
+    ]
+    return sorted(found)
+
+
+def test_the_filter_and_the_walk_share_no_rule():
+    perm_source = (PACKAGE / "perm.py").read_text()
+    assert "def _allowed(" in perm_source and "def _class_walk(" in perm_source
+    assert _filter_crossings(perm_source) == []
+
+
+def test_the_filter_check_sees_a_crossing():
+    perm_source = (
+        "_WIDTH = 3\n"
+        "def _gap(pattern, s, n):\n"
+        "    return s\n"
+        "def _class_walk(n, pats, tables=None):\n"
+        "    fold = [_gap(p, 0, n) for p in pats]\n"
+        "    return _WIDTH, fold, _allowed(n, pats)\n"
+        "def _allowed(n, pats):\n"
+        "    rules = _gap(pats[0], 0, n)\n"
+        "    return rules, _WIDTH, _class_walk\n"
+    )
+    assert _filter_crossings(perm_source) == [
+        "perm.py:6: _class_walk names _allowed",
+        "perm.py:8: _allowed names _gap",
+        "perm.py:9: _allowed names _WIDTH",
+        "perm.py:9: _allowed names _class_walk",
     ]

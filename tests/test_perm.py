@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 from widthk import perm
 from widthk.errors import EnumerationCapError, InvalidInputError
+from widthk.genfun import brute_distribution, t_polynomial
 from widthk.verify import SweepCaches
 from widthk.perm import (
+    _allowed,
     _class_walk,
     _digits,
     _joint_descents,
+    _sn_dp,
     _sn_excedances,
     _sn_g,
     _sn_majors,
@@ -164,6 +167,66 @@ def test_sn_joint_descents_match_unpruned_walk(n):
     tables = [_subset_sums(j - 1, lambda i, j=j: 1 << w * (j - i - 1)) for j in range(n + 1)]
     keys = collections.Counter(itertools.chain.from_iterable(_class_walk(n, (), tables)))
     assert _joint_descents(n, ()) == _digits(keys, n, w)
+
+
+# every nonempty set of length-3 patterns, the classes _joint_descents
+# counts by the filtered DP
+S3_CLASSES = [
+    pats
+    for size in range(1, 7)
+    for pats in itertools.combinations(itertools.permutations((1, 2, 3)), size)
+]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_filtered_dp_matches_the_key_walk(n):
+    # the DP through the filter of each class against the class walk's keys
+    w = (n - 1).bit_length()
+    tables = [_subset_sums(j - 1, lambda i, j=j: 1 << w * (j - i - 1)) for j in range(n + 1)]
+    for pats in S3_CLASSES:
+        keys = collections.Counter(itertools.chain.from_iterable(_class_walk(n, pats, tables)))
+        assert _sn_dp(n, w, allowed=_allowed(n, pats)) == keys, pats
+        assert _joint_descents(n, pats) == _digits(keys, n, w), pats
+
+
+def test_length3_classes_take_the_dp_and_others_the_walk(monkeypatch):
+    walked = []
+
+    def walk(n, pats, tables=None):
+        walked.append(pats)
+        return _class_walk(n, pats, tables)
+
+    monkeypatch.setattr(perm, "_class_walk", walk)
+    for pats in S3_CLASSES:
+        _joint_descents(6, pats)
+    assert walked == []
+    for pats in (((1, 2),), ((1, 3, 2), (1, 2, 3, 4)), ((2, 1, 4, 3),)):
+        _joint_descents(6, pats)
+    assert walked == [((1, 2),), ((1, 3, 2), (1, 2, 3, 4)), ((2, 1, 4, 3),)]
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_the_empty_class_counts_to_nothing(n):
+    # no word of length >= 5 avoids both 123 and 321 (Erdos-Szekeres), so
+    # the DP never reaches the full set
+    pats = ((1, 2, 3), (3, 2, 1))
+    assert _joint_descents(n, pats) == {}
+    assert t_polynomial(n, pats).at_ones() == 0
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_filtered_grades_match_brute_force(n):
+    # des and inv graded from each class's joint against the scan of the
+    # members that _column_batches lists through the walk
+    caches = SweepCaches()
+    for pats in S3_CLASSES:
+        for widths in ((1,), (2,), (1, 2)):
+            if max(widths) > max(n - 1, 1):
+                continue
+            for statistic in ("des", "inv"):
+                assert caches.dist(n, statistic, widths, pats) == brute_distribution(
+                    n, statistic, widths, pats
+                ), (pats, widths, statistic)
 
 
 def _contains_brute(word, pattern):
