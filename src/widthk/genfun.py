@@ -4,9 +4,9 @@ Generating functions of width-k statistics.
 Distributions arrive by three independent routes: enumeration, closed
 product formulas, and recursions for particular avoidance classes.  The
 suites of `widthk.verify` compare each formula with the distribution that
-`perm`'s DPs over sets of filled positions and class key walks count.
-`brute_distribution` scans every word instead: it is the route of
-`gf --method brute`, and the tests' oracle for those kernels.
+`perm`'s DPs over sets of filled positions count.  `brute_distribution`
+scans every word instead: it is the route of `gf --method brute`, and the
+tests' oracle for those DPs.
 """
 from __future__ import annotations
 
@@ -51,8 +51,7 @@ def brute_distribution(
     the walk's lists of about a thousand words transposed.  One
     `stats.scanner` counts each batch, every word from its own letters.  It
     is the per-word route of `gf --method brute`, and the tests' oracle for
-    the DPs and the class key walk that `verify` reads through
-    `SweepCaches.dist`.
+    the DPs that `verify` reads through `SweepCaches.dist`.
 
     >>> print(brute_distribution(3, "des"))
     1 + 4*q + q^2
@@ -114,9 +113,9 @@ def t_polynomial(n: int, patterns: Patterns = ()) -> MultiPoly:
     """
     Joint distribution of all width descents at once: each permutation in
     the class contributes the monomial t_1^(des_1) ... t_(n-1)^(des_(n-1)).
-    Counted by packed keys without building a word: S_n, and a class of
-    length-3 patterns, by the DP over the sets of filled positions, any
-    other avoidance class by the pruned walk that lists it.  Subject to the
+    S_n, and a class of length-3 patterns, by the DP over the sets of
+    filled positions, building no word; any other avoidance class by brute
+    force over the members that the pruned walk lists.  Subject to the
     enumeration cap.
     """
     check_cap(n)

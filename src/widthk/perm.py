@@ -7,14 +7,13 @@ set, and the joint descent profile, which the des/inv grades, inclusion-
 exclusion and duality read whole, as a dict of packed keys per set.  The
 same joint DP, through a filter on where the next value may go, counts the
 joint descent profile of every class of length-3 patterns.  The pruned
-walk of a class counts the joint profile of the other classes, mixed or
-longer patterns, by int keys, and hands the members of every class on in
-lists.  Words are built only where they are listed: by `enumerate_sn`, by
-`avoidance_class`, and in the class walk's lists.  Brute-force counting
-takes one batch form, and a batch is its columns: S_n's relabelled from
-S_7's byte columns, with no word built, and a class's the walk's lists
-transposed.  The DPs and the key walk build no word either.  Every
-enumeration checks the cap.
+walk of a class only lists its members.  Words are built only where they
+are listed: by `enumerate_sn`, by `avoidance_class`, and in the class
+walk's lists.  Brute-force counting takes one batch form, and a batch is
+its columns: S_n's relabelled from S_7's byte columns, with no word built,
+and a class's the walk's lists transposed.  The joint profile of any other
+class, mixed or longer patterns, is counted by brute force.  The DPs build
+no word.  Every enumeration checks the cap.
 
 A permutation of [n] = {1, ..., n} is represented as a tuple of its values
 a_1, ..., a_n.  The empty tuple is the empty permutation, which is a valid
@@ -29,6 +28,7 @@ import os
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import stats
 from .errors import EnumerationCapError, InvalidInputError
 from .poly import LaurentPoly, _slot_bits, _unpack
 
@@ -243,20 +243,19 @@ def _sn_columns(n: int) -> Iterator[tuple[list[bytes], int]]:
         yield columns + [column.translate(table) for column in base], size
 
 
-def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[list]:
+def _class_walk(n: int, pats: tuple) -> Iterator[list]:
     # The pruned walk over Av_n(pats), by depth-first prefix extension with no
     # containment search.  It yields the members in lexicographic order, in
-    # lists of about _BATCH, or, given the key tables of _joint_descents, their
-    # keys.  An occurrence of a prefix p[:t] of a pattern p of length m is kept
-    # as the bitmask S of its values; a later letter extends it to p[:t+1]
-    # exactly when it lies in the value interval gap(S) that the rank of p[t]
-    # among p[:t+1] dictates.  A new occurrence of p[:m-1] forbids its gap for
-    # the whole subtree, and every member still places every value, so a letter
-    # whose placing would forbid a value not yet placed opens no branch: the
-    # walk opens only prefixes that extend to a member, each branch draws the
-    # next letter from the bitmask `left` of the values not yet placed, and a
-    # member or key completes in its parent's loop, by the one value left: no
-    # prefix of length n - 1 grows.
+    # lists of about _BATCH.  An occurrence of a prefix p[:t] of a pattern p
+    # of length m is kept as the bitmask S of its values; a later letter
+    # extends it to p[:t+1] exactly when it lies in the value interval gap(S)
+    # that the rank of p[t] among p[:t+1] dictates.  A new occurrence of
+    # p[:m-1] forbids its gap for the whole subtree, and every member still
+    # places every value, so a letter whose placing would forbid a value not
+    # yet placed opens no branch: the walk opens only prefixes that extend to
+    # a member, each branch draws the next letter from the bitmask `left` of
+    # the values not yet placed, and a member completes in its parent's loop,
+    # by the one value left: no prefix of length n - 1 grows.
     #
     # The occurrences of p[:m-2] are folded into `rows`, one int with a field
     # of width = n + 2 bits per value: field x holds what placing x next would
@@ -275,16 +274,14 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[lis
     # call.
     #
     # Below two letters, or with the pattern 1, a class holds at most the
-    # identity, with key 0.  The key masks ride in one int with an n-bit field
-    # per value (field v at bit n*v): placing v at position j reads field v,
-    # and one AND and one OR set bit j-1 in fields 1..v-1.  One plain
-    # recursion, extend, fills a list with the members below a prefix.
-    # Prefixes shorter than cut - 1 are expanded one level at a time into a
-    # stack of states, so a list gathers whole subtrees of at most 6! members
-    # until it holds _BATCH, and the walk never holds the whole class.
+    # identity.  One plain recursion, extend, fills a list with the members
+    # below a prefix.  Prefixes shorter than cut - 1 are expanded one level at
+    # a time into a stack of states, so a list gathers whole subtrees of at
+    # most 6! members until it holds _BATCH, and the walk never holds the
+    # whole class.
     if n < 2 or (1,) in pats:
         if not n or (1,) not in pats:  # every letter is an occurrence of 1
-            yield [0] if tables else [tuple(range(1, n + 1))]
+            yield [tuple(range(1, n + 1))]
         return
     width = n + 2  # bits per field of rows
     span = width * (n + 1)
@@ -314,9 +311,6 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[lis
     long = [(p, p[0] < p[1], {}, {}) for p in pats if len(p) >= 5]
     deep = any(len(p) >= 4 for p in pats)  # a placement does more than OR fold[v]
     full = (1 << (n + 1)) - 2
-    field = (1 << n) - 1
-    cols = [0] + [sum(1 << (n * v + j) for v in range(1, n + 1)) for j in range(n)]
-    below = [(1 << n * v) - 1 for v in range(n + 1)]
     prefix = [0] * (n - 2)  # prefix[i]: the letter at position i + 1
 
     def grow(v: int, left: int, rows: int, stored: list) -> tuple[int, list]:
@@ -354,9 +348,9 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[lis
             child.append(child_levels)
         return rows, child
 
-    def extend(extend: Callable, j: int, left: int, rows: int, stored: list, key: int,
-               masks: int, out: list, stop: int) -> None:
-        # Append to out the members or keys below the prefix of length j - 1,
+    def extend(extend: Callable, j: int, left: int, rows: int, stored: list, out: list,
+               stop: int) -> None:
+        # Append to out the members below the prefix of length j - 1,
         # or, for a child prefix of length stop - 1, its state.  extend is
         # passed to itself: no closure cell refers to it, so a walk leaves
         # no cycle for the collector.
@@ -369,16 +363,8 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[lis
             rest = left ^ bit
             if rows >> width * v & rest:
                 continue  # placing v would forbid a value still to place
-            child_key, child_masks = key, masks
-            if tables:
-                child_key += tables[j][masks >> n * v & field]
-                child_masks |= cols[j] & below[v]
             if j == n - 1:  # the value left completes a member
-                w = rest.bit_length() - 1
-                if tables:
-                    append(child_key + tables[n][child_masks >> n * w & field])
-                else:
-                    append((*prefix, v, w))
+                append((*prefix, v, rest.bit_length() - 1))
                 continue
             child_rows = rows | fold[v]
             child_stored = stored
@@ -388,13 +374,13 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[lis
                     child_rows, child_stored = grow(v, rest, child_rows, stored)
             prefix[j - 1] = v
             if j + 1 == stop:
-                append((j + 1, rest, child_rows, child_stored, child_key, child_masks, prefix[:j]))
+                append((j + 1, rest, child_rows, child_stored, prefix[:j]))
                 continue
-            extend(extend, j + 1, rest, child_rows, child_stored, child_key, child_masks, out, stop)
+            extend(extend, j + 1, rest, child_rows, child_stored, out, stop)
 
     cut = max(1, n - 5)  # a prefix of length cut - 1 leaves at most 6! members
     stored = [[[] for _ in range(len(p) - 4)] for p, *_ in long]
-    states = [(1, full, rows, stored, 0, 0, [])]  # a stack, the next state last
+    states = [(1, full, rows, stored, [])]  # a stack, the next state last
     batch: list = []
     while states:
         j, *state, fixed = states.pop()
@@ -413,15 +399,12 @@ def _class_walk(n: int, pats: tuple, tables: list | None = None) -> Iterator[lis
 
 
 # ---------------------------------------------------------------------------
-# joint descent profiles by packed keys, building no words
+# joint descent profiles
 #
-# Each width statistic is a sum over positions, so every kernel turns a set
-# of positions into a key by one subset-sum table.  A class walk fills
-# positions from 1 up; each value still to place carries the mask of the
-# earlier positions (bit i-1 for position i) holding larger letters.
-# Placing a value at position j adds tables[j][mask] to one int key; each i
-# in the mask is a width-g descent at i, g = j - i, adding one to the key's
-# base-2^w digit g-1.
+# Each width statistic is a sum over positions, so the DPs below turn a set
+# of positions into a key by one subset-sum table: one packed int whose
+# base-2^w digit g-1 counts the width-g descents.  A class that the DP does
+# not filter is counted by brute force over its listed columns instead.
 
 
 def _subset_sums(bits: int, weight: Callable[[int], int]) -> list[int]:
@@ -444,16 +427,21 @@ def _digits(keys: dict[int, int], n: int, w: int) -> dict[tuple[int, ...], int]:
 def _joint_descents(n: int, pats: tuple) -> dict[tuple[int, ...], int]:
     # Counts of (des_1, ..., des_(n-1)) over Av_n(pats), by the DP over sets
     # of filled positions: over S_n for no pattern, and through the filter of
-    # _allowed for patterns all of length 3.  Mixed and longer sets go by the
-    # class walk's keys.  des_g <= n - 1 < 2^w
+    # _allowed for patterns all of length 3.  Mixed and longer sets go by
+    # brute force: one des scanner per gap counts each batch of the listed
+    # columns, and a batch's lanes zip into its members' vectors (the empty
+    # vector, below two letters).  des_g <= n - 1 < 2^w
     check_cap(n)
     w = (n - 1).bit_length()
     if not pats:
         return _digits(_sn_dp(n, w), n, w)
     if all(len(p) == 3 for p in pats):
         return _digits(_sn_dp(n, w, allowed=_allowed(n, pats)), n, w)
-    tables = [_subset_sums(j - 1, lambda i, j=j: 1 << w * (j - i - 1)) for j in range(n + 1)]
-    return _digits(Counter(itertools.chain.from_iterable(_class_walk(n, pats, tables))), n, w)
+    scans = [stats.scanner("des", n, g) for g in range(1, n)]
+    joint: Counter = Counter()
+    for columns, m in _column_batches(n, pats):
+        joint.update(zip(*[scan(columns, m) for scan in scans]) if scans else [()] * m)
+    return joint
 
 
 # ---------------------------------------------------------------------------

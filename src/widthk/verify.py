@@ -119,9 +119,9 @@ class SweepCaches:
     Memo for the distributions that one run's suites compare.  Each is
     graded or counted once per run, on first request: each (n, class) is
     counted once, by packed keys, into its joint descent distribution, and
-    each des/inv distribution is one grade of it.  The joint comes from the
-    DP over sets of filled positions for S_n and for a class of length-3
-    patterns, and from the class walk for any other class.  Over S_n the
+    each des/inv distribution is one grade of it.  The suites read S_n and
+    classes of length-3 patterns only, whose joints the DP over sets of
+    filled positions counts.  Over S_n the
     same DP counts each exc_k, maj_K and G[n,k] as one packed row, with no
     joint distribution behind it.
     """
@@ -680,9 +680,9 @@ SUITE_NMAX: dict[str, int] = {
 
 
 #: The contiguous tail of SUITES that `verify --suite all` hands to a forked
-#: worker when a second CPU is free.  These suites count avoidance classes,
-#: by the filtered DP for length-3 patterns and by the class walk for longer
-#: ones, and share almost no memo entries with the S_n suites before them.
+#: worker when a second CPU is free.  These suites count classes of length-3
+#: patterns by the filtered DP, and share almost no memo entries with the
+#: S_n suites before them.
 _WORKER_SUITES = ("duality", "avoidance", "counting")
 
 

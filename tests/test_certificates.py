@@ -30,6 +30,19 @@ a composition of n, each block above the ones after it.  The block is
 (c-1)(c-2)...1c for {123, 132} and 12...c for {132, 213}, so des_k of a
 member is a function of its composition.  The constructions below check
 that map onto the class, and des_k word by word at any n.
+
+Two more classes are built from their 2^(n-1) choice sequences, one choice
+per letter after the first.  Av(132, 231) is the words that decrease, then
+increase: each letter v > 1 goes left or right of 1.  Av(132, 312) is the
+words whose every letter is a new maximum or a new minimum of its prefix.
+inv_k is des over the multiples of k, word by word, as the docstring of
+closed_inv_132_312 says: both count the pairs (i, i + d) with a_i > a_(i+d)
+and d a multiple of k, so over these classes the identity checks the
+scanner's inv gaps against its des width sets at any n.  A new minimum at
+position p is a width-d descent for each d < p and a new maximum for none,
+so over Av(132, 312) inv_k is the sum of floor((p - 1)/k) over the new
+minima: the exponent of closed_inv_132_312's product, one factor per
+position.
 """
 
 import itertools
@@ -221,3 +234,62 @@ def test_class_formulas_at_any_length(case):
     n = sum(parts)
     for block, des_k in CLASS_FORMULAS.values():
         assert des(skew_sum(parts, block), k) == des_k(parts, n, k)
+
+
+def valley(choices):
+    """The member of Av(132, 231) with the letter v on the left of 1 exactly
+    when choices[v - 2]: decreasing down to 1, then increasing."""
+    n = len(choices) + 1
+    left = [v for v in range(n, 1, -1) if choices[v - 2]]
+    right = [v for v in range(2, n + 1) if not choices[v - 2]]
+    return (*left, 1, *right)
+
+
+def records(choices):
+    """The member of Av(132, 312) whose letter i + 2 is a new maximum of its
+    prefix exactly when choices[i], else a new minimum."""
+    low = high = choices.count(False) + 1  # the first letter
+    word = [low]
+    for up in choices:
+        if up:
+            high += 1
+            word.append(high)
+        else:
+            low -= 1
+            word.append(low)
+    return tuple(word)
+
+
+CHOICE_CLASSES = {((1, 3, 2), (2, 3, 1)): valley, ((1, 3, 2), (3, 1, 2)): records}
+
+
+def test_choice_sequences_give_each_class_exhaustively():
+    for pats, build in CHOICE_CLASSES.items():
+        for n in range(9):
+            if n == 0:
+                members = [()]
+            else:
+                members = sorted(map(build, itertools.product((False, True), repeat=n - 1)))
+            assert members == list(avoidance_class(n, pats)), (pats, n)
+            for word in members:
+                for k in range(1, n):
+                    assert inv(word, k) == des(word, range(k, n, k)), (pats, word, k)
+
+
+@st.composite
+def choices_and_widths(draw, top=300):
+    n = draw(st.integers(2, top))
+    choices = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    return tuple(choices), draw(st.integers(1, n - 1))
+
+
+@given(choices_and_widths())
+@settings(max_examples=50, deadline=None)
+def test_inv_is_des_over_the_multiples_of_k_at_any_length(case):
+    choices, k = case
+    n = len(choices) + 1
+    for build in CHOICE_CLASSES.values():
+        word = build(choices)
+        assert inv(word, k) == des(word, range(k, n, k)), (word, k)
+    minima = [p for p, up in enumerate(choices, 2) if not up]
+    assert inv(records(choices), k) == sum((p - 1) // k for p in minima)

@@ -187,7 +187,7 @@ class TestJointAndSigned:
 
     @pytest.mark.parametrize("n", range(9))
     def test_t_polynomial_matches_per_word_count(self, n):
-        # the packed-key walk over S_n against one scan per word
+        # the DP over S_n against one scan per word
         expected = joint_descent_counts(n)
         assert t_polynomial(n) == expected
         assert t_polynomial(n, ()) == expected
@@ -266,8 +266,9 @@ class TestJointAndSigned:
 def joint_descent_counts(n, words=None):
     """
     The joint descent polynomial of the given words of length n (S_n by
-    default), scanning each word for every des_g: the oracle of both key
-    walks.
+    default), scanning each word for every des_g: the oracle of the DP and
+    of the brute-force count of a class whose patterns are not all of
+    length 3.
     """
     if words is None:
         words = itertools.permutations(range(1, n + 1))
@@ -978,9 +979,9 @@ class TestGradedDistributions:
                 assert table[k] == closed_g(n, k), (n, k)
 
     def test_each_class_is_walked_once(self, monkeypatch):
-        # a class is walked by the key walk behind t_polynomial, or listed
-        # in column batches for brute_distribution; a run does either at
-        # most once per (n, class)
+        # a class is counted by _joint_descents behind t_polynomial, or
+        # listed in column batches for brute_distribution; a run does either
+        # at most once per (n, class)
         walks = collections.Counter()
 
         for name in ("_joint_descents", "_column_batches"):

@@ -17,14 +17,13 @@ from widthk.genfun import brute_distribution, t_polynomial
 from widthk.verify import SweepCaches
 from widthk.perm import (
     _allowed,
-    _class_walk,
+    _column_batches,
     _digits,
     _joint_descents,
     _sn_dp,
     _sn_excedances,
     _sn_g,
     _sn_majors,
-    _subset_sums,
     as_perm,
     avoidance_class,
     avoids,
@@ -104,7 +103,7 @@ def test_contains_leaves_no_garbage():
 def test_sn_walks_leave_no_garbage():
     # a walk whose closure refers to itself would keep its key dict and
     # memos alive until the cyclic collector runs; the class walk, which
-    # counts keys or lists members, must not either, even when dropped early
+    # lists members, must not either, even when dropped early
     gc.collect()
     gc.disable()
     try:
@@ -159,16 +158,6 @@ def test_exc_maj_walk_matches_per_word_scan(n, word_counter):
         assert caches.dist(n, "maj", (k,)) == _sn_majors(n, (k,)), k
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_sn_joint_descents_match_unpruned_walk(n):
-    # the DP against the class walk with no pattern, which walks all of S_n
-    # with the key tables the walk of a class gets
-    w = (n - 1).bit_length()
-    tables = [_subset_sums(j - 1, lambda i, j=j: 1 << w * (j - i - 1)) for j in range(n + 1)]
-    keys = collections.Counter(itertools.chain.from_iterable(_class_walk(n, (), tables)))
-    assert _joint_descents(n, ()) == _digits(keys, n, w)
-
-
 # every nonempty set of length-3 patterns, the classes _joint_descents
 # counts by the filtered DP
 S3_CLASSES = [
@@ -178,31 +167,55 @@ S3_CLASSES = [
 ]
 
 
+def _joint_per_word(n, pats):
+    # (des_1, ..., des_(n-1)) counted word by word over the listed class:
+    # entry g-1 counts the pairs (i, i+g) with word[i] > word[i+g]
+    return collections.Counter(
+        tuple([sum(map(operator.gt, word, word[g:])) for g in range(1, n)])
+        for word in avoidance_class(n, pats)
+    )
+
+
 @pytest.mark.parametrize("n", range(10))
 def test_filtered_dp_matches_the_key_walk(n):
-    # the DP through the filter of each class against the class walk's keys
+    # the DP through the filter of each class against a per-word count of
+    # the members that the class walk lists; the walk shares no rule with
+    # _allowed (tests/test_oracle_independence.py)
     w = (n - 1).bit_length()
-    tables = [_subset_sums(j - 1, lambda i, j=j: 1 << w * (j - i - 1)) for j in range(n + 1)]
     for pats in S3_CLASSES:
-        keys = collections.Counter(itertools.chain.from_iterable(_class_walk(n, pats, tables)))
-        assert _sn_dp(n, w, allowed=_allowed(n, pats)) == keys, pats
-        assert _joint_descents(n, pats) == _digits(keys, n, w), pats
+        expected = _joint_per_word(n, pats)
+        assert _digits(_sn_dp(n, w, allowed=_allowed(n, pats)), n, w) == expected, pats
+        assert _joint_descents(n, pats) == expected, pats
 
 
 def test_length3_classes_take_the_dp_and_others_the_walk(monkeypatch):
-    walked = []
+    # only classes with a pattern of length other than 3 are listed, in
+    # column batches, and counted by brute force
+    listed = []
 
-    def walk(n, pats, tables=None):
-        walked.append(pats)
-        return _class_walk(n, pats, tables)
+    def batches(n, pats):
+        listed.append(pats)
+        return _column_batches(n, pats)
 
-    monkeypatch.setattr(perm, "_class_walk", walk)
+    monkeypatch.setattr(perm, "_column_batches", batches)
     for pats in S3_CLASSES:
         _joint_descents(6, pats)
-    assert walked == []
+    assert listed == []
     for pats in (((1, 2),), ((1, 3, 2), (1, 2, 3, 4)), ((2, 1, 4, 3),)):
         _joint_descents(6, pats)
-    assert walked == [((1, 2),), ((1, 3, 2), (1, 2, 3, 4)), ((2, 1, 4, 3),)]
+    assert listed == [((1, 2),), ((1, 3, 2), (1, 2, 3, 4)), ((2, 1, 4, 3),)]
+
+
+def test_joint_descents_below_two_letters():
+    # the brute-force route's empty vectors: the empty word avoids 1, the
+    # one-letter word does not, and both avoid every longer pattern
+    assert _joint_descents(0, ((1,),)) == {(): 1}
+    assert _joint_descents(1, ((1,),)) == {}
+    assert _joint_descents(1, ((1, 2),)) == {(): 1}
+    one_2413 = ((1,), (2, 4, 1, 3))
+    assert _joint_descents(0, one_2413) == {(): 1}
+    assert _joint_descents(1, one_2413) == {}
+    assert _joint_descents(2, one_2413) == {}
 
 
 @pytest.mark.parametrize("n", range(5, 11))
