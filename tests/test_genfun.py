@@ -1012,8 +1012,8 @@ class TestGradedDistributions:
         return runs
 
     def test_equidistribution_walks_each_sn_once(self, sn_runs):
-        # one dict DP per n for the joint descents, which inclusion-exclusion
-        # reads too, and one packed-row DP per (n, k) for exc_k and per
+        # one dict DP per n for the joint descents, which the des and inv
+        # grades read, and one packed-row DP per (n, k) for exc_k and per
         # (n, K) for maj_K: maj_k for every k, and the info block's maj_K for
         # |K| >= 2, so the 2^(n-1) - 1 nonempty K run once each
         for suite in ("equidistribution", "all"):
@@ -1036,6 +1036,13 @@ class TestGradedDistributions:
         once = sn_runs.copy()
         run_suite("equidistribution", n_max=6)
         assert once and sn_runs == {key: 2 * count for key, count in once.items()}
+
+    def test_inclusion_exclusion_reads_no_distribution(self, sn_runs):
+        # the sweep compares the two sides' coefficients of each des_g, so
+        # the suite alone runs no S_n DP
+        reports = run_suite("inclusion-exclusion")
+        assert [r.status for r in reports] == ["verified", "verified"]
+        assert sn_runs == {}
 
     def test_planted_exc_defect_is_reported_alone(self, monkeypatch):
         # one count of exc_2 over S_5 moved up by one: des=exc must name
@@ -1176,10 +1183,9 @@ class TestReports:
     def test_inclusion_exclusion_reports_first_broken_case(self, monkeypatch):
         # Reading lcm(2, 3) as 5 adds a spurious -inv_5 to every K holding 2
         # and 3 once n = 6, where the true lcm 6 drops out.  The sweep checks
-        # gap vectors (des_1, ..., des_5) in increasing order, and the first
-        # with des_5 = inv_5 > 0 is (1, 1, 1, 1, 1), the vector of 234561.
-        # K = {2,3} is the first such K; there inv_{2,3} = 3 but the sum
-        # reads 2 + 1 - 1.
+        # the coefficient of each des_g, cell by cell, and K = {2,3} is the
+        # first such K at n = 6: inv_{2,3} counts no gap-5 pair, but the sum
+        # takes -1 of des_5.
         lcm = math.lcm
         monkeypatch.setattr(
             stats.math, "lcm", lambda *ks: 5 if sorted(ks) == [2, 3] else lcm(*ks)
@@ -1188,10 +1194,31 @@ class TestReports:
         assert sweep.identity == "inclusion-exclusion[sweep]"
         assert sweep.status == "mismatch"
         assert sweep.counterexample == {
-            "params": {"n": 6, "K": [2, 3], "des_g": [1, 1, 1, 1, 1]},
-            "lhs": 3,
-            "rhs": 2,
+            "params": {"n": 6, "K": [2, 3]},
+            "lhs": [0, 1, 1, 1, 0],
+            "rhs": [0, 1, 1, 1, -1],
         }
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_des_vectors_of_sn_span_every_gap(self, n):
+        # The sweep compares inclusion-exclusion's coefficients gap by gap.
+        # That is the check over every sigma because the vectors
+        # (des_1, ..., des_(n-1)) of S_n, counted here word by word, span
+        # Q^(n-1): sides that differ at some gap differ on some sigma.
+        vectors = {
+            tuple(sum(map(operator.gt, w, w[g:])) for g in range(1, n))
+            for w in itertools.permutations(range(n))
+        }
+        assert len(vectors) == (2, 4, 12, 32, 128, 470)[n - 2]
+        basis = []  # (pivot, row): each row is 0 at the pivots before its own
+        for v in vectors:
+            row = list(map(Fraction, v))
+            for pivot, b in basis:
+                row = [x - row[pivot] / b[pivot] * y for x, y in zip(row, b)]
+            pivot = next((i for i, x in enumerate(row) if x), None)
+            if pivot is not None:
+                basis.append((pivot, row))
+        assert len(basis) == n - 1
 
     # Planted defects in the width-set rules of stats: each must flip exactly
     # the identities whose routes read that rule, and no other.
@@ -1204,8 +1231,8 @@ class TestReports:
     def test_lcm_expansion_without_negative_terms(self, monkeypatch):
         # without the even-sized subsets a gap that two widths divide counts
         # twice: the by_lcm route and the sweep both read the expansion, and
-        # the sweep's first overcount is the gap vector (1, 1) of 231 and 312
-        # at K = {1, 2}, whose gap-2 inversion both widths count
+        # the sweep's first overcount is at n = 3, K = {1, 2}, whose gap 2
+        # both widths divide, so the sum takes des_2 twice
         terms = stats._lcm_terms
         monkeypatch.setattr(
             stats, "_lcm_terms", lambda *args: [t for t in terms(*args) if t[0] > 0]
@@ -1214,9 +1241,9 @@ class TestReports:
         assert set(bad) == {"inclusion-exclusion[example]", "inclusion-exclusion[sweep]"}
         assert bad["inclusion-exclusion[example]"]["params"]["route"] == "by_lcm"
         assert bad["inclusion-exclusion[sweep]"] == {
-            "params": {"n": 3, "K": [1, 2], "des_g": [1, 1]},
-            "lhs": 2,
-            "rhs": 3,
+            "params": {"n": 3, "K": [1, 2]},
+            "lhs": [1, 1],
+            "rhs": [1, 2],
         }
 
     def test_inv_set_without_gap_6(self, monkeypatch):
@@ -1334,7 +1361,7 @@ class TestSuites:
             ("theorem[inv]", "2<=n<=8, 1<=k<=n-1", "verified"),
             ("equidistribution[des=exc]", "2<=n<=8, 1<=k<=n-1", "verified"),
             ("equidistribution[inv=maj]", "2<=n<=8, 1<=k<=n-1", "verified"),
-            ("equidistribution[des=inv|2k>=n]", "2<=n<=8, 1<=k<=n-1", "verified"),
+            ("equidistribution[des=inv|2k>=n]", "2<=n<=8, 1<=k<=n-1 with 2k>=n", "verified"),
             (
                 "equidistribution[inv_K=maj_K|info]",
                 "2<=n<=7, K subsets of [n-1] with |K|>=2",
@@ -1415,7 +1442,7 @@ class TestSuites:
             ("equidistribution[inv=maj]", 28),
             ("equidistribution[des=inv|2k>=n]", 16),
             ("inclusion-exclusion[example]", 3),
-            ("inclusion-exclusion[sweep]", 648),
+            ("inclusion-exclusion[sweep]", 91),
             ("gtable[n=6]", 5),
             ("gtable[n=8]", 7),
             ("gtable[n=9]", 8),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthk import perm
+from widthk import perm, stats
 from widthk.errors import EnumerationCapError, InvalidInputError
 from widthk.genfun import brute_distribution, t_polynomial
 from widthk.verify import SweepCaches
@@ -216,6 +216,19 @@ def test_joint_descents_below_two_letters():
     assert _joint_descents(0, one_2413) == {(): 1}
     assert _joint_descents(1, one_2413) == {}
     assert _joint_descents(2, one_2413) == {}
+
+
+def test_sn_joint_descents_at_9_term_by_term():
+    # S_9's joint polynomial, which the per-word oracle does not reach,
+    # against an independent count: one des scanner per gap over S_9's column
+    # batches, each batch's lanes zipped into its words' vectors
+    n = 9
+    scans = [stats.scanner("des", n, g) for g in range(1, n)]
+    joint = collections.Counter()
+    for columns, m in _column_batches(n, ()):
+        joint.update(zip(*[scan(columns, m) for scan in scans]))
+    assert len(joint) == 10088
+    assert _joint_descents(n, ()) == joint
 
 
 @pytest.mark.parametrize("n", range(5, 11))
